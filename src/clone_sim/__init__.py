@@ -36,6 +36,7 @@ from .protocol import (
     StepTrace,
     TraceEntry,
     build_uqcm_schedule,
+    clone_batch,
     cnot_cavity_control,
     execute_schedule,
     prepare_input,
@@ -53,6 +54,7 @@ from .verify import (
     clone_fidelities,
     computational_leakage,
     reference_step_state,
+    score_rows,
     step_conformance,
     target_state,
     universality_sweep,

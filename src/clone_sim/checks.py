@@ -25,6 +25,8 @@ from .hilbert import (
     LEVEL_E,
     LEVEL_G,
     LEVEL_I,
+    MINUS_GI,
+    PLUS_GI,
     BasisSpec,
     PureState,
     inner_product,
@@ -42,9 +44,6 @@ from .verify import clone_fidelities, reference_step_state
 ORACLE_TOL = 1e-9
 EXACT_TOL = 1e-12
 STEP_TOL = 1e-10
-
-_PLUS3 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-_MINUS3 = np.array([-1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -171,8 +170,8 @@ def check_cnot_truth_table(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResu
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     worst = 0.0
     cases = [
-        (_PLUS3, 0, _PLUS3), (_MINUS3, 0, _MINUS3),
-        (_PLUS3, 1, _MINUS3), (_MINUS3, 1, _PLUS3),
+        (PLUS_GI, 0, PLUS_GI), (MINUS_GI, 0, MINUS_GI),
+        (PLUS_GI, 1, MINUS_GI), (MINUS_GI, 1, PLUS_GI),
     ]
     for gi_in, photons, gi_out in cases:
         start = _embedded_qubit(spec, 2, gi_in, photons)
@@ -190,8 +189,8 @@ def check_process_tables(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult
     i3 = np.array([0.0, 1.0, 0.0])
     worst = 0.0
     elapsed = set()
-    table_one = [(_PLUS3, -i3), (_MINUS3, g3)]
-    table_two = [(g3, _MINUS3), (i3, -_PLUS3)]
+    table_one = [(PLUS_GI, -i3), (MINUS_GI, g3)]
+    table_two = [(g3, MINUS_GI), (i3, -PLUS_GI)]
     for process, table in ((process_one, table_one), (process_two, table_two)):
         for gi_in, gi_out in table:
             start = _embedded_qubit(spec, 1, gi_in, 0)

@@ -12,16 +12,17 @@ All reported numbers carry 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import run_all_checks
-from .dynamics import CouplingConfig
+from .dynamics import CouplingConfig, PulseOp
 from .errors import PhysicsError
 from .protocol import InputQubit, Schedule, Slot, build_uqcm_schedule, run_uqcm
 from .verify import clone_fidelities, universality_sweep
@@ -42,8 +43,7 @@ _FLOAT_KEYS = {
     "theta": "theta",
     "phi": "phi",
 }
-_INT_KEYS = {"fock_cutoff": "fock_cutoff", "seed": "seed", "jobs": "jobs",
-             "num_samples": "num_samples"}
+_INT_KEYS = {"fock_cutoff": "fock_cutoff", "seed": "seed", "num_samples": "num_samples"}
 _COMPLEX_KEYS = {"alpha": "alpha", "beta": "beta"}
 
 
@@ -57,7 +57,6 @@ class Settings:
     fock_cutoff: int
     tolerance: float
     seed: int
-    jobs: int
     timing_jitter: float
     num_samples: int
     q: InputQubit | None
@@ -104,7 +103,7 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
     values: dict[str, object] = {
         "lam": 1.0, "omega_ge": 1.0, "omega_ie": 1.0, "lambda_prime": 1.0,
         "omega_gi": 20.0, "delta": 0.0,
-        "fock_cutoff": 2, "tolerance": 1e-9, "seed": 20210, "jobs": 1,
+        "fock_cutoff": 2, "tolerance": 1e-9, "seed": 20210,
         "timing_jitter": 0.0, "num_samples": 100,
         "theta": None, "phi": None, "alpha": None, "beta": None,
     }
@@ -121,7 +120,7 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {text!r}") from exc
     for flag, key in (
-        ("theta", "theta"), ("phi", "phi"), ("seed", "seed"), ("jobs", "jobs"),
+        ("theta", "theta"), ("phi", "phi"), ("seed", "seed"),
         ("timing_jitter", "timing_jitter"), ("fock_cutoff", "fock_cutoff"),
         ("tolerance", "tolerance"), ("num_samples", "num_samples"),
     ):
@@ -132,6 +131,12 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         given = getattr(args, flag, None)
         if given is not None:
             values[flag] = _parse_complex(given, flag)
+    for key, name in _FLOAT_KEYS.items():
+        if values[name] is not None and not math.isfinite(values[name]):
+            raise ConfigError(f"{key} must be finite, got {values[name]}")
+    for key in _COMPLEX_KEYS:
+        if values[key] is not None and not cmath.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]}")
 
     try:
         cfg = CouplingConfig(
@@ -147,9 +152,9 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
     tolerance = float(values["tolerance"])
     if tolerance <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    jobs = int(values["jobs"])
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    seed = int(values["seed"])
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     jitter = float(values["timing_jitter"])
     if not 0.0 <= jitter < 1.0:
         raise ConfigError(f"timing_jitter must lie in [0, 1), got {jitter}")
@@ -166,10 +171,13 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         if values["alpha"] is None or values["beta"] is None:
             raise ConfigError("alpha and beta must be given together")
         alpha, beta = complex(values["alpha"]), complex(values["beta"])
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        norm = math.hypot(abs(alpha), abs(beta))
         if norm == 0.0:
             raise ConfigError("alpha and beta cannot both be zero")
-        q = InputQubit(alpha / norm, beta / norm)
+        try:
+            q = InputQubit(alpha / norm, beta / norm)
+        except ValueError as exc:
+            raise ConfigError(f"cannot normalize alpha and beta: {exc}") from exc
     else:
         theta = float(values["theta"]) if values["theta"] is not None else 0.0
         phi = float(values["phi"]) if values["phi"] is not None else 0.0
@@ -177,7 +185,7 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
 
     return Settings(
         cfg=cfg, fock_cutoff=fock_cutoff, tolerance=tolerance,
-        seed=int(values["seed"]), jobs=jobs, timing_jitter=jitter,
+        seed=seed, timing_jitter=jitter,
         num_samples=num_samples, q=q, theta=theta, phi=phi,
         trace_path=getattr(args, "trace", None),
         summary_path=getattr(args, "summary", None),
@@ -198,30 +206,35 @@ def _sig12(obj):
 
 
 def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator) -> Schedule:
-    """Scale every slot's pulse durations by an independent 1 + fraction*u, u ~ U(-1, 1)."""
+    """Scale every slot's pulse durations by an independent 1 + fraction*u, u ~ U(-1, 1).
+
+    One u is drawn per slot, in slot order.
+    """
+    factors = (1.0 + fraction * rng.uniform(-1.0, 1.0, len(base.slots))).tolist()
     slots = []
-    for slot in base.slots:
-        factor = 1.0 + fraction * float(rng.uniform(-1.0, 1.0))
+    for slot, factor in zip(base.slots, factors):
         tracks = tuple(
-            tuple(replace(op, duration=op.duration * factor) for op in track)
+            tuple(PulseOp(op.variant, op.squid, op.duration * factor, op.phi1, op.phi2)
+                  for op in track)
             for track in slot.tracks
         )
         slots.append(Slot(slot.step, slot.description, tracks))
     return Schedule(tuple(slots))
 
 
-def _schedule_for(settings: Settings, sample: int) -> Schedule | None:
-    if settings.timing_jitter == 0.0:
-        return None
+def _jittered(settings: Settings, base: Schedule, sample: int) -> Schedule:
+    """Sample ``sample``'s schedule, drawn from its own stream of the seed."""
     rng = np.random.default_rng([settings.seed, _JITTER_STREAM, sample])
-    return perturbed_schedule(build_uqcm_schedule(settings.cfg), settings.timing_jitter, rng)
+    return perturbed_schedule(base, settings.timing_jitter, rng)
 
 
 def _execute(settings: Settings):
+    schedule = None
+    if settings.timing_jitter > 0.0:
+        schedule = _jittered(settings, build_uqcm_schedule(settings.cfg), 0)
     return run_uqcm(
         settings.q, settings.cfg, fock_cutoff=settings.fock_cutoff,
-        schedule=_schedule_for(settings, 0),
-        enforce_preconditions=settings.timing_jitter == 0.0,
+        schedule=schedule, enforce_preconditions=settings.timing_jitter == 0.0,
     )
 
 
@@ -267,10 +280,11 @@ def cmd_trace(settings: Settings) -> int:
 def cmd_sweep(settings: Settings) -> int:
     factory = None
     if settings.timing_jitter > 0.0:
-        factory = lambda sample: _schedule_for(settings, sample)  # noqa: E731
+        base = build_uqcm_schedule(settings.cfg)
+        factory = lambda sample: _jittered(settings, base, sample)  # noqa: E731
     result = universality_sweep(
         settings.num_samples, settings.seed, settings.cfg,
-        fock_cutoff=settings.fock_cutoff, jobs=settings.jobs,
+        fock_cutoff=settings.fock_cutoff,
         schedule_factory=factory,
         enforce_preconditions=settings.timing_jitter == 0.0,
     )
@@ -316,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--alpha", help="plus-component amplitude as 're' or 're,im'")
         cmd.add_argument("--beta", help="minus-component amplitude as 're' or 're,im'")
         cmd.add_argument("--seed", type=int, help="PRNG seed (sampling and jitter)")
-        cmd.add_argument("--jobs", type=int, help="parallel workers for sweeps")
         cmd.add_argument("--timing-jitter", dest="timing_jitter", type=float,
                          help="fractional slot-duration error, uniform in +-value")
         cmd.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,

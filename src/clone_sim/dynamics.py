@@ -20,6 +20,13 @@ factor -L'M, and composing its exponential with the free-evolution
 generator's exponential reproduces the map above.  No single
 time-independent Hermitian generator can, because the map is not a
 one-parameter group in t.
+
+Each map is one kernel that acts in place on a batch: a complex array of
+shape ``(B, 3, ..., 3, fock_cutoff + 1)`` holding one register state per
+row, with a ``(B,)`` array of durations, so every row may carry its own
+pulse length.  The kernels use only elementwise arithmetic, so a row's
+result does not depend on the batch size.  The ``apply_*`` functions
+are the same kernels run on one ``PureState`` as a batch of one.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 
 from .errors import LeakageError
 from .hilbert import (
+    E_LEAK_TOL,
     LEVEL_E,
     LEVEL_G,
     LEVEL_I,
@@ -42,8 +50,6 @@ from .hilbert import (
     basis_index,
     basis_tuple,
 )
-
-E_LEAK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,65 +118,173 @@ class PulseOp:
         }
 
 
-def _axis_slices(ndim: int, assignments: dict[int, int]) -> tuple:
-    sl: list = [slice(None)] * ndim
-    for axis, value in assignments.items():
-        sl[axis] = value
-    return tuple(sl)
+def _level(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
+    """Writable view of every row's amplitudes with ``squid`` in ``level``."""
+    if not 1 <= squid <= amps.ndim - 2:
+        raise ValueError(f"squid index {squid} outside 1..{amps.ndim - 2}")
+    index: list = [slice(None)] * amps.ndim
+    index[squid] = level
+    return amps[tuple(index)]
 
 
-def _mix_pair(arr: np.ndarray, idx_a: tuple, idx_b: tuple, theta: float) -> None:
+def _per_row(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Shape a (B,) array to broadcast against a (B, ...) view with ``ndim`` axes."""
+    return np.asarray(values, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> None:
     # |a> -> cos|a> - i sin|b>, |b> -> cos|b> - i sin|a>, in place.
-    a = arr[idx_a].copy()
-    b = arr[idx_b]
-    c, s = math.cos(theta), math.sin(theta)
-    arr[idx_a] = c * a - 1j * s * b
-    arr[idx_b] = c * b - 1j * s * a
+    c, s = np.cos(theta), np.sin(theta)
+    a_old = a.copy()
+    a[...] = c * a_old - 1j * s * b
+    b[...] = c * b - 1j * s * a_old
+
+
+def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
+    """(B,) probability of finding ``squid`` in ``level``, one entry per row."""
+    view = _level(amps, squid, level)
+    return np.sum(np.abs(view.reshape(len(amps), -1)) ** 2, axis=1)
+
+
+def jc_kernel(
+    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
+) -> None:
+    """Resonant cavity exchange on one SQUID's g-e transition, row b for ``durations[b]``.
+
+    Each excitation sector {|g, n+1>, |e, n>} rotates by the angle
+    lam * sqrt(n+1) * duration; |i, n> and |g, 0> are dark.  Within the
+    truncated space |e, fock_cutoff> has no partner and stays put.  All
+    sectors rotate in one step.
+    """
+    fock = amps.shape[-1] - 1
+    rates = cfg.lam * np.sqrt(np.arange(1, fock + 1, dtype=np.float64))
+    theta = rates * np.asarray(durations, dtype=np.float64)[:, None]
+    g_view = _level(amps, squid, LEVEL_G)[..., 1:]
+    e_view = _level(amps, squid, LEVEL_E)[..., :-1]
+    theta = theta.reshape((len(amps),) + (1,) * (g_view.ndim - 2) + (fock,))
+    _rotate(g_view, e_view, theta)
+
+
+def _drive_kernel(amps: np.ndarray, squid: int, angles: np.ndarray, lower: int) -> None:
+    lo_view = _level(amps, squid, lower)
+    _rotate(lo_view, _level(amps, squid, LEVEL_E), _per_row(angles, lo_view.ndim))
+
+
+def drive_ge_kernel(
+    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
+) -> None:
+    """Classical drive on the g-e transition; |i> is a spectator."""
+    _drive_kernel(amps, squid, cfg.omega_ge * np.asarray(durations, dtype=np.float64), LEVEL_G)
+
+
+def drive_ie_kernel(
+    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
+) -> None:
+    """Classical drive on the i-e transition; |g> is a spectator."""
+    _drive_kernel(amps, squid, cfg.omega_ie * np.asarray(durations, dtype=np.float64), LEVEL_I)
+
+
+def raman_kernel(
+    amps: np.ndarray,
+    squid: int,
+    durations: np.ndarray,
+    phi1: float,
+    phi2: float,
+    cfg: CouplingConfig = DEFAULT_COUPLINGS,
+) -> None:
+    """Effective two-pulse rotation between |g> and |i> (module docstring map).
+
+    e amplitudes are left untouched; callers that need the map to be
+    valid run ``check_two_pulse_domain`` first.
+    """
+    dphi = phi1 - phi2
+    g_view = _level(amps, squid, LEVEL_G)
+    i_view = _level(amps, squid, LEVEL_I)
+    t = _per_row(durations, g_view.ndim)
+    c = np.cos(cfg.lambda_prime * t)
+    s = np.sin(cfg.lambda_prime * t)
+    free = np.exp(-1j * cfg.omega_gi * t)
+    g_old = g_view.copy()
+    g_view[...] = c * g_old + 1j * cmath.exp(1j * dphi) * s * i_view
+    i_view[...] = free * (1j * cmath.exp(-1j * dphi) * s * g_old + c * i_view)
+
+
+def free_evolution_kernel(
+    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
+) -> None:
+    """Free phase accumulation: |i> -> exp(-i omega_gi t)|i>, |g> and |e> fixed."""
+    i_view = _level(amps, squid, LEVEL_I)
+    i_view[...] = np.exp(-1j * cfg.omega_gi * _per_row(durations, i_view.ndim)) * i_view
+
+
+def pulse_kernel(
+    amps: np.ndarray, op: PulseOp, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
+) -> None:
+    """Apply ``op`` to every row of ``amps`` in place, row b lasting ``durations[b]``.
+
+    ``op.duration`` is ignored; the per-row durations replace it.
+    """
+    if op.variant is PulseVariant.JC:
+        jc_kernel(amps, op.squid, durations, cfg)
+    elif op.variant is PulseVariant.DRIVE_GE:
+        drive_ge_kernel(amps, op.squid, durations, cfg)
+    elif op.variant is PulseVariant.DRIVE_IE:
+        drive_ie_kernel(amps, op.squid, durations, cfg)
+    elif op.variant is PulseVariant.RAMAN:
+        raman_kernel(amps, op.squid, durations, op.phi1, op.phi2, cfg)
+    elif op.variant is PulseVariant.FREE_EVOLVE:
+        free_evolution_kernel(amps, op.squid, durations, cfg)
+    else:
+        raise ValueError(f"unknown pulse variant {op.variant!r}")
+
+
+def check_two_pulse_domain(
+    amps: np.ndarray, squid: int, e_tol: float = E_LEAK_TOL, first_sample: int = 0
+) -> None:
+    """Raise ``LeakageError`` naming the first row whose ``squid`` holds e population >= e_tol.
+
+    The two-pulse map eliminated the e level, so it is valid only where
+    that population is negligible.  Rows are numbered from ``first_sample``.
+    """
+    if e_tol == math.inf:
+        return
+    pops = level_populations(amps, squid, LEVEL_E)
+    bad = pops >= e_tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise LeakageError(
+            f"sample {first_sample + k}: squid{squid} e-level population {float(pops[k])} "
+            f"exceeds {e_tol}; two-pulse map undefined outside the g-i subspace"
+        )
+
+
+def _apply_one(state: PureState, kernel, squid: int, duration: float, *args) -> PureState:
+    """Run a kernel on one state as a batch of one."""
+    _check_squid(state.spec, squid)
+    amps = state.tensor()[None].copy()
+    kernel(amps, squid, np.array([duration], dtype=np.float64), *args)
+    return PureState(amps.reshape(-1), state.spec)
 
 
 def apply_jc(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """Resonant cavity exchange on one SQUID's g-e transition.
-
-    Each excitation sector {|g, n+1>, |e, n>} rotates by the angle
-    lam * sqrt(n+1) * duration; |i, n> and |g, 0> are dark.  Within the
-    truncated space |e, fock_cutoff> has no partner and stays put.
-    """
-    _check_squid(state.spec, squid)
-    arr = state.tensor().copy()
-    axis = squid - 1
-    cavity_axis = state.spec.num_squids
-    for n in range(state.spec.fock_cutoff):
-        theta = cfg.lam * math.sqrt(n + 1) * duration
-        idx_g = _axis_slices(arr.ndim, {axis: LEVEL_G, cavity_axis: n + 1})
-        idx_e = _axis_slices(arr.ndim, {axis: LEVEL_E, cavity_axis: n})
-        _mix_pair(arr, idx_g, idx_e, theta)
-    return PureState(arr.reshape(-1), state.spec)
-
-
-def _apply_drive(state: PureState, squid: int, theta: float, lower: int) -> PureState:
-    _check_squid(state.spec, squid)
-    arr = state.tensor().copy()
-    axis = squid - 1
-    idx_lo = _axis_slices(arr.ndim, {axis: lower})
-    idx_e = _axis_slices(arr.ndim, {axis: LEVEL_E})
-    _mix_pair(arr, idx_lo, idx_e, theta)
-    return PureState(arr.reshape(-1), state.spec)
+    """``jc_kernel`` on one state."""
+    return _apply_one(state, jc_kernel, squid, duration, cfg)
 
 
 def apply_drive_ge(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """Classical drive on the g-e transition; |i> is a spectator."""
-    return _apply_drive(state, squid, cfg.omega_ge * duration, LEVEL_G)
+    """``drive_ge_kernel`` on one state."""
+    return _apply_one(state, drive_ge_kernel, squid, duration, cfg)
 
 
 def apply_drive_ie(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """Classical drive on the i-e transition; |g> is a spectator."""
-    return _apply_drive(state, squid, cfg.omega_ie * duration, LEVEL_I)
+    """``drive_ie_kernel`` on one state."""
+    return _apply_one(state, drive_ie_kernel, squid, duration, cfg)
 
 
 def apply_raman(
@@ -182,44 +296,21 @@ def apply_raman(
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     e_tol: float = E_LEAK_TOL,
 ) -> PureState:
-    """Effective two-pulse rotation between |g> and |i> (module docstring map).
+    """``raman_kernel`` on one state, guarded by ``check_two_pulse_domain``.
 
-    Valid only when the target carries no e population, since the level
-    was eliminated from the effective model; a violation raises
-    ``LeakageError``.  Pass ``e_tol=math.inf`` to skip the guard (the e
-    amplitudes are then simply left untouched).
+    Pass ``e_tol=math.inf`` to skip the guard (the e amplitudes are then
+    simply left untouched).
     """
     _check_squid(state.spec, squid)
-    e_pop = state.level_population(squid, LEVEL_E)
-    if e_pop >= e_tol:
-        raise LeakageError(
-            f"squid{squid} e-level population {e_pop} exceeds {e_tol}; "
-            "two-pulse map undefined outside the g-i subspace"
-        )
-    arr = state.tensor().copy()
-    axis = squid - 1
-    dphi = phi1 - phi2
-    c = math.cos(cfg.lambda_prime * duration)
-    s = math.sin(cfg.lambda_prime * duration)
-    free = cmath.exp(-1j * cfg.omega_gi * duration)
-    idx_g = _axis_slices(arr.ndim, {axis: LEVEL_G})
-    idx_i = _axis_slices(arr.ndim, {axis: LEVEL_I})
-    g_old = arr[idx_g].copy()
-    i_old = arr[idx_i]
-    arr[idx_g] = c * g_old + 1j * cmath.exp(1j * dphi) * s * i_old
-    arr[idx_i] = free * (1j * cmath.exp(-1j * dphi) * s * g_old + c * i_old)
-    return PureState(arr.reshape(-1), state.spec)
+    check_two_pulse_domain(state.tensor()[None], squid, e_tol)
+    return _apply_one(state, raman_kernel, squid, duration, phi1, phi2, cfg)
 
 
 def apply_free_evolution(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """Free phase accumulation: |i> -> exp(-i omega_gi t)|i>, |g> and |e> fixed."""
-    _check_squid(state.spec, squid)
-    arr = state.tensor().copy()
-    idx_i = _axis_slices(arr.ndim, {squid - 1: LEVEL_I})
-    arr[idx_i] = cmath.exp(-1j * cfg.omega_gi * duration) * arr[idx_i]
-    return PureState(arr.reshape(-1), state.spec)
+    """``free_evolution_kernel`` on one state."""
+    return _apply_one(state, free_evolution_kernel, squid, duration, cfg)
 
 
 def apply_pulse_op(

@@ -11,6 +11,11 @@ State vectors are immutable once constructed.  Operations never
 renormalize silently; a drifted norm raises ``NormalizationError`` and
 ``PureState.from_amplitudes(..., normalize=True)`` is the one explicit
 way to rescale.
+
+Batched code holds B states as one array of shape
+``(B,) + spec.factor_dims``, row b being sample b.  ``check_row_norms``
+and ``density_defect`` apply the same norm and density-matrix rules to
+every row at once.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 E_LEAK_TOL = 1e-10
 
-# Qubit basis over (g, i): |+> = (|i> + |g>)/sqrt(2), |-> = (|i> - |g>)/sqrt(2).
-PLUS_GI = np.array([1.0, 1.0]) / math.sqrt(2.0)
-MINUS_GI = np.array([-1.0, 1.0]) / math.sqrt(2.0)
+# Qubit basis of one SQUID over levels (g, i, e):
+# |+> = (|i> + |g>)/sqrt(2), |-> = (|i> - |g>)/sqrt(2).
+PLUS_GI = np.array([1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
+MINUS_GI = np.array([-1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def level_code(level: int | str) -> int:
@@ -119,7 +125,7 @@ class PureState:
                 f"basis dimension is {self.spec.dimension}"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) >= NORM_TOL:
+        if not abs(nrm - 1.0) < NORM_TOL:
             raise NormalizationError(
                 f"state norm is {nrm!r}; use from_amplitudes(..., normalize=True) to rescale"
             )
@@ -194,6 +200,19 @@ def _check_same_spec(a: PureState, b: PureState) -> None:
         raise ValueError(f"basis mismatch: {a.spec} vs {b.spec}")
 
 
+def check_row_norms(amps: np.ndarray, first_sample: int = 0) -> None:
+    """Raise ``NormalizationError`` naming the first row whose norm is off unity by NORM_TOL.
+
+    ``amps`` holds one state per row; rows are numbered from ``first_sample``.
+    """
+    parts = np.ascontiguousarray(amps).reshape(len(amps), -1).view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    ok = np.abs(norms - 1.0) < NORM_TOL
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NormalizationError(f"sample {first_sample + k}: state norm is {float(norms[k])!r}")
+
+
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _check_same_spec(a, b)
@@ -256,15 +275,35 @@ class DensityMatrix:
             raise ValueError(f"subsystem labels must follow register order, got {self.subsystem}")
         if mat.shape[0] != expected:
             raise ValueError(f"matrix dimension {mat.shape[0]} != subsystem dimension {expected}")
-        if float(np.max(np.abs(mat - mat.conj().T))) >= HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(float(np.trace(mat).real) - 1.0) >= NORM_TOL:
-            raise ValueError(f"density matrix trace {np.trace(mat)!r} != 1 within tolerance")
-        low = float(np.min(np.linalg.eigvalsh(mat)))
-        if low < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {low} below {EIGENVALUE_FLOOR}")
+        defect = density_defect(mat[None])
+        if defect is not None:
+            raise ValueError(defect[1])
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+
+
+def density_defect(mats: np.ndarray) -> tuple[int, str] | None:
+    """First (row, reason) in a stack of square matrices that is no density matrix.
+
+    Checks Hermiticity, unit trace and the eigenvalue floor, in that
+    order; returns None when every matrix passes.
+    """
+    skew = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    bad_skew = ~(skew < HERMITICITY_TOL)
+    bad_trace = ~(np.abs(trace.real - 1.0) < NORM_TOL)
+    bad = np.flatnonzero(bad_skew | bad_trace)
+    if bad.size:
+        k = int(bad[0])
+        if bad_skew[k]:
+            return k, "density matrix is not Hermitian within tolerance"
+        return k, f"density matrix trace {complex(trace[k])!r} != 1 within tolerance"
+    low = np.linalg.eigvalsh(mats)[:, 0]
+    bad = np.flatnonzero(~(low >= EIGENVALUE_FLOOR))
+    if bad.size:
+        k = int(bad[0])
+        return k, f"density matrix has eigenvalue {float(low[k])} below {EIGENVALUE_FLOOR}"
+    return None
 
 
 def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:

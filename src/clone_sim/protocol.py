@@ -20,6 +20,13 @@ Step roles, in schedule order:
   step8   i-e drive lifts SQUID 1's |i> into |e>
   step9   quarter-period exchange emits SQUID 1's share into the cavity
   step10  two controlled flips copy the cavity bit onto SQUIDs 2 and 3
+
+Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
+clones B inputs at once in an array of shape (B, 3, 3, 3, fock_cutoff + 1),
+and ``run_uqcm``/``execute_schedule`` run one state as a batch of one.
+Both take each pulse through ``_pulse_rows``, which checks every row
+before and after the pulse, so a row's result and its checks do not
+depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,13 +45,25 @@ from .dynamics import (
     CouplingConfig,
     PulseOp,
     PulseVariant,
+    _level,
     apply_free_evolution,
     apply_jc,
     apply_pulse_op,
     apply_raman,
+    check_two_pulse_domain,
+    level_populations,
+    pulse_kernel,
 )
 from .errors import LeakageError, PhysicsError, PreconditionError
-from .hilbert import LEVEL_E, LEVEL_G, LEVEL_I, BasisSpec, PureState, _check_squid
+from .hilbert import (
+    LEVEL_E,
+    LEVEL_G,
+    LEVEL_I,
+    BasisSpec,
+    PureState,
+    _check_squid,
+    check_row_norms,
+)
 
 PROCESS_ONE_PHASE = 3.0 * math.pi / 2.0
 PROCESS_TWO_PHASE = math.pi / 2.0
@@ -61,19 +80,35 @@ class InputQubit:
 
     def __post_init__(self) -> None:
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) >= 1e-12:
+        if not abs(total - 1.0) < 1e-12:  # also rejects NaN and infinite amplitudes
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total}, must be 1")
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "InputQubit":
-        return cls(complex(math.cos(theta / 2.0)),
-               cmath.exp(1j * phi) * math.sin(theta / 2.0))
+        alpha, beta = bloch_amplitudes(np.array([theta]), np.array([phi]))
+        return cls(complex(alpha[0]), complex(beta[0]))
 
     def gi_vector(self) -> np.ndarray:
         """(g, i) amplitudes of the same state: |+-> = (|i> +- |g>)/sqrt(2)."""
-        root = math.sqrt(2.0)
-        return np.array([(self.alpha - self.beta) / root,
-                         (self.alpha + self.beta) / root])
+        return gi_amplitudes(np.array([self.alpha]), np.array([self.beta]))[0]
+
+
+def bloch_amplitudes(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) arrays of the inputs cos(theta/2)|+> + exp(i phi) sin(theta/2)|->."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    alpha = np.cos(thetas / 2.0).astype(np.complex128)
+    beta = np.exp(1j * np.asarray(phis, dtype=np.float64)) * np.sin(thetas / 2.0)
+    return alpha, beta
+
+
+def gi_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(B, 2) array of the (g, i) amplitudes of inputs alpha|+> + beta|->."""
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    pairs = np.stack([alpha - beta, alpha + beta], axis=1)
+    # Divide real and imaginary parts on their own, as Python's complex
+    # division by a real does; numpy's would multiply by the reciprocal.
+    return (pairs.view(np.float64) / math.sqrt(2.0)).view(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -128,6 +163,10 @@ class Schedule:
     def total_duration(self) -> float:
         return float(sum(slot.duration for slot in self.slots))
 
+    def pulses(self) -> list[tuple[str, PulseOp]]:
+        """(step label, op) of every pulse, in the order they are applied."""
+        return [(slot.step, op) for slot in self.slots for track in slot.tracks for op in track]
+
     def to_dict(self) -> dict:
         return {"slots": [slot.to_dict() for slot in self.slots]}
 
@@ -170,9 +209,25 @@ class StepTrace:
 
 
 def _require_in_g(state: PureState, squid: int) -> None:
-    pop = state.level_population(squid, LEVEL_G)
-    if abs(pop - 1.0) > 1e-10:
-        raise PreconditionError(f"squid{squid} must start in |g> (population {pop})")
+    _require_rows_in_g(state.tensor()[None], squid)
+
+
+def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
+    pops = level_populations(amps, squid, LEVEL_G)
+    bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
+    if bad.size:
+        k = int(bad[0])
+        raise PreconditionError(f"sample {first_sample + k}: squid{squid} must start in |g> "
+                                f"(population {float(pops[k])})")
+
+
+def _inject_rows(amps: np.ndarray, squid: int, gi: np.ndarray) -> None:
+    """Move each row's |g> amplitudes of ``squid`` onto the (g, i) pair in ``gi`` (B, 2)."""
+    g_view, i_view = _level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_I)
+    shape = (len(amps),) + (1,) * (g_view.ndim - 1)
+    g_old = g_view.copy()
+    g_view[...] = gi[:, 0].reshape(shape) * g_old
+    i_view[...] = gi[:, 1].reshape(shape) * g_old
 
 
 def prepare_input(
@@ -193,16 +248,9 @@ def prepare_input(
     _require_in_g(state, squid)
     target = q.gi_vector()
     if mode == "ideal":
-        arr = state.tensor().copy()
-        axis = squid - 1
-        idx_g = [slice(None)] * arr.ndim
-        idx_g[axis] = LEVEL_G
-        idx_i = list(idx_g)
-        idx_i[axis] = LEVEL_I
-        g_old = arr[tuple(idx_g)].copy()
-        arr[tuple(idx_g)] = target[0] * g_old
-        arr[tuple(idx_i)] = target[1] * g_old
-        return PureState(arr.reshape(-1), state.spec)
+        amps = state.tensor()[None].copy()
+        _inject_rows(amps, squid, target[None])
+        return PureState(amps.reshape(-1), state.spec)
     if mode == "pulsed":
         a_g, a_i = complex(target[0]), complex(target[1])
         ref = cmath.phase(a_g) if abs(a_g) > 0.0 else 0.0
@@ -350,6 +398,29 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
     return Schedule(slots)
 
 
+def _pulse_rows(
+    amps: np.ndarray,
+    step: str,
+    op: PulseOp,
+    durations: np.ndarray,
+    cfg: CouplingConfig,
+    e_tol: float,
+    first_sample: int = 0,
+) -> None:
+    """One pulse on every row: two-pulse guard, kernel, then the norm check.
+
+    A tripped check raises its ``PhysicsError`` type, prefixed with the
+    step label and naming the row as sample ``first_sample + row``.
+    """
+    try:
+        if op.variant is PulseVariant.RAMAN:
+            check_two_pulse_domain(amps, op.squid, e_tol, first_sample)
+        pulse_kernel(amps, op, durations, cfg)
+        check_row_norms(amps, first_sample)
+    except PhysicsError as exc:
+        raise type(exc)(f"{step}: {exc}") from exc
+
+
 def execute_schedule(
     state: PureState,
     schedule: Schedule,
@@ -361,24 +432,26 @@ def execute_schedule(
 
     ``observer`` is called after every primitive pulse.  With
     ``enforce_preconditions`` off, the two-pulse leakage guard is
-    skipped, which perturbed (timing-jittered) schedules need.
+    skipped, which perturbed (timing-jittered) schedules need.  The
+    state runs through the batched kernels as a batch of one.
     """
     e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
+    spec = state.spec
+    amps = state.tensor()[None].copy()
     entries: list[TraceEntry] = []
     elapsed = 0.0
     for k, slot in enumerate(schedule.slots):
         for track in slot.tracks:
             for op in track:
-                try:
-                    state = apply_pulse_op(state, op, cfg, e_tol=e_tol)
-                except PhysicsError as exc:
-                    raise type(exc)(f"{slot.step}: {exc}") from exc
+                _pulse_rows(amps, slot.step, op, np.array([op.duration], dtype=np.float64),
+                            cfg, e_tol)
                 if observer is not None:
-                    observer(slot.step, op, state)
+                    observer(slot.step, op, PureState(amps.reshape(-1), spec))
         elapsed += slot.duration
         if k + 1 == len(schedule.slots) or schedule.slots[k + 1].step != slot.step:
-            entries.append(TraceEntry(slot.step, elapsed, state))
-    return state, StepTrace(tuple(entries))
+            entries.append(TraceEntry(slot.step, elapsed, PureState(amps.reshape(-1), spec)))
+    final = entries[-1].state if entries else state
+    return final, StepTrace(tuple(entries))
 
 
 def run_uqcm(
@@ -408,3 +481,66 @@ def run_uqcm(
     )
     entries = (TraceEntry("input", 0.0, state),) + trace.entries
     return final, StepTrace(entries)
+
+
+def _batch_durations(schedules: Sequence[Schedule]) -> tuple[list[tuple[str, PulseOp]], np.ndarray]:
+    """The shared pulse sequence of ``schedules`` and their (B, n_pulses) durations.
+
+    Every schedule must apply the same pulses (step, variant, target and
+    drive phases) as the first; only the durations may differ.
+    """
+    pulses = schedules[0].pulses()
+    shape = [(step, op.variant, op.squid, op.phi1, op.phi2) for step, op in pulses]
+    durations = np.empty((len(schedules), len(pulses)), dtype=np.float64)
+    for row, schedule in enumerate(schedules):
+        mine = schedule.pulses()
+        if [(step, op.variant, op.squid, op.phi1, op.phi2) for step, op in mine] != shape:
+            raise ValueError(f"schedule of row {row} applies other pulses than row 0's")
+        durations[row] = [op.duration for _, op in mine]
+    return pulses, durations
+
+
+def clone_batch(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    cfg: CouplingConfig = DEFAULT_COUPLINGS,
+    fock_cutoff: int = 2,
+    schedules: Sequence[Schedule] | None = None,
+    enforce_preconditions: bool = True,
+    first_sample: int = 0,
+) -> np.ndarray:
+    """Clone B inputs alpha[b]|+> + beta[b]|-> at once; return the final amplitudes.
+
+    The result has shape (B, 3, 3, 3, fock_cutoff + 1).  ``schedules``
+    gives row b's schedule (default: the cloning schedule for every
+    row); the schedules may differ only in pulse durations.  Each row is
+    prepared in the ideal mode and checked exactly as ``run_uqcm`` checks
+    a single run; errors name the row as sample ``first_sample + b``.
+    """
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    if alpha.ndim != 1 or alpha.shape != beta.shape:
+        raise ValueError(f"alpha and beta must be equal-length 1-D arrays, "
+                         f"got {alpha.shape} and {beta.shape}")
+    total = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    bad = np.flatnonzero(~(np.abs(total - 1.0) < 1e-12))
+    if bad.size:
+        raise ValueError(f"sample {first_sample + int(bad[0])}: |alpha|^2 + |beta|^2 = "
+                         f"{float(total[bad[0]])}, must be 1")
+    spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
+    rows = len(alpha)
+    if schedules is None:
+        pulses = build_uqcm_schedule(cfg).pulses()
+        durations = np.tile([op.duration for _, op in pulses], (rows, 1))
+    else:
+        if len(schedules) != rows:
+            raise ValueError(f"got {len(schedules)} schedules for {rows} inputs")
+        pulses, durations = _batch_durations(schedules)
+    e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
+    amps = np.zeros((rows,) + spec.factor_dims, dtype=np.complex128)
+    amps[:, LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
+    _require_rows_in_g(amps, 1, first_sample)
+    _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
+    for j, (step, op) in enumerate(pulses):
+        _pulse_rows(amps, step, op, durations[:, j], cfg, e_tol, first_sample)
+    return amps

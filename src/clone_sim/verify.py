@@ -5,25 +5,43 @@ per-factor amplitude vectors, never by running pulses, so agreement
 between a trace and these states is a genuine two-route check.  Clone
 quality is the overlap of each copy's reduced density matrix with the
 input qubit; the ideal machine puts both at exactly 5/6.
+
+Scoring is batched: ``score_rows`` takes final states as an array of
+shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs' (alpha, beta) and
+scores every row at once, using only per-row stacked matrix products,
+so a row's score does not depend on the batch size.  ``clone_fidelities``
+is the same scoring for one state.  ``universality_sweep`` clones and
+scores its samples in chunks of ``SWEEP_CHUNK`` rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DEFAULT_COUPLINGS, CouplingConfig
-from .hilbert import BasisSpec, PureState, inner_product, partial_trace
-from .protocol import STEP_LABELS, InputQubit, Schedule, StepTrace, run_uqcm
+from .hilbert import MINUS_GI as _MINUS
+from .hilbert import PLUS_GI as _PLUS
+from .hilbert import BasisSpec, PureState, density_defect, inner_product
+from .protocol import (
+    STEP_LABELS,
+    InputQubit,
+    StepTrace,
+    bloch_amplitudes,
+    clone_batch,
+    gi_amplitudes,
+)
+
+# Rows cloned and scored per batch by universality_sweep; bounds the
+# sweep's buffers whatever the sample count.
+SWEEP_CHUNK = 1024
 
 _G = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
 _I = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
 _E = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
-_PLUS = np.array([1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
-_MINUS = np.array([-1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
 _R23 = math.sqrt(2.0 / 3.0)
 _R13 = math.sqrt(1.0 / 3.0)
@@ -110,23 +128,44 @@ def target_state(q: InputQubit, spec: BasisSpec | None = None) -> PureState:
     return reference_step_state("step10", q, spec)
 
 
+@functools.lru_cache(maxsize=8)
+def _target_branches(spec: BasisSpec) -> np.ndarray:
+    """(dimension, 2) read-only columns: the targets of the |+> and |-> inputs.
+
+    ``target_state`` is linear in (alpha, beta), so the target of any
+    input is alpha * column 0 + beta * column 1.
+    """
+    branches = np.stack([
+        reference_step_state("step10", InputQubit(1.0, 0.0), spec).amplitudes,
+        reference_step_state("step10", InputQubit(0.0, 1.0), spec).amplitudes,
+    ], axis=1)
+    branches.setflags(write=False)
+    return branches
+
+
+def _leakage_rows(amps: np.ndarray) -> np.ndarray:
+    comp = amps[(slice(None),) + (slice(0, 2),) * (amps.ndim - 1)]
+    pops = np.sum((np.abs(comp) ** 2).reshape(len(amps), -1), axis=1)
+    return np.maximum(0.0, 1.0 - pops)
+
+
 def computational_leakage(state: PureState) -> float:
     """Population outside levels {g, i} and photon numbers {0, 1}."""
-    arr = state.tensor()
-    comp = arr[(slice(0, 2),) * state.spec.num_squids + (slice(0, 2),)]
-    return max(0.0, 1.0 - float(np.sum(np.abs(comp) ** 2)))
-
-
-def _gi_block_fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
-    # e-row/column excluded; any e population shows up in the leakage field.
-    block = rho[:2, :2]
-    return float(np.real(psi.conj() @ block @ psi))
+    return float(_leakage_rows(state.tensor()[None])[0])
 
 
 def _ancilla_overlap(spec: BasisSpec) -> float:
     empty = np.kron(_G, _fock(spec, 0))
     loaded = np.kron(_G, _fock(spec, 1))
     return float(abs(np.vdot(empty, loaded)))
+
+
+REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap",
+                 "ancilla_orthogonality", "leakage")
+
+
+def _in_unit_range(value):
+    return (-1e-9 <= value) & (value <= 1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -140,35 +179,59 @@ class CloneReport:
     leakage: float
 
     def __post_init__(self) -> None:
-        for name in ("fidelity_squid2", "fidelity_squid3", "target_overlap",
-                     "ancilla_orthogonality", "leakage"):
+        for name in REPORT_FIELDS:
             value = getattr(self, name)
-            if not -1e-9 <= value <= 1.0 + 1e-9:
+            if not _in_unit_range(value):
                 raise ValueError(f"{name} = {value} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "fidelity_squid2": self.fidelity_squid2,
-            "fidelity_squid3": self.fidelity_squid3,
-            "target_overlap": self.target_overlap,
-            "ancilla_orthogonality": self.ancilla_orthogonality,
-            "leakage": self.leakage,
-        }
+        return {name: getattr(self, name) for name in REPORT_FIELDS}
+
+
+def score_rows(
+    amps: np.ndarray, alpha: np.ndarray, beta: np.ndarray, first_sample: int = 0
+) -> dict[str, np.ndarray]:
+    """Score B final states against their inputs; one (B,) array per ``CloneReport`` field.
+
+    Each copy's reduced matrix is checked like a ``DensityMatrix``
+    (Hermitian, unit trace, eigenvalue floor) and every field must lie in
+    [0, 1]; a failure raises ``ValueError`` naming sample
+    ``first_sample + row``.  The fidelity reads the (g, i) block of the
+    reduced matrix; e population shows up in the leakage field.
+    """
+    rows = len(amps)
+    spec = BasisSpec(num_squids=amps.ndim - 2, fock_cutoff=amps.shape[-1] - 1)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    psi = gi_amplitudes(alpha, beta)
+    fields = {}
+    for squid in (2, 3):
+        # A stacked matmul reduces each row on its own; one product over
+        # the flattened batch could round a row differently for another B.
+        copy = np.moveaxis(amps, squid, 1).reshape(rows, 3, -1)
+        rho = copy @ np.conj(copy).transpose(0, 2, 1)
+        defect = density_defect(rho)
+        if defect is not None:
+            raise ValueError(f"sample {first_sample + defect[0]}: squid{squid} {defect[1]}")
+        fid = np.conj(psi)[:, None, :] @ rho[:, :2, :2] @ psi[:, :, None]
+        fields[f"fidelity_squid{squid}"] = fid[:, 0, 0].real
+    overlaps = (np.conj(amps.reshape(rows, 1, -1)) @ _target_branches(spec))[:, 0, :]
+    fields["target_overlap"] = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
+    fields["ancilla_orthogonality"] = np.full(rows, _ancilla_overlap(spec))
+    fields["leakage"] = _leakage_rows(amps)
+    for name in REPORT_FIELDS:
+        bad = np.flatnonzero(~_in_unit_range(fields[name]))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"sample {first_sample + k}: {name} = "
+                             f"{float(fields[name][k])} outside [0, 1]")
+    return fields
 
 
 def clone_fidelities(final: PureState, q: InputQubit) -> CloneReport:
     """Reduce the final state onto each copy and score it against the input."""
-    psi = q.gi_vector()
-    rho2 = partial_trace(final, ("squid2",))
-    rho3 = partial_trace(final, ("squid3",))
-    target = target_state(q, final.spec)
-    return CloneReport(
-        fidelity_squid2=_gi_block_fidelity(psi, rho2.entries),
-        fidelity_squid3=_gi_block_fidelity(psi, rho3.entries),
-        target_overlap=float(abs(inner_product(final, target))),
-        ancilla_orthogonality=_ancilla_overlap(final.spec),
-        leakage=computational_leakage(final),
-    )
+    fields = score_rows(final.tensor()[None], np.array([q.alpha]), np.array([q.beta]))
+    return CloneReport(**{name: float(values[0]) for name, values in fields.items()})
 
 
 def step_conformance(trace: StepTrace, q: InputQubit) -> list[tuple[str, float]]:
@@ -225,43 +288,38 @@ def universality_sweep(
     seed: int,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     fock_cutoff: int = 2,
-    jobs: int = 1,
     schedule_factory=None,
     enforce_preconditions: bool = True,
 ) -> SweepResult:
     """Clone ``n`` Bloch-uniform inputs drawn from a seeded PCG64 stream.
 
     theta = arccos(1 - 2u), phi = 2 pi v with u, v uniform on [0, 1).
-    All randomness is drawn up front, so results are identical for any
-    ``jobs`` count and bit-identical across repeat calls with one seed.
-    ``schedule_factory(k)``, when given, supplies the schedule for
-    sample k; the CLI uses this hook to inject timing perturbations.
+    All randomness is drawn up front, so repeat calls with one seed are
+    bit-identical, and each row equals a single ``run_uqcm`` plus
+    ``clone_fidelities`` of its input.  ``schedule_factory(k)``, when
+    given, supplies the schedule for sample k; all of them must apply
+    the pulses of sample 0's, with durations free (the CLI uses this
+    hook to inject timing perturbations).
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     rng = np.random.default_rng(seed)
     thetas = np.arccos(1.0 - 2.0 * rng.random(n))
     phis = 2.0 * math.pi * rng.random(n)
-
-    def one(k: int) -> SweepRow:
-        q = InputQubit.from_bloch(float(thetas[k]), float(phis[k]))
-        schedule: Schedule | None = schedule_factory(k) if schedule_factory else None
-        final, _ = run_uqcm(
-            q, cfg, fock_cutoff=fock_cutoff, schedule=schedule,
-            enforce_preconditions=enforce_preconditions,
-        )
-        report = clone_fidelities(final, q)
-        return SweepRow(
-            sample=k, theta=float(thetas[k]), phi=float(phis[k]),
-            f2=report.fidelity_squid2, f3=report.fidelity_squid3,
-            target_overlap=report.target_overlap, leakage=report.leakage,
-        )
-
-    if jobs == 1:
-        rows = [one(k) for k in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, range(n)))
-    return SweepResult(tuple(rows), seed=seed, n=n)
+    alpha, beta = bloch_amplitudes(thetas, phis)
+    scores: dict[str, list[np.ndarray]] = {name: [] for name in REPORT_FIELDS}
+    for start in range(0, n, SWEEP_CHUNK):
+        rows = slice(start, min(start + SWEEP_CHUNK, n))
+        schedules = None
+        if schedule_factory is not None:
+            schedules = [schedule_factory(k) for k in range(rows.start, rows.stop)]
+        final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, schedules,
+                            enforce_preconditions, first_sample=start)
+        for name, values in score_rows(final, alpha[rows], beta[rows], start).items():
+            scores[name].append(values)
+    columns = [thetas, phis] + [np.concatenate(scores[name]) for name in
+                                ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")]
+    rows_out = tuple(
+        SweepRow(k, *values) for k, values in enumerate(zip(*(col.tolist() for col in columns)))
+    )
+    return SweepResult(rows_out, seed=seed, n=n)

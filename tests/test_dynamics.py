@@ -337,3 +337,73 @@ def test_closed_forms_match_scipy_expm(variant):
                 -1j * duration * build_generator(free, spec, CFG)) @ unitary
         expected = unitary @ psi.amplitudes
         assert np.max(np.abs(closed.amplitudes - expected)) < 1e-9
+
+
+# --------------------------------------------------- batched kernels vs oracles
+
+
+def _apply_by_name(variant, state, duration, phi1, phi2):
+    # each public wrapper called directly, not through apply_pulse_op
+    if variant is PulseVariant.JC:
+        return apply_jc(state, 1, duration, CFG)
+    if variant is PulseVariant.DRIVE_GE:
+        return apply_drive_ge(state, 1, duration, CFG)
+    if variant is PulseVariant.DRIVE_IE:
+        return apply_drive_ie(state, 1, duration, CFG)
+    if variant is PulseVariant.RAMAN:
+        return apply_raman(state, 1, duration, phi1, phi2, CFG, e_tol=math.inf)
+    return apply_free_evolution(state, 1, duration, CFG)
+
+
+def _expm_unitary(op, spec):
+    unitary = scipy.linalg.expm(-1j * op.duration * build_generator(op, spec, CFG))
+    if op.variant is PulseVariant.RAMAN:
+        free = PulseOp(PulseVariant.FREE_EVOLVE, op.squid, op.duration)
+        unitary = scipy.linalg.expm(-1j * op.duration * build_generator(free, spec, CFG)) @ unitary
+    return unitary
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_each_apply_function_matches_expm_and_the_eigh_oracle(variant):
+    spec = BasisSpec(2, 3)
+    rng = np.random.default_rng(59)
+    for _ in range(4):
+        psi = random_pure_state(int(rng.integers(2**31)), spec)
+        duration = float(rng.uniform(0.0, 4.0))
+        phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=2))
+        op = PulseOp(variant, 1, duration, phi1=phi1, phi2=phi2)
+        closed = _apply_by_name(variant, psi, duration, phi1, phi2)
+        exact = evolve_exact(psi, build_generator(op, spec, CFG), duration)
+        if variant is PulseVariant.RAMAN:
+            free = PulseOp(PulseVariant.FREE_EVOLVE, 1, duration)
+            exact = evolve_exact(exact, build_generator(free, spec, CFG), duration)
+        assert np.max(np.abs(closed.amplitudes - _expm_unitary(op, spec) @ psi.amplitudes)) < 1e-9
+        assert np.max(np.abs(closed.amplitudes - exact.amplitudes)) < 1e-9
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_kernel_rows_each_follow_their_own_duration(variant):
+    # one kernel call on six rows, each with its own state and duration
+    from clone_sim.dynamics import pulse_kernel
+
+    spec = BasisSpec(3, 2)
+    rng = np.random.default_rng(67)
+    rows = [random_pure_state((67, k), spec) for k in range(6)]
+    durations = rng.uniform(0.0, 5.0, size=6)
+    op = PulseOp(variant, 2, 1.0, phi1=0.4, phi2=1.3)
+    amps = np.stack([state.tensor() for state in rows])
+    pulse_kernel(amps, op, durations, CFG)
+    for k, state in enumerate(rows):
+        row_op = PulseOp(variant, 2, float(durations[k]), phi1=0.4, phi2=1.3)
+        want = _expm_unitary(row_op, spec) @ state.amplitudes
+        assert np.max(np.abs(amps[k].reshape(-1) - want)) < 1e-9
+        single = apply_pulse_op(state, row_op, CFG, e_tol=math.inf)
+        assert np.array_equal(amps[k].reshape(-1), single.amplitudes)
+
+
+def test_kernels_reject_targets_outside_the_register():
+    from clone_sim.dynamics import pulse_kernel
+
+    amps = np.zeros((2, 3, 3, 3), dtype=complex)
+    with pytest.raises(ValueError):
+        pulse_kernel(amps, PulseOp(PulseVariant.JC, 3, 1.0), np.ones(2), CFG)

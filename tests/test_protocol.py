@@ -375,3 +375,35 @@ def test_run_uqcm_wraps_physics_errors_with_step_label():
     truncated = Schedule(schedule.slots[:5] + schedule.slots[6:])  # drop step6
     with pytest.raises(PhysicsError, match="^step7: "):
         run_uqcm(InputQubit(1.0, 0.0), CFG, schedule=truncated)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.nan, 0.0), (0.0, complex(math.nan, 0.0)), (math.inf, 0.0), (1.0, math.inf),
+])
+def test_input_qubit_rejects_non_finite_amplitudes(alpha, beta):
+    with pytest.raises(ValueError):
+        InputQubit(alpha, beta)
+    with pytest.raises(ValueError):
+        InputQubit.from_bloch(math.nan, 0.0)
+
+
+def test_clone_batch_checks_every_input_row():
+    from clone_sim import clone_batch
+
+    alpha = np.array([1.0, 0.6, 0.6])
+    beta = np.array([0.0, 0.8, math.nan])
+    with pytest.raises(ValueError, match="sample 7"):
+        clone_batch(alpha, beta, CFG, first_sample=5)
+    with pytest.raises(ValueError):
+        clone_batch(alpha, beta[:2], CFG)
+
+
+def test_clone_batch_rows_equal_run_uqcm_finals():
+    from clone_sim import clone_batch
+
+    qs = [InputQubit(1.0, 0.0), InputQubit(0.0, 1.0), InputQubit.from_bloch(1.2, 0.4)]
+    amps = clone_batch(np.array([q.alpha for q in qs]), np.array([q.beta for q in qs]), CFG)
+    assert amps.shape == (3, 3, 3, 3, 3)
+    for row, q in zip(amps, qs):
+        final, _ = run_uqcm(q, CFG)
+        assert np.array_equal(row.reshape(-1), final.amplitudes)

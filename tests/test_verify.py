@@ -146,8 +146,7 @@ def test_step_conformance_requires_complete_traces():
 def test_sweep_is_deterministic_and_job_count_invariant():
     a = universality_sweep(12, seed=99)
     b = universality_sweep(12, seed=99)
-    c = universality_sweep(12, seed=99, jobs=4)
-    assert a.rows == b.rows == c.rows
+    assert a.rows == b.rows
     assert a.to_csv() == b.to_csv()
 
 
@@ -187,8 +186,6 @@ def test_sweep_summary_contents():
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         universality_sweep(0, seed=1)
-    with pytest.raises(ValueError):
-        universality_sweep(5, seed=1, jobs=0)
 
 
 def test_sweep_with_perturbed_schedules_reports_degradation():
@@ -204,3 +201,102 @@ def test_sweep_with_perturbed_schedules_reports_degradation():
     for row in result.rows:
         assert abs(row.f2 - FIVE_SIXTHS) > 1e-6  # visibly off the ideal value
         assert row.leakage > 0.0
+
+
+# ------------------------------------------------------------ batched route
+
+
+def _jitter_factory(fraction, seed=606):
+    from clone_sim.cli import perturbed_schedule
+    from clone_sim.protocol import build_uqcm_schedule
+
+    if fraction == 0.0:
+        return None
+    base = build_uqcm_schedule()
+    return lambda k: perturbed_schedule(base, fraction, np.random.default_rng([seed, 17, k]))
+
+
+@pytest.mark.parametrize("fock_cutoff", [2, 8])
+@pytest.mark.parametrize("jitter", [0.0, 0.05, 0.2])
+def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
+    # each row of one 300-row batch against the same sample cloned alone
+    factory = _jitter_factory(jitter)
+    result = universality_sweep(300, seed=606, fock_cutoff=fock_cutoff,
+                                schedule_factory=factory, enforce_preconditions=jitter == 0.0)
+    for row in result.rows:
+        q = InputQubit.from_bloch(row.theta, row.phi)
+        final, _ = run_uqcm(q, fock_cutoff=fock_cutoff,
+                            schedule=factory(row.sample) if factory else None,
+                            enforce_preconditions=jitter == 0.0)
+        report = clone_fidelities(final, q)
+        assert (row.f2, row.f3, row.target_overlap, row.leakage) == (
+            report.fidelity_squid2, report.fidelity_squid3,
+            report.target_overlap, report.leakage)
+
+
+def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    import clone_sim.verify as verify
+
+    factory = _jitter_factory(0.05)
+    whole = universality_sweep(50, seed=8, schedule_factory=factory, enforce_preconditions=False)
+    monkeypatch.setattr(verify, "SWEEP_CHUNK", 16)
+    chunked = universality_sweep(50, seed=8, schedule_factory=factory, enforce_preconditions=False)
+    assert chunked.rows == whole.rows
+
+
+def test_batched_scores_match_the_independent_route():
+    # random final states with no e population on the copies, so the
+    # guarded fidelity_against_dm route applies; photon 2 gives leakage
+    from clone_sim import fidelity_against_dm, inner_product, score_rows
+    from clone_sim.protocol import bloch_amplitudes
+
+    spec = BasisSpec(3, 2)
+    rng = np.random.default_rng(97)
+    rows = 40
+    amps = rng.normal(size=(rows,) + spec.factor_dims) \
+        + 1j * rng.normal(size=(rows,) + spec.factor_dims)
+    amps[:, :, 2] = 0.0
+    amps[:, :, :, 2] = 0.0
+    amps /= np.linalg.norm(amps.reshape(rows, -1), axis=1).reshape(rows, 1, 1, 1, 1)
+    alpha, beta = bloch_amplitudes(rng.uniform(0, math.pi, rows),
+                                   rng.uniform(0, 2 * math.pi, rows))
+    scores = score_rows(amps, alpha, beta)
+    for k in range(rows):
+        state = PureState(amps[k].reshape(-1), spec)
+        q = InputQubit(complex(alpha[k]), complex(beta[k]))
+        psi = q.gi_vector()
+        want = {
+            "fidelity_squid2": fidelity_against_dm(psi, partial_trace(state, ("squid2",))),
+            "fidelity_squid3": fidelity_against_dm(psi, partial_trace(state, ("squid3",))),
+            "target_overlap": abs(inner_product(state, reference_step_state("step10", q, spec))),
+            "ancilla_orthogonality": 0.0,
+            "leakage": 1.0 - float(np.sum(np.abs(amps[k, :2, :2, :2, :2]) ** 2)),
+        }
+        for name, value in want.items():
+            assert abs(scores[name][k] - value) < 1e-13, name
+
+
+def test_batched_raman_guard_names_the_step_and_the_sample():
+    # only sample 1030, past the first chunk, keeps e population into step7
+    from clone_sim import LeakageError
+    from clone_sim.cli import perturbed_schedule
+    from clone_sim.protocol import build_uqcm_schedule
+
+    base = build_uqcm_schedule()
+
+    def factory(k):
+        if k != 1030:
+            return base
+        return perturbed_schedule(base, 0.2, np.random.default_rng(5))
+
+    with pytest.raises(LeakageError, match=r"^step7: sample 1030: squid\d e-level population"):
+        universality_sweep(1040, seed=3, schedule_factory=factory)
+
+
+def test_batched_route_rejects_schedules_with_other_pulses():
+    from clone_sim.protocol import build_uqcm_schedule
+
+    base = build_uqcm_schedule()
+    shorter = type(base)(base.slots[:-1])
+    with pytest.raises(ValueError, match="row 2"):
+        universality_sweep(4, seed=1, schedule_factory=lambda k: shorter if k == 2 else base)
