@@ -45,7 +45,6 @@ from .protocol import (
     process_two,
     run_uqcm,
     step1_prepare_squid2,
-    total_duration,
 )
 from .verify import (
     CloneReport,

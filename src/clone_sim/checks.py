@@ -25,6 +25,8 @@ from .hilbert import (
     LEVEL_E,
     LEVEL_G,
     LEVEL_I,
+    KET_G,
+    KET_I,
     MINUS_GI,
     PLUS_GI,
     BasisSpec,
@@ -155,8 +157,8 @@ def check_jc_sector_conservation(
 
 
 def _embedded_qubit(spec: BasisSpec, squid: int, gi: np.ndarray, photons: int) -> PureState:
-    vecs = [np.array([1.0, 0.0, 0.0], dtype=np.complex128)] * spec.num_squids
-    vecs[squid - 1] = gi.astype(np.complex128)
+    vecs = [KET_G] * spec.num_squids
+    vecs[squid - 1] = gi
     cav = np.zeros(spec.fock_cutoff + 1, dtype=np.complex128)
     cav[photons] = 1.0
     full = vecs[0]
@@ -185,12 +187,10 @@ def check_cnot_truth_table(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResu
 def check_process_tables(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult:
     """Both basis rotations against their printed tables, signs included."""
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
-    g3 = np.array([1.0, 0.0, 0.0])
-    i3 = np.array([0.0, 1.0, 0.0])
     worst = 0.0
     elapsed = set()
-    table_one = [(PLUS_GI, -i3), (MINUS_GI, g3)]
-    table_two = [(g3, MINUS_GI), (i3, -PLUS_GI)]
+    table_one = [(PLUS_GI, -KET_I), (MINUS_GI, KET_G)]
+    table_two = [(KET_G, MINUS_GI), (KET_I, -PLUS_GI)]
     for process, table in ((process_one, table_one), (process_two, table_two)):
         for gi_in, gi_out in table:
             start = _embedded_qubit(spec, 1, gi_in, 0)

@@ -19,17 +19,14 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .checks import run_all_checks
-from .dynamics import CouplingConfig, PulseOp
+from .dynamics import CouplingConfig
 from .errors import PhysicsError
-from .protocol import InputQubit, Schedule, Slot, build_uqcm_schedule, run_uqcm
+from .protocol import InputQubit, build_uqcm_schedule, jitter_rng, perturbed_schedule, run_uqcm
 from .verify import clone_fidelities, universality_sweep
 
 ENV_CONFIG = "CLONE_SIM_CONFIG"
 LEAK_GATE = 1e-10
-_JITTER_STREAM = 17  # tag separating jitter draws from input sampling
 
 _FLOAT_KEYS = {
     "lambda": "lam",
@@ -37,7 +34,6 @@ _FLOAT_KEYS = {
     "omega_ie": "omega_ie",
     "lambda_prime": "lambda_prime",
     "omega_gi": "omega_gi",
-    "delta": "delta",
     "tolerance": "tolerance",
     "timing_jitter": "timing_jitter",
     "theta": "theta",
@@ -102,7 +98,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _resolve_settings(args: argparse.Namespace) -> Settings:
     values: dict[str, object] = {
         "lam": 1.0, "omega_ge": 1.0, "omega_ie": 1.0, "lambda_prime": 1.0,
-        "omega_gi": 20.0, "delta": 0.0,
+        "omega_gi": 20.0,
         "fock_cutoff": 2, "tolerance": 1e-9, "seed": 20210,
         "timing_jitter": 0.0, "num_samples": 100,
         "theta": None, "phi": None, "alpha": None, "beta": None,
@@ -142,7 +138,7 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         cfg = CouplingConfig(
             lam=float(values["lam"]), omega_ge=float(values["omega_ge"]),
             omega_ie=float(values["omega_ie"]), lambda_prime=float(values["lambda_prime"]),
-            omega_gi=float(values["omega_gi"]), delta=float(values["delta"]),
+            omega_gi=float(values["omega_gi"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -205,33 +201,12 @@ def _sig12(obj):
     return obj
 
 
-def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator) -> Schedule:
-    """Scale every slot's pulse durations by an independent 1 + fraction*u, u ~ U(-1, 1).
-
-    One u is drawn per slot, in slot order.
-    """
-    factors = (1.0 + fraction * rng.uniform(-1.0, 1.0, len(base.slots))).tolist()
-    slots = []
-    for slot, factor in zip(base.slots, factors):
-        tracks = tuple(
-            tuple(PulseOp(op.variant, op.squid, op.duration * factor, op.phi1, op.phi2)
-                  for op in track)
-            for track in slot.tracks
-        )
-        slots.append(Slot(slot.step, slot.description, tracks))
-    return Schedule(tuple(slots))
-
-
-def _jittered(settings: Settings, base: Schedule, sample: int) -> Schedule:
-    """Sample ``sample``'s schedule, drawn from its own stream of the seed."""
-    rng = np.random.default_rng([settings.seed, _JITTER_STREAM, sample])
-    return perturbed_schedule(base, settings.timing_jitter, rng)
-
-
 def _execute(settings: Settings):
+    """Clone the input once; with timing jitter, under sample 0's perturbed schedule."""
     schedule = None
     if settings.timing_jitter > 0.0:
-        schedule = _jittered(settings, build_uqcm_schedule(settings.cfg), 0)
+        schedule = perturbed_schedule(build_uqcm_schedule(settings.cfg), settings.timing_jitter,
+                                      jitter_rng(settings.seed, 0))
     return run_uqcm(
         settings.q, settings.cfg, fock_cutoff=settings.fock_cutoff,
         schedule=schedule, enforce_preconditions=settings.timing_jitter == 0.0,
@@ -278,15 +253,9 @@ def cmd_trace(settings: Settings) -> int:
 
 
 def cmd_sweep(settings: Settings) -> int:
-    factory = None
-    if settings.timing_jitter > 0.0:
-        base = build_uqcm_schedule(settings.cfg)
-        factory = lambda sample: _jittered(settings, base, sample)  # noqa: E731
     result = universality_sweep(
         settings.num_samples, settings.seed, settings.cfg,
-        fock_cutoff=settings.fock_cutoff,
-        schedule_factory=factory,
-        enforce_preconditions=settings.timing_jitter == 0.0,
+        fock_cutoff=settings.fock_cutoff, timing_jitter=settings.timing_jitter,
     )
     sys.stdout.write(result.to_csv())
     if settings.summary_path:

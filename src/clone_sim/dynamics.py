@@ -25,8 +25,11 @@ Each map is one kernel that acts in place on a batch: a complex array of
 shape ``(B, 3, ..., 3, fock_cutoff + 1)`` holding one register state per
 row, with a ``(B,)`` array of durations, so every row may carry its own
 pulse length.  The kernels use only elementwise arithmetic, so a row's
-result does not depend on the batch size.  The ``apply_*`` functions
-are the same kernels run on one ``PureState`` as a batch of one.
+result does not depend on the batch size.  ``pulse_kernel`` is the one
+dispatch on the pulse variant, and ``apply_pulse_op`` runs it on one
+``PureState`` as a batch of one; each ``apply_*`` is ``apply_pulse_op``
+with its variant.  ``build_generator`` assembles each generator from
+Kronecker products with identities on the other factors.
 """
 
 from __future__ import annotations
@@ -44,25 +47,22 @@ from .hilbert import (
     LEVEL_E,
     LEVEL_G,
     LEVEL_I,
+    NUM_LEVELS,
     BasisSpec,
     PureState,
     _check_squid,
-    basis_index,
-    basis_tuple,
 )
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Rates of the pulse primitives.
+    """Rates of the pulse primitives; each must be positive and finite.
 
     lam            cavity exchange rate (resonant SQUID-cavity coupling)
     omega_ge       classical g-e drive Rabi rate
     omega_ie       classical i-e drive Rabi rate
     lambda_prime   effective two-pulse (Raman) rotation rate
     omega_gi       g-i level splitting, sets the free phase on |i>
-    delta          common one-photon detuning of the two-pulse drives;
-                   recorded for bookkeeping, never used by the maps
     """
 
     lam: float = 1.0
@@ -70,15 +70,14 @@ class CouplingConfig:
     omega_ie: float = 1.0
     lambda_prime: float = 1.0
     omega_gi: float = 20.0
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("lam", "omega_ge", "omega_ie", "lambda_prime", "omega_gi"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 DEFAULT_COUPLINGS = CouplingConfig()
@@ -258,11 +257,23 @@ def check_two_pulse_domain(
         )
 
 
-def _apply_one(state: PureState, kernel, squid: int, duration: float, *args) -> PureState:
-    """Run a kernel on one state as a batch of one."""
-    _check_squid(state.spec, squid)
+def apply_pulse_op(
+    state: PureState,
+    op: PulseOp,
+    cfg: CouplingConfig = DEFAULT_COUPLINGS,
+    e_tol: float = E_LEAK_TOL,
+) -> PureState:
+    """``pulse_kernel`` on one state as a batch of one.
+
+    A ``RAMAN`` op is guarded by ``check_two_pulse_domain``; pass
+    ``e_tol=math.inf`` to skip the guard (the e amplitudes are then
+    simply left untouched).
+    """
+    _check_squid(state.spec, op.squid)
     amps = state.tensor()[None].copy()
-    kernel(amps, squid, np.array([duration], dtype=np.float64), *args)
+    if op.variant is PulseVariant.RAMAN:
+        check_two_pulse_domain(amps, op.squid, e_tol)
+    pulse_kernel(amps, op, np.array([op.duration], dtype=np.float64), cfg)
     return PureState(amps.reshape(-1), state.spec)
 
 
@@ -270,21 +281,21 @@ def apply_jc(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
     """``jc_kernel`` on one state."""
-    return _apply_one(state, jc_kernel, squid, duration, cfg)
+    return apply_pulse_op(state, PulseOp(PulseVariant.JC, squid, duration), cfg)
 
 
 def apply_drive_ge(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
     """``drive_ge_kernel`` on one state."""
-    return _apply_one(state, drive_ge_kernel, squid, duration, cfg)
+    return apply_pulse_op(state, PulseOp(PulseVariant.DRIVE_GE, squid, duration), cfg)
 
 
 def apply_drive_ie(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
     """``drive_ie_kernel`` on one state."""
-    return _apply_one(state, drive_ie_kernel, squid, duration, cfg)
+    return apply_pulse_op(state, PulseOp(PulseVariant.DRIVE_IE, squid, duration), cfg)
 
 
 def apply_raman(
@@ -296,56 +307,30 @@ def apply_raman(
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     e_tol: float = E_LEAK_TOL,
 ) -> PureState:
-    """``raman_kernel`` on one state, guarded by ``check_two_pulse_domain``.
-
-    Pass ``e_tol=math.inf`` to skip the guard (the e amplitudes are then
-    simply left untouched).
-    """
-    _check_squid(state.spec, squid)
-    check_two_pulse_domain(state.tensor()[None], squid, e_tol)
-    return _apply_one(state, raman_kernel, squid, duration, phi1, phi2, cfg)
+    """``raman_kernel`` on one state, guarded as ``apply_pulse_op`` guards it."""
+    op = PulseOp(PulseVariant.RAMAN, squid, duration, phi1, phi2)
+    return apply_pulse_op(state, op, cfg, e_tol)
 
 
 def apply_free_evolution(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
     """``free_evolution_kernel`` on one state."""
-    return _apply_one(state, free_evolution_kernel, squid, duration, cfg)
+    return apply_pulse_op(state, PulseOp(PulseVariant.FREE_EVOLVE, squid, duration), cfg)
 
 
-def apply_pulse_op(
-    state: PureState,
-    op: PulseOp,
-    cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    e_tol: float = E_LEAK_TOL,
-) -> PureState:
-    if op.variant is PulseVariant.JC:
-        return apply_jc(state, op.squid, op.duration, cfg)
-    if op.variant is PulseVariant.DRIVE_GE:
-        return apply_drive_ge(state, op.squid, op.duration, cfg)
-    if op.variant is PulseVariant.DRIVE_IE:
-        return apply_drive_ie(state, op.squid, op.duration, cfg)
-    if op.variant is PulseVariant.RAMAN:
-        return apply_raman(state, op.squid, op.duration, op.phi1, op.phi2, cfg, e_tol=e_tol)
-    if op.variant is PulseVariant.FREE_EVOLVE:
-        return apply_free_evolution(state, op.squid, op.duration, cfg)
-    raise ValueError(f"unknown pulse variant {op.variant!r}")
+def _lift(
+    spec: BasisSpec, squid: int, mat: np.ndarray, cavity: np.ndarray | None = None
+) -> np.ndarray:
+    """Kronecker product of ``mat`` on ``squid`` with identities on the other factors.
 
-
-def _embed_single_squid(spec: BasisSpec, squid: int, mat: np.ndarray) -> np.ndarray:
-    """Lift a 3x3 single-SQUID operator to the full register."""
-    full = np.zeros((spec.dimension, spec.dimension), dtype=np.complex128)
-    for col in range(spec.dimension):
-        levels, photons = basis_tuple(spec, col)
-        src = levels[squid - 1]
-        for dst in range(3):
-            val = mat[dst, src]
-            if val == 0.0:
-                continue
-            out = list(levels)
-            out[squid - 1] = dst
-            full[basis_index(spec, out, photons), col] = val
-    return full
+    ``cavity``, when given, replaces the identity on the cavity factor.
+    """
+    before = np.eye(NUM_LEVELS ** (squid - 1))
+    between = np.eye(NUM_LEVELS ** (spec.num_squids - squid))
+    if cavity is None:
+        cavity = np.eye(spec.fock_cutoff + 1)
+    return np.kron(np.kron(np.kron(before, mat), between), cavity)
 
 
 def build_generator(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig = DEFAULT_COUPLINGS) -> np.ndarray:
@@ -357,20 +342,14 @@ def build_generator(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig = DEFAULT_
     duration, free factor applied last) to rebuild the full map.
     """
     _check_squid(spec, op.squid)
+    mat = np.zeros((NUM_LEVELS, NUM_LEVELS), dtype=np.complex128)
     if op.variant is PulseVariant.JC:
-        full = np.zeros((spec.dimension, spec.dimension), dtype=np.complex128)
-        for col in range(spec.dimension):
-            levels, photons = basis_tuple(spec, col)
-            if levels[op.squid - 1] != LEVEL_E or photons + 1 > spec.fock_cutoff:
-                continue
-            out = list(levels)
-            out[op.squid - 1] = LEVEL_G
-            row = basis_index(spec, out, photons + 1)
-            elem = cfg.lam * math.sqrt(photons + 1)
-            full[row, col] = elem
-            full[col, row] = elem
-        return full
-    mat = np.zeros((3, 3), dtype=np.complex128)
+        # lam (|g><e| a^dag + |e><g| a), with a^dag |n> = sqrt(n+1) |n+1>
+        mat[LEVEL_G, LEVEL_E] = 1.0
+        photons = np.arange(1, spec.fock_cutoff + 1, dtype=np.float64)
+        raising = np.diag(cfg.lam * np.sqrt(photons), -1)
+        up = _lift(spec, op.squid, mat, raising)
+        return up + up.T
     if op.variant is PulseVariant.DRIVE_GE:
         mat[LEVEL_G, LEVEL_E] = mat[LEVEL_E, LEVEL_G] = cfg.omega_ge
     elif op.variant is PulseVariant.DRIVE_IE:
@@ -383,7 +362,7 @@ def build_generator(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig = DEFAULT_
         mat[LEVEL_I, LEVEL_I] = cfg.omega_gi
     else:
         raise ValueError(f"unknown pulse variant {op.variant!r}")
-    return _embed_single_squid(spec, op.squid, mat)
+    return _lift(spec, op.squid, mat)
 
 
 def evolve_exact(state: PureState, generator: np.ndarray, duration: float) -> PureState:

@@ -37,8 +37,9 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 E_LEAK_TOL = 1e-10
 
-# Qubit basis of one SQUID over levels (g, i, e):
+# Level vectors of one SQUID over (g, i, e), and its qubit basis
 # |+> = (|i> + |g>)/sqrt(2), |-> = (|i> - |g>)/sqrt(2).
+KET_G, KET_I, KET_E = np.eye(NUM_LEVELS, dtype=np.complex128)
 PLUS_GI = np.array([1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 MINUS_GI = np.array([-1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 

@@ -21,12 +21,19 @@ Step roles, in schedule order:
   step9   quarter-period exchange emits SQUID 1's share into the cavity
   step10  two controlled flips copy the cavity bit onto SQUIDs 2 and 3
 
+A schedule is data: a slot's duration is its longest track, and a
+timing perturbation is one factor per slot, 1 + f*u with u ~ U(-1, 1)
+(``draw_slot_factors``), sample k drawing from its own stream
+``jitter_rng(seed, k)``.  ``perturbed_schedule`` applies the factors to
+a ``Schedule``; a batch carries them as a (B, n_slots) array.
+
 Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
 clones B inputs at once in an array of shape (B, 3, 3, 3, fock_cutoff + 1),
-and ``run_uqcm``/``execute_schedule`` run one state as a batch of one.
-Both take each pulse through ``_pulse_rows``, which checks every row
-before and after the pulse, so a row's result and its checks do not
-depend on the batch it ran in.
+pulse j of slot k in row b lasting its nominal duration times
+``slot_factors[b, k]``, and ``run_uqcm``/``execute_schedule`` run one
+state as a batch of one.  Both take each pulse through ``_pulse_rows``,
+which checks every row before and after the pulse, so a row's result
+and its checks do not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +76,7 @@ PROCESS_ONE_PHASE = 3.0 * math.pi / 2.0
 PROCESS_TWO_PHASE = math.pi / 2.0
 STEP_LABELS = ("step1", "step2", "step3", "step4", "step5",
                "step6", "step7", "step8", "step9", "step10")
+_JITTER_STREAM = 17  # tag separating jitter draws from input sampling
 
 
 @dataclass(frozen=True)
@@ -118,31 +126,27 @@ class Slot:
     step: str
     description: str
     tracks: tuple[tuple[PulseOp, ...], ...]
-    duration: float = -1.0  # sentinel; resolved to the longest track
 
     def __post_init__(self) -> None:
         if not self.tracks or any(not track for track in self.tracks):
             raise ValueError("each slot needs at least one non-empty track")
         targets = []
         jc_count = 0
-        longest = 0.0
         for track in self.tracks:
             squids = {op.squid for op in track}
             if len(squids) != 1:
                 raise ValueError(f"track mixes targets {sorted(squids)}")
             targets.append(squids.pop())
             jc_count += sum(op.variant is PulseVariant.JC for op in track)
-            longest = max(longest, sum(op.duration for op in track))
         if len(set(targets)) != len(targets):
             raise ValueError(f"slot tracks must target distinct SQUIDs, got {targets}")
         if jc_count > 1:
             raise ValueError("at most one cavity-exchange pulse per slot")
-        if self.duration < 0.0:
-            object.__setattr__(self, "duration", longest)
-        elif self.duration + 1e-12 < longest:
-            raise ValueError(
-                f"slot duration {self.duration} shorter than longest track {longest}"
-            )
+
+    @property
+    def duration(self) -> float:
+        """Length of the longest track."""
+        return max(sum(op.duration for op in track) for track in self.tracks)
 
     def to_dict(self) -> dict:
         return {
@@ -163,10 +167,6 @@ class Schedule:
     def total_duration(self) -> float:
         return float(sum(slot.duration for slot in self.slots))
 
-    def pulses(self) -> list[tuple[str, PulseOp]]:
-        """(step label, op) of every pulse, in the order they are applied."""
-        return [(slot.step, op) for slot in self.slots for track in slot.tracks for op in track]
-
     def to_dict(self) -> dict:
         return {"slots": [slot.to_dict() for slot in self.slots]}
 
@@ -174,8 +174,31 @@ class Schedule:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def total_duration(schedule: Schedule) -> float:
-    return schedule.total_duration
+def draw_slot_factors(fraction: float, n_slots: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_slots,) duration factors 1 + fraction*u, u ~ U(-1, 1), one per slot in slot order."""
+    return 1.0 + fraction * rng.uniform(-1.0, 1.0, n_slots)
+
+
+def jitter_rng(seed: int, sample: int) -> np.random.Generator:
+    """The stream sample ``sample`` draws its slot factors from, separate from input sampling."""
+    return np.random.default_rng([seed, _JITTER_STREAM, sample])
+
+
+def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator) -> Schedule:
+    """``base`` with every pulse of slot k lasting its duration times factor k.
+
+    The factors are one ``draw_slot_factors`` draw from ``rng``.
+    """
+    factors = draw_slot_factors(fraction, len(base.slots), rng).tolist()
+    slots = []
+    for slot, factor in zip(base.slots, factors):
+        tracks = tuple(
+            tuple(PulseOp(op.variant, op.squid, op.duration * factor, op.phi1, op.phi2)
+                  for op in track)
+            for track in slot.tracks
+        )
+        slots.append(Slot(slot.step, slot.description, tracks))
+    return Schedule(tuple(slots))
 
 
 @dataclass(frozen=True)
@@ -260,10 +283,8 @@ def prepare_input(
             dphi = -cmath.phase(b_i / (1j * abs(a_i)))
         else:
             dphi = 0.0
-        periods = math.ceil(cfg.omega_gi * t_pulse / (2.0 * math.pi))
-        t_idle = 2.0 * math.pi * periods / cfg.omega_gi - t_pulse
         state = apply_raman(state, squid, t_pulse, dphi, 0.0, cfg)
-        return apply_free_evolution(state, squid, t_idle, cfg)
+        return apply_free_evolution(state, squid, _phase_closure_idle(t_pulse, cfg), cfg)
     raise ValueError(f"unknown preparation mode {mode!r}")
 
 
@@ -305,17 +326,23 @@ def cnot_cavity_control(
     return apply_jc(state, squid, math.pi / cfg.lam, cfg)
 
 
+def _phase_closure_idle(t_pulse: float, cfg: CouplingConfig) -> float:
+    """Idle time after a pulse of ``t_pulse``, so the |i> phase closes.
+
+    Pulse plus idle span the first whole number of 2 pi / omega_gi phase
+    periods at or after the pulse end.
+    """
+    periods = math.ceil(cfg.omega_gi * t_pulse / (2.0 * math.pi))
+    return 2.0 * math.pi * periods / cfg.omega_gi - t_pulse
+
+
 def process_times(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> tuple[float, float]:
     """(pulse time, idle time) of the basis-rotation processes.
 
-    The pulse lasts 3 pi / (4 lambda_prime); the idle stretch extends
-    the total to the first whole number of 2 pi / omega_gi phase
-    periods at or after the pulse end, so the |i> phase closes.
+    The pulse lasts 3 pi / (4 lambda_prime), followed by the phase-closure idle.
     """
     t_pulse = 3.0 * math.pi / (4.0 * cfg.lambda_prime)
-    periods = math.ceil(cfg.omega_gi * t_pulse / (2.0 * math.pi))
-    t_idle = 2.0 * math.pi * periods / cfg.omega_gi - t_pulse
-    return t_pulse, t_idle
+    return t_pulse, _phase_closure_idle(t_pulse, cfg)
 
 
 def _process_track(squid: int, dphi: float, cfg: CouplingConfig) -> tuple[PulseOp, ...]:
@@ -483,39 +510,23 @@ def run_uqcm(
     return final, StepTrace(entries)
 
 
-def _batch_durations(schedules: Sequence[Schedule]) -> tuple[list[tuple[str, PulseOp]], np.ndarray]:
-    """The shared pulse sequence of ``schedules`` and their (B, n_pulses) durations.
-
-    Every schedule must apply the same pulses (step, variant, target and
-    drive phases) as the first; only the durations may differ.
-    """
-    pulses = schedules[0].pulses()
-    shape = [(step, op.variant, op.squid, op.phi1, op.phi2) for step, op in pulses]
-    durations = np.empty((len(schedules), len(pulses)), dtype=np.float64)
-    for row, schedule in enumerate(schedules):
-        mine = schedule.pulses()
-        if [(step, op.variant, op.squid, op.phi1, op.phi2) for step, op in mine] != shape:
-            raise ValueError(f"schedule of row {row} applies other pulses than row 0's")
-        durations[row] = [op.duration for _, op in mine]
-    return pulses, durations
-
-
 def clone_batch(
     alpha: np.ndarray,
     beta: np.ndarray,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     fock_cutoff: int = 2,
-    schedules: Sequence[Schedule] | None = None,
+    slot_factors: np.ndarray | None = None,
     enforce_preconditions: bool = True,
     first_sample: int = 0,
 ) -> np.ndarray:
     """Clone B inputs alpha[b]|+> + beta[b]|-> at once; return the final amplitudes.
 
-    The result has shape (B, 3, 3, 3, fock_cutoff + 1).  ``schedules``
-    gives row b's schedule (default: the cloning schedule for every
-    row); the schedules may differ only in pulse durations.  Each row is
-    prepared in the ideal mode and checked exactly as ``run_uqcm`` checks
-    a single run; errors name the row as sample ``first_sample + b``.
+    The result has shape (B, 3, 3, 3, fock_cutoff + 1).  Every row runs
+    the cloning schedule; ``slot_factors``, an array of shape
+    (B, n_slots), scales each pulse of slot k in row b by
+    ``slot_factors[b, k]`` (default: all ones).  Each row is prepared in
+    the ideal mode and checked exactly as ``run_uqcm`` checks a single
+    run; errors name the row as sample ``first_sample + b``.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -529,18 +540,27 @@ def clone_batch(
                          f"{float(total[bad[0]])}, must be 1")
     spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
     rows = len(alpha)
-    if schedules is None:
-        pulses = build_uqcm_schedule(cfg).pulses()
-        durations = np.tile([op.duration for _, op in pulses], (rows, 1))
+    schedule = build_uqcm_schedule(cfg)
+    shape = (rows, len(schedule.slots))
+    if slot_factors is None:
+        factors = np.ones(shape)
     else:
-        if len(schedules) != rows:
-            raise ValueError(f"got {len(schedules)} schedules for {rows} inputs")
-        pulses, durations = _batch_durations(schedules)
+        factors = np.asarray(slot_factors, dtype=np.float64)
+        if factors.shape != shape:
+            raise ValueError(f"slot_factors has shape {factors.shape}, expected {shape}")
+        bad = np.flatnonzero(~np.all((0.0 <= factors) & (factors < math.inf), axis=1))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
+                             f"and >= 0, got {factors[k].tolist()}")
     e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
     amps = np.zeros((rows,) + spec.factor_dims, dtype=np.complex128)
     amps[:, LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
     _require_rows_in_g(amps, 1, first_sample)
     _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
-    for j, (step, op) in enumerate(pulses):
-        _pulse_rows(amps, step, op, durations[:, j], cfg, e_tol, first_sample)
+    for k, slot in enumerate(schedule.slots):
+        for track in slot.tracks:
+            for op in track:
+                _pulse_rows(amps, slot.step, op, op.duration * factors[:, k], cfg, e_tol,
+                            first_sample)
     return amps

@@ -11,7 +11,8 @@ shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs' (alpha, beta) and
 scores every row at once, using only per-row stacked matrix products,
 so a row's score does not depend on the batch size.  ``clone_fidelities``
 is the same scoring for one state.  ``universality_sweep`` clones and
-scores its samples in chunks of ``SWEEP_CHUNK`` rows.
+scores its samples in chunks of ``SWEEP_CHUNK`` rows; with timing jitter
+each chunk carries its samples' slot factors as one array.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_COUPLINGS, CouplingConfig
+from .hilbert import KET_E as _E
+from .hilbert import KET_G as _G
+from .hilbert import KET_I as _I
 from .hilbert import MINUS_GI as _MINUS
 from .hilbert import PLUS_GI as _PLUS
 from .hilbert import BasisSpec, PureState, density_defect, inner_product
@@ -31,17 +35,16 @@ from .protocol import (
     InputQubit,
     StepTrace,
     bloch_amplitudes,
+    build_uqcm_schedule,
     clone_batch,
+    draw_slot_factors,
     gi_amplitudes,
+    jitter_rng,
 )
 
 # Rows cloned and scored per batch by universality_sweep; bounds the
 # sweep's buffers whatever the sample count.
 SWEEP_CHUNK = 1024
-
-_G = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-_I = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
-_E = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
 
 _R23 = math.sqrt(2.0 / 3.0)
 _R13 = math.sqrt(1.0 / 3.0)
@@ -288,33 +291,37 @@ def universality_sweep(
     seed: int,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     fock_cutoff: int = 2,
-    schedule_factory=None,
-    enforce_preconditions: bool = True,
+    timing_jitter: float = 0.0,
 ) -> SweepResult:
     """Clone ``n`` Bloch-uniform inputs drawn from a seeded PCG64 stream.
 
     theta = arccos(1 - 2u), phi = 2 pi v with u, v uniform on [0, 1).
-    All randomness is drawn up front, so repeat calls with one seed are
-    bit-identical, and each row equals a single ``run_uqcm`` plus
-    ``clone_fidelities`` of its input.  ``schedule_factory(k)``, when
-    given, supplies the schedule for sample k; all of them must apply
-    the pulses of sample 0's, with durations free (the CLI uses this
-    hook to inject timing perturbations).
+    With ``timing_jitter`` f > 0, sample k's slot factors are
+    ``draw_slot_factors(f, n_slots, jitter_rng(seed, k))`` and the
+    two-pulse leakage guard is off; with f = 0 the nominal schedule runs
+    guarded.  Repeat calls with one seed are bit-identical, and each row
+    equals a single ``run_uqcm`` (with the same perturbed schedule) plus
+    ``clone_fidelities`` of its input.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    if not 0.0 <= timing_jitter < 1.0:
+        raise ValueError(f"timing_jitter must lie in [0, 1), got {timing_jitter}")
     rng = np.random.default_rng(seed)
     thetas = np.arccos(1.0 - 2.0 * rng.random(n))
     phis = 2.0 * math.pi * rng.random(n)
     alpha, beta = bloch_amplitudes(thetas, phis)
+    ideal = timing_jitter == 0.0
+    n_slots = 0 if ideal else len(build_uqcm_schedule(cfg).slots)
     scores: dict[str, list[np.ndarray]] = {name: [] for name in REPORT_FIELDS}
     for start in range(0, n, SWEEP_CHUNK):
         rows = slice(start, min(start + SWEEP_CHUNK, n))
-        schedules = None
-        if schedule_factory is not None:
-            schedules = [schedule_factory(k) for k in range(rows.start, rows.stop)]
-        final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, schedules,
-                            enforce_preconditions, first_sample=start)
+        factors = None if ideal else np.array([
+            draw_slot_factors(timing_jitter, n_slots, jitter_rng(seed, k))
+            for k in range(rows.start, rows.stop)
+        ])
+        final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
+                            first_sample=start)
         for name, values in score_rows(final, alpha[rows], beta[rows], start).items():
             scores[name].append(values)
     columns = [thetas, phis] + [np.concatenate(scores[name]) for name in

@@ -57,9 +57,13 @@ def test_coupling_config_rejects_nonpositive_rates():
     for field in ("lam", "omega_ge", "omega_ie", "lambda_prime", "omega_gi"):
         with pytest.raises(ValueError):
             CouplingConfig(**{field: 0.0})
-    with pytest.raises(ValueError):
-        CouplingConfig(delta=-1.0)
-    CouplingConfig(delta=3.0)  # detuning is bookkeeping only, any size goes
+
+
+def test_coupling_config_rejects_non_finite_rates():
+    with pytest.raises(ValueError, match="lam must be finite"):
+        CouplingConfig(lam=math.inf)
+    with pytest.raises(ValueError, match="omega_gi"):
+        CouplingConfig(omega_gi=math.nan)
 
 
 def test_pulse_op_validation():

@@ -186,18 +186,13 @@ def test_sweep_summary_contents():
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         universality_sweep(0, seed=1)
+    for jitter in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="timing_jitter"):
+            universality_sweep(1, seed=1, timing_jitter=jitter)
 
 
 def test_sweep_with_perturbed_schedules_reports_degradation():
-    from clone_sim.cli import perturbed_schedule
-    from clone_sim.protocol import build_uqcm_schedule
-
-    def factory(sample):
-        rng = np.random.default_rng([404, sample])
-        return perturbed_schedule(build_uqcm_schedule(), 0.01, rng)
-
-    result = universality_sweep(4, seed=404, schedule_factory=factory,
-                                enforce_preconditions=False)
+    result = universality_sweep(4, seed=404, timing_jitter=0.01)
     for row in result.rows:
         assert abs(row.f2 - FIVE_SIXTHS) > 1e-6  # visibly off the ideal value
         assert row.leakage > 0.0
@@ -207,8 +202,8 @@ def test_sweep_with_perturbed_schedules_reports_degradation():
 
 
 def _jitter_factory(fraction, seed=606):
-    from clone_sim.cli import perturbed_schedule
-    from clone_sim.protocol import build_uqcm_schedule
+    # the single-run side spells the jitter stream out on its own
+    from clone_sim.protocol import build_uqcm_schedule, perturbed_schedule
 
     if fraction == 0.0:
         return None
@@ -221,8 +216,7 @@ def _jitter_factory(fraction, seed=606):
 def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
     # each row of one 300-row batch against the same sample cloned alone
     factory = _jitter_factory(jitter)
-    result = universality_sweep(300, seed=606, fock_cutoff=fock_cutoff,
-                                schedule_factory=factory, enforce_preconditions=jitter == 0.0)
+    result = universality_sweep(300, seed=606, fock_cutoff=fock_cutoff, timing_jitter=jitter)
     for row in result.rows:
         q = InputQubit.from_bloch(row.theta, row.phi)
         final, _ = run_uqcm(q, fock_cutoff=fock_cutoff,
@@ -237,10 +231,9 @@ def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
 def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     import clone_sim.verify as verify
 
-    factory = _jitter_factory(0.05)
-    whole = universality_sweep(50, seed=8, schedule_factory=factory, enforce_preconditions=False)
+    whole = universality_sweep(50, seed=8, timing_jitter=0.05)
     monkeypatch.setattr(verify, "SWEEP_CHUNK", 16)
-    chunked = universality_sweep(50, seed=8, schedule_factory=factory, enforce_preconditions=False)
+    chunked = universality_sweep(50, seed=8, timing_jitter=0.05)
     assert chunked.rows == whole.rows
 
 
@@ -277,26 +270,34 @@ def test_batched_scores_match_the_independent_route():
 
 
 def test_batched_raman_guard_names_the_step_and_the_sample():
-    # only sample 1030, past the first chunk, keeps e population into step7
-    from clone_sim import LeakageError
-    from clone_sim.cli import perturbed_schedule
-    from clone_sim.protocol import build_uqcm_schedule
+    # only sample 1030 of 1040 keeps e population into step7
+    from clone_sim import LeakageError, clone_batch
 
-    base = build_uqcm_schedule()
-
-    def factory(k):
-        if k != 1030:
-            return base
-        return perturbed_schedule(base, 0.2, np.random.default_rng(5))
-
+    rows = 1040
+    factors = np.ones((rows, 11))
+    factors[1030] = 1.0 + 0.2 * np.random.default_rng(5).uniform(-1.0, 1.0, 11)
+    alpha, beta = np.ones(rows), np.zeros(rows)
     with pytest.raises(LeakageError, match=r"^step7: sample 1030: squid\d e-level population"):
-        universality_sweep(1040, seed=3, schedule_factory=factory)
+        clone_batch(alpha, beta, slot_factors=factors)
+    # the same row as part of the second sweep chunk, numbered from first_sample
+    with pytest.raises(LeakageError, match=r"^step7: sample 1030: "):
+        clone_batch(alpha[1024:], beta[1024:], slot_factors=factors[1024:], first_sample=1024)
 
 
-def test_batched_route_rejects_schedules_with_other_pulses():
-    from clone_sim.protocol import build_uqcm_schedule
+@pytest.mark.parametrize("row, bad, match", [
+    (None, np.ones((4, 10)), r"shape \(4, 10\), expected \(4, 11\)"),
+    (None, np.ones((3, 11)), r"shape \(3, 11\), expected \(4, 11\)"),
+    (2, -0.5, "^sample 7: slot factors must be finite and >= 0"),
+    (1, math.nan, "^sample 6: slot factors must be finite and >= 0"),
+    (3, math.inf, "^sample 8: slot factors must be finite and >= 0"),
+])
+def test_batched_route_rejects_bad_slot_factors(row, bad, match):
+    # rows are numbered from first_sample = 5, as in a later sweep chunk
+    from clone_sim import clone_batch
 
-    base = build_uqcm_schedule()
-    shorter = type(base)(base.slots[:-1])
-    with pytest.raises(ValueError, match="row 2"):
-        universality_sweep(4, seed=1, schedule_factory=lambda k: shorter if k == 2 else base)
+    factors = bad
+    if row is not None:
+        factors = np.ones((4, 11))
+        factors[row, 4] = bad
+    with pytest.raises(ValueError, match=match):
+        clone_batch(np.ones(4), np.zeros(4), slot_factors=factors, first_sample=5)
