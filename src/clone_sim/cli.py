@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .checks import run_all_checks
 from .dynamics import CouplingConfig
 from .errors import PhysicsError
 from .protocol import InputQubit, build_uqcm_schedule, jitter_rng, perturbed_schedule, run_uqcm
-from .verify import clone_fidelities, universality_sweep
+from .verify import MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
 
 ENV_CONFIG = "CLONE_SIM_CONFIG"
 LEAK_GATE = 1e-10
@@ -157,6 +158,8 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
     num_samples = int(values["num_samples"])
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
+    if num_samples > MAX_SWEEP_SAMPLES:
+        raise ConfigError(f"num_samples must be <= 2**32, got {num_samples}")
 
     has_bloch = values["theta"] is not None or values["phi"] is not None
     has_amps = values["alpha"] is not None or values["beta"] is not None
@@ -278,6 +281,7 @@ def cmd_validate(settings: Settings) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clone-sim",

@@ -104,8 +104,8 @@ class PulseOp:
     def __post_init__(self) -> None:
         if self.squid < 1:
             raise ValueError(f"squid index must be >= 1, got {self.squid}")
-        if self.duration < 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:  # also rejects NaN
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
     def to_dict(self) -> dict:
         return {

@@ -37,14 +37,15 @@ from .protocol import (
     bloch_amplitudes,
     build_uqcm_schedule,
     clone_batch,
-    draw_slot_factors,
     gi_amplitudes,
-    jitter_rng,
+    jitter_factors,
 )
 
 # Rows cloned and scored per batch by universality_sweep; bounds the
 # sweep's buffers whatever the sample count.
 SWEEP_CHUNK = 1024
+# A sample index is one uint32 word of its jitter stream's seed.
+MAX_SWEEP_SAMPLES = 2 ** 32
 
 _R23 = math.sqrt(2.0 / 3.0)
 _R13 = math.sqrt(1.0 / 3.0)
@@ -297,14 +298,17 @@ def universality_sweep(
 
     theta = arccos(1 - 2u), phi = 2 pi v with u, v uniform on [0, 1).
     With ``timing_jitter`` f > 0, sample k's slot factors are
-    ``draw_slot_factors(f, n_slots, jitter_rng(seed, k))`` and the
-    two-pulse leakage guard is off; with f = 0 the nominal schedule runs
-    guarded.  Repeat calls with one seed are bit-identical, and each row
-    equals a single ``run_uqcm`` (with the same perturbed schedule) plus
-    ``clone_fidelities`` of its input.
+    ``draw_slot_factors(f, n_slots, jitter_rng(seed, k))``, drawn for a
+    whole chunk at once by ``jitter_factors``, and the two-pulse leakage
+    guard is off; with f = 0 the nominal schedule runs guarded.  Repeat
+    calls with one seed are bit-identical, and each row equals a single
+    ``run_uqcm`` (with the same perturbed schedule) plus
+    ``clone_fidelities`` of its input.  ``n`` is at most 2**32.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    if n > MAX_SWEEP_SAMPLES:
+        raise ValueError(f"sample count must be <= 2**32, got {n}")
     if not 0.0 <= timing_jitter < 1.0:
         raise ValueError(f"timing_jitter must lie in [0, 1), got {timing_jitter}")
     rng = np.random.default_rng(seed)
@@ -316,10 +320,8 @@ def universality_sweep(
     scores: dict[str, list[np.ndarray]] = {name: [] for name in REPORT_FIELDS}
     for start in range(0, n, SWEEP_CHUNK):
         rows = slice(start, min(start + SWEEP_CHUNK, n))
-        factors = None if ideal else np.array([
-            draw_slot_factors(timing_jitter, n_slots, jitter_rng(seed, k))
-            for k in range(rows.start, rows.stop)
-        ])
+        factors = None if ideal else jitter_factors(
+            seed, timing_jitter, np.arange(rows.start, rows.stop), n_slots)
         final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
                             first_sample=start)
         for name, values in score_rows(final, alpha[rows], beta[rows], start).items():

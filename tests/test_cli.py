@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clone_sim
 from clone_sim.cli import main
 
 FIVE_SIXTHS = 5.0 / 6.0
@@ -231,9 +233,13 @@ def test_unknown_flag_is_a_usage_error():
 
 
 def test_console_script_entry_point():
+    # the child imports the same clone_sim as this process, with or without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(clone_sim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "clone_sim.cli", "run", "--theta", "0", "--phi", "0"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
@@ -251,6 +257,7 @@ def test_console_script_entry_point():
     ("run", "--tolerance", "nan"),
     ("run", "--seed", "-1"),
     ("sweep", "-n", "2", "--seed", "-1"),
+    ("sweep", "-n", str(2**32 + 1), "--timing-jitter", "0.05"),
 ])
 def test_non_finite_and_negative_inputs_exit_with_code_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

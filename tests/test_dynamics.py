@@ -77,6 +77,16 @@ def test_pulse_op_validation():
     }
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_non_finite_durations_are_argument_errors(duration):
+    # a ValueError for the bad argument, not the norm check's NormalizationError
+    with pytest.raises(ValueError, match="duration must be finite"):
+        PulseOp(PulseVariant.JC, 1, duration)
+    state = PureState.basis_state(BasisSpec(1, 1), ("g",), 1)
+    with pytest.raises(ValueError, match="duration must be finite"):
+        apply_jc(state, 1, duration, CFG)
+
+
 # ------------------------------------------------------------ cavity swap
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clone_sim import (
     BasisSpec,
@@ -404,3 +405,51 @@ def test_clone_batch_rows_equal_run_uqcm_finals():
     for row, q in zip(amps, qs):
         final, _ = run_uqcm(q, CFG)
         assert np.array_equal(row.reshape(-1), final.amplitudes)
+
+
+# ------------------------------------------------------- vectorised jitter stream
+
+
+def _stream_rows(seed, fraction, samples, n_slots=11):
+    # numpy's own Generator, one per sample: the route jitter_factors must equal
+    from clone_sim.protocol import draw_slot_factors, jitter_rng
+
+    return np.array([draw_slot_factors(fraction, n_slots, jitter_rng(seed, k)) for k in samples])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("fraction", [0.05, 0.999])
+def test_jitter_factors_equal_the_per_sample_streams_bit_for_bit(seed, fraction):
+    from clone_sim.protocol import jitter_factors
+
+    samples = list(range(6)) + list(range(1020, 1031))  # across the first chunk boundary
+    got = jitter_factors(seed, fraction, np.array(samples), 11)
+    assert got.shape == (len(samples), 11)
+    assert got.tobytes() == _stream_rows(seed, fraction, samples).tobytes()
+
+
+@given(seed=st.integers(0, 2**100), sample=st.integers(0, 2**32 - 1),
+       n_slots=st.integers(1, 16))
+@settings(max_examples=80, deadline=None)
+def test_jitter_factors_match_the_stream_for_any_seed_and_sample(seed, sample, n_slots):
+    from clone_sim.protocol import jitter_factors
+
+    got = jitter_factors(seed, 0.3, np.array([sample]), n_slots)
+    assert got.tobytes() == _stream_rows(seed, 0.3, [sample], n_slots).tobytes()
+
+
+def test_jitter_factors_reject_samples_outside_one_word_and_negative_seeds():
+    from clone_sim.protocol import jitter_factors
+
+    for samples in ([-1], [2**32], [[0, 1]]):
+        with pytest.raises(ValueError, match="sample"):
+            jitter_factors(1, 0.05, np.array(samples), 11)
+    with pytest.raises(ValueError, match="seed"):
+        jitter_factors(-1, 0.05, np.arange(3), 11)
+
+
+def test_nominal_schedule_is_built_once_per_config():
+    other = CouplingConfig(lam=2.0)
+    assert build_uqcm_schedule(CFG) is build_uqcm_schedule(CFG)
+    assert build_uqcm_schedule(other) is not build_uqcm_schedule(CFG)
+    assert build_uqcm_schedule.__wrapped__(other) == build_uqcm_schedule(other)

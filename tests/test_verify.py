@@ -186,6 +186,9 @@ def test_sweep_summary_contents():
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         universality_sweep(0, seed=1)
+    # a sample index must fit the one entropy word of its jitter stream
+    with pytest.raises(ValueError, match=r"sample count must be <= 2\*\*32"):
+        universality_sweep(2**32 + 1, seed=1, timing_jitter=0.05)
     for jitter in (-0.1, 1.0, math.nan):
         with pytest.raises(ValueError, match="timing_jitter"):
             universality_sweep(1, seed=1, timing_jitter=jitter)
