@@ -12,6 +12,8 @@ from .dynamics import (
     apply_pulse_op,
     apply_raman,
     build_generator,
+    diagonalize_generator,
+    evolve_diagonalized,
     evolve_exact,
 )
 from .errors import LeakageError, NormalizationError, PhysicsError, PreconditionError

@@ -30,6 +30,8 @@ dispatch on the pulse variant, and ``apply_pulse_op`` runs it on one
 ``PureState`` as a batch of one; each ``apply_*`` is ``apply_pulse_op``
 with its variant.  ``build_generator`` assembles each generator from
 Kronecker products with identities on the other factors.
+``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
+generator) and ``evolve_diagonalized`` (once per state and duration).
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ class PulseOp:
             raise ValueError(f"squid index must be >= 1, got {self.squid}")
         if not 0.0 <= self.duration < math.inf:  # also rejects NaN
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
+        for name in ("phi1", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {
@@ -365,15 +370,38 @@ def build_generator(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig = DEFAULT_
     return _lift(spec, op.squid, mat)
 
 
-def evolve_exact(state: PureState, generator: np.ndarray, duration: float) -> PureState:
-    """Apply exp(-i * generator * duration) via Hermitian eigendecomposition."""
+def _check_generator_shape(shape: tuple, dim: int) -> None:
+    if shape != (dim, dim):
+        raise ValueError(f"generator shape {shape} does not match dimension {dim}")
+
+
+def diagonalize_generator(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a finite square generator, Hermitian within 1e-12.
+
+    The once-per-generator half of ``evolve_exact``.
+    """
     ham = np.asarray(generator, dtype=np.complex128)
-    dim = state.spec.dimension
-    if ham.shape != (dim, dim):
-        raise ValueError(f"generator shape {ham.shape} does not match dimension {dim}")
-    if float(np.max(np.abs(ham - ham.conj().T))) >= 1e-12:
+    if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
+        raise ValueError(f"generator shape {ham.shape} is not square")
+    if not np.isfinite(ham).all():
+        raise ValueError("generator has a NaN or infinite entry")
+    if not float(np.max(np.abs(ham - ham.conj().T))) < 1e-12:
         raise ValueError("generator is not Hermitian within 1e-12")
-    evals, evecs = np.linalg.eigh(ham)
+    return np.linalg.eigh(ham)
+
+
+def evolve_diagonalized(
+    state: PureState, eigen: tuple[np.ndarray, np.ndarray], duration: float
+) -> PureState:
+    """Apply exp(-i * H * duration) given H's ``diagonalize_generator`` output."""
+    evals, evecs = eigen
+    _check_generator_shape(evecs.shape, state.spec.dimension)
     phases = np.exp(-1j * evals * duration)
     amps = evecs @ (phases * (evecs.conj().T @ state.amplitudes))
     return PureState(amps, state.spec)
+
+
+def evolve_exact(state: PureState, generator: np.ndarray, duration: float) -> PureState:
+    """Apply exp(-i * generator * duration) via Hermitian eigendecomposition."""
+    _check_generator_shape(np.shape(generator), state.spec.dimension)
+    return evolve_diagonalized(state, diagonalize_generator(generator), duration)

@@ -23,6 +23,8 @@ from clone_sim import (
     basis_index,
     basis_tuple,
     build_generator,
+    diagonalize_generator,
+    evolve_diagonalized,
     evolve_exact,
     inner_product,
     partial_trace,
@@ -85,6 +87,19 @@ def test_non_finite_durations_are_argument_errors(duration):
     state = PureState.basis_state(BasisSpec(1, 1), ("g",), 1)
     with pytest.raises(ValueError, match="duration must be finite"):
         apply_jc(state, 1, duration, CFG)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["phi1", "phi2"])
+def test_non_finite_phases_are_argument_errors(name, phase):
+    phases = {"phi1": 0.0, "phi2": 0.0, name: phase}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PulseOp(PulseVariant.RAMAN, 1, 1.0, **phases)
+    state = PureState.basis_state(BasisSpec(1, 1), ("g",), 0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        apply_raman(state, 1, 1.0, phases["phi1"], phases["phi2"], CFG)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build_generator(PulseOp(PulseVariant.RAMAN, 1, 1.0, **phases), BasisSpec(1, 1), CFG)
 
 
 # ------------------------------------------------------------ cavity swap
@@ -326,6 +341,35 @@ def test_evolve_exact_rejects_bad_generators():
     skew[0, 1] = 1.0  # missing the conjugate partner
     with pytest.raises(ValueError):
         evolve_exact(psi, skew, 1.0)
+    for bad in (math.nan, math.inf):
+        ham = np.zeros((6, 6), dtype=complex)
+        ham[0, 0] = bad  # NaN also slips past a plain max|H - H^dag| >= tol test
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            evolve_exact(psi, ham, 1.0)
+
+
+def test_diagonalize_generator_rejects_bad_generators():
+    skew = np.zeros((6, 6), dtype=complex)
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize_generator(skew)
+    with pytest.raises(ValueError, match="not square"):
+        diagonalize_generator(np.zeros((6, 5)))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        diagonalize_generator(np.full((6, 6), math.nan))
+
+
+def test_evolve_exact_is_decomposition_then_apply():
+    spec = BasisSpec(2, 2)
+    psi = random_pure_state(61, spec)
+    ham = build_generator(PulseOp(PulseVariant.JC, 2, 1.0), spec, CFG)
+    eigen = diagonalize_generator(ham)
+    for duration in (0.0, 0.7, 5.3):
+        once = evolve_exact(psi, ham, duration)
+        reused = evolve_diagonalized(psi, eigen, duration)
+        assert np.array_equal(once.amplitudes, reused.amplitudes)
+    with pytest.raises(ValueError, match="does not match dimension"):
+        evolve_diagonalized(PureState.basis_state(BasisSpec(1, 1), ("g",), 0), eigen, 1.0)
 
 
 # ----------------------------------------------- independent expm cross-check
