@@ -22,13 +22,15 @@ time-independent Hermitian generator can, because the map is not a
 one-parameter group in t.
 
 Each map is one kernel that acts in place on a batch: a complex array of
-shape ``(B, 3, ..., 3, fock_cutoff + 1)`` holding one register state per
-row, with a ``(B,)`` array of durations, so every row may carry its own
-pulse length.  The kernels use only elementwise arithmetic, so a row's
-result does not depend on the batch size.  ``pulse_kernel`` is the one
-dispatch on the pulse variant, and ``apply_pulse_op`` runs it on one
-``PureState`` as a batch of one; each ``apply_*`` is ``apply_pulse_op``
-with its variant.  ``build_generator`` assembles each generator from
+shape ``(3, ..., 3, fock_cutoff + 1, B)`` holding one register state per
+index of its last axis (a "row"), with a ``(B,)`` array of durations, so
+every row may carry its own pulse length.  With the batch axis last, each
+per-row coefficient broadcasts along a contiguous run of B amplitudes.
+The kernels use only elementwise arithmetic, so a row's result does not
+depend on the batch size.  ``pulse_kernel`` is the one dispatch on the
+pulse variant, and ``apply_pulse_op`` runs it on one ``PureState`` as a
+batch of one (a trailing axis of length 1); each ``apply_*`` is
+``apply_pulse_op`` with its variant.  ``build_generator`` assembles each generator from
 Kronecker products with identities on the other factors.
 ``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
 generator) and ``evolve_diagonalized`` (once per state and duration).
@@ -127,13 +129,8 @@ def _level(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     if not 1 <= squid <= amps.ndim - 2:
         raise ValueError(f"squid index {squid} outside 1..{amps.ndim - 2}")
     index: list = [slice(None)] * amps.ndim
-    index[squid] = level
+    index[squid - 1] = level
     return amps[tuple(index)]
-
-
-def _per_row(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Shape a (B,) array to broadcast against a (B, ...) view with ``ndim`` axes."""
-    return np.asarray(values, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> None:
@@ -147,7 +144,10 @@ def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> None:
 def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     """(B,) probability of finding ``squid`` in ``level``, one entry per row."""
     view = _level(amps, squid, level)
-    return np.sum(np.abs(view.reshape(len(amps), -1)) ** 2, axis=1)
+    # Sum each row as one contiguous run, so the rounding, and with it the
+    # population a guard reports, does not depend on the batch layout.
+    rows = np.moveaxis(view, -1, 0).reshape(amps.shape[-1], -1)
+    return np.sum(np.abs(rows) ** 2, axis=1)
 
 
 def jc_kernel(
@@ -160,18 +160,16 @@ def jc_kernel(
     truncated space |e, fock_cutoff> has no partner and stays put.  All
     sectors rotate in one step.
     """
-    fock = amps.shape[-1] - 1
+    fock = amps.shape[-2] - 1
     rates = cfg.lam * np.sqrt(np.arange(1, fock + 1, dtype=np.float64))
-    theta = rates * np.asarray(durations, dtype=np.float64)[:, None]
-    g_view = _level(amps, squid, LEVEL_G)[..., 1:]
-    e_view = _level(amps, squid, LEVEL_E)[..., :-1]
-    theta = theta.reshape((len(amps),) + (1,) * (g_view.ndim - 2) + (fock,))
+    theta = rates[:, None] * np.asarray(durations, dtype=np.float64)
+    g_view = _level(amps, squid, LEVEL_G)[..., 1:, :]
+    e_view = _level(amps, squid, LEVEL_E)[..., :-1, :]
     _rotate(g_view, e_view, theta)
 
 
 def _drive_kernel(amps: np.ndarray, squid: int, angles: np.ndarray, lower: int) -> None:
-    lo_view = _level(amps, squid, lower)
-    _rotate(lo_view, _level(amps, squid, LEVEL_E), _per_row(angles, lo_view.ndim))
+    _rotate(_level(amps, squid, lower), _level(amps, squid, LEVEL_E), angles)
 
 
 def drive_ge_kernel(
@@ -204,7 +202,7 @@ def raman_kernel(
     dphi = phi1 - phi2
     g_view = _level(amps, squid, LEVEL_G)
     i_view = _level(amps, squid, LEVEL_I)
-    t = _per_row(durations, g_view.ndim)
+    t = np.asarray(durations, dtype=np.float64)
     c = np.cos(cfg.lambda_prime * t)
     s = np.sin(cfg.lambda_prime * t)
     free = np.exp(-1j * cfg.omega_gi * t)
@@ -218,7 +216,7 @@ def free_evolution_kernel(
 ) -> None:
     """Free phase accumulation: |i> -> exp(-i omega_gi t)|i>, |g> and |e> fixed."""
     i_view = _level(amps, squid, LEVEL_I)
-    i_view[...] = np.exp(-1j * cfg.omega_gi * _per_row(durations, i_view.ndim)) * i_view
+    i_view[...] = np.exp(-1j * cfg.omega_gi * np.asarray(durations, dtype=np.float64)) * i_view
 
 
 def pulse_kernel(
@@ -226,8 +224,13 @@ def pulse_kernel(
 ) -> None:
     """Apply ``op`` to every row of ``amps`` in place, row b lasting ``durations[b]``.
 
-    ``op.duration`` is ignored; the per-row durations replace it.
+    ``op.duration`` is ignored; the per-row durations replace it, one per
+    row: a ``durations`` of any shape but (B,) raises ``ValueError``.
     """
+    durations = np.asarray(durations, dtype=np.float64)
+    if durations.shape != amps.shape[-1:]:
+        raise ValueError(f"durations has shape {durations.shape}, expected {amps.shape[-1:]} "
+                         f"(one per row of the batch)")
     if op.variant is PulseVariant.JC:
         jc_kernel(amps, op.squid, durations, cfg)
     elif op.variant is PulseVariant.DRIVE_GE:
@@ -275,7 +278,7 @@ def apply_pulse_op(
     simply left untouched).
     """
     _check_squid(state.spec, op.squid)
-    amps = state.tensor()[None].copy()
+    amps = state.tensor()[..., None].copy()
     if op.variant is PulseVariant.RAMAN:
         check_two_pulse_domain(amps, op.squid, e_tol)
     pulse_kernel(amps, op, np.array([op.duration], dtype=np.float64), cfg)

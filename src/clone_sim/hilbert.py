@@ -12,10 +12,11 @@ renormalize silently; a drifted norm raises ``NormalizationError`` and
 ``PureState.from_amplitudes(..., normalize=True)`` is the one explicit
 way to rescale.
 
-Batched code holds B states as one array of shape
-``(B,) + spec.factor_dims``, row b being sample b.  ``check_row_norms``
-and ``density_defect`` apply the same norm and density-matrix rules to
-every row at once.
+The batched engine holds B states as one array of shape
+``spec.factor_dims + (B,)``, batch axis last, row b (index b of that
+axis) being sample b.  ``check_row_norms`` applies the norm rule to every
+row of such an array at once, and ``density_defect`` the density-matrix
+rules to a stack of matrices.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ NUM_LEVELS = 3
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+_EPS = float(np.finfo(np.float64).eps)
 E_LEAK_TOL = 1e-10
 
 # Level vectors of one SQUID over (g, i, e), and its qubit basis
@@ -201,17 +203,37 @@ def _check_same_spec(a: PureState, b: PureState) -> None:
         raise ValueError(f"basis mismatch: {a.spec} vs {b.spec}")
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of a (B, ...) stack, each row summed as one contiguous run."""
+    parts = np.ascontiguousarray(rows).reshape(len(rows), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
+
+
 def check_row_norms(amps: np.ndarray, first_sample: int = 0) -> None:
     """Raise ``NormalizationError`` naming the first row whose norm is off unity by NORM_TOL.
 
-    ``amps`` holds one state per row; rows are numbered from ``first_sample``.
+    ``amps`` holds one state per index of its last axis; rows are
+    numbered from ``first_sample``.  A screen sums every row down the
+    batch-last array at once.  That order of summation moves a norm by
+    less than one unit of roundoff per term, so only the rows the screen
+    does not clear by that margin are summed again as contiguous runs:
+    the verdict and the norm a failure reports do not depend on the layout.
     """
-    parts = np.ascontiguousarray(amps).reshape(len(amps), -1).view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    rows = amps.shape[-1]
+    parts = np.ascontiguousarray(amps).reshape(-1, rows).view(np.float64)
+    sums = np.einsum("ij,ij->j", parts, parts)
+    squares = sums[0::2] + sums[1::2]
+    band = NORM_TOL - 2 * (len(parts) + 2) * _EPS
+    cleared = ((1.0 - band) ** 2 < squares) & (squares < (1.0 + band) ** 2)
+    if cleared.all():
+        return
+    suspects = np.flatnonzero(~cleared)
+    norms = _row_norms(np.moveaxis(amps[..., suspects], -1, 0))
     ok = np.abs(norms - 1.0) < NORM_TOL
     if not ok.all():
         k = int(np.argmin(ok))
-        raise NormalizationError(f"sample {first_sample + k}: state norm is {float(norms[k])!r}")
+        raise NormalizationError(f"sample {first_sample + int(suspects[k])}: "
+                                 f"state norm is {float(norms[k])!r}")
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -283,11 +305,26 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
 
 
+def _gershgorin_discs(mats: np.ndarray) -> np.ndarray:
+    """Lower end rho_ii - sum_{j != i} |rho_ij| of each Gershgorin disc, per matrix of a stack.
+
+    Every eigenvalue lies in some disc.  The discs are those of the matrix
+    ``eigvalsh`` reads: the real diagonal and the lower triangle, mirrored.
+    """
+    lower = np.tril(np.abs(mats), -1)
+    radii = np.einsum("...ij->...i", lower + np.swapaxes(lower, -1, -2))
+    return np.diagonal(mats, axis1=-2, axis2=-1).real - radii
+
+
 def density_defect(mats: np.ndarray) -> tuple[int, str] | None:
     """First (row, reason) in a stack of square matrices that is no density matrix.
 
     Checks Hermiticity, unit trace and the eigenvalue floor, in that
-    order; returns None when every matrix passes.
+    order; returns None when every matrix passes.  A matrix whose
+    Gershgorin bound clears the floor by 1e-12, far above the roundoff of
+    either route, passes the floor test without ``eigvalsh``; the rest are
+    diagonalised, so the verdict and the eigenvalue a failure reports are
+    ``eigvalsh``'s.
     """
     skew = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
     trace = np.trace(mats, axis1=-2, axis2=-1)
@@ -299,11 +336,16 @@ def density_defect(mats: np.ndarray) -> tuple[int, str] | None:
         if bad_skew[k]:
             return k, "density matrix is not Hermitian within tolerance"
         return k, f"density matrix trace {complex(trace[k])!r} != 1 within tolerance"
-    low = np.linalg.eigvalsh(mats)[:, 0]
+    cleared = _gershgorin_discs(mats) >= EIGENVALUE_FLOOR + 1e-12
+    if cleared.all():
+        return None
+    unclear = np.flatnonzero(~cleared.all(axis=-1))
+    low = np.linalg.eigvalsh(mats[unclear])[:, 0]
     bad = np.flatnonzero(~(low >= EIGENVALUE_FLOOR))
     if bad.size:
         k = int(bad[0])
-        return k, f"density matrix has eigenvalue {float(low[k])} below {EIGENVALUE_FLOOR}"
+        return int(unclear[k]), (f"density matrix has eigenvalue {float(low[k])} "
+                                 f"below {EIGENVALUE_FLOOR}")
     return None
 
 

@@ -30,12 +30,13 @@ a ``Schedule``; a batch carries them as a (B, n_slots) array, which
 streams.
 
 Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
-clones B inputs at once in an array of shape (B, 3, 3, 3, fock_cutoff + 1),
-pulse j of slot k in row b lasting its nominal duration times
-``slot_factors[b, k]``, and ``run_uqcm``/``execute_schedule`` run one
-state as a batch of one.  Both take each pulse through ``_pulse_rows``,
-which checks every row before and after the pulse, so a row's result
-and its checks do not depend on the batch it ran in.
+clones B inputs at once in an array of shape (3, 3, 3, fock_cutoff + 1, B),
+batch axis last, pulse j of slot k in row b lasting its nominal duration
+times ``slot_factors[b, k]``, and returns the rows batch axis first;
+``run_uqcm``/``execute_schedule`` run one state as a batch of one.  Both
+take each pulse through ``_pulse_rows``, which checks every row before
+and after the pulse, so a row's result and its checks do not depend on
+the batch it ran in.
 """
 
 from __future__ import annotations
@@ -365,7 +366,7 @@ class StepTrace:
 
 
 def _require_in_g(state: PureState, squid: int) -> None:
-    _require_rows_in_g(state.tensor()[None], squid)
+    _require_rows_in_g(state.tensor()[..., None], squid)
 
 
 def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
@@ -380,10 +381,9 @@ def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> N
 def _inject_rows(amps: np.ndarray, squid: int, gi: np.ndarray) -> None:
     """Move each row's |g> amplitudes of ``squid`` onto the (g, i) pair in ``gi`` (B, 2)."""
     g_view, i_view = _level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_I)
-    shape = (len(amps),) + (1,) * (g_view.ndim - 1)
     g_old = g_view.copy()
-    g_view[...] = gi[:, 0].reshape(shape) * g_old
-    i_view[...] = gi[:, 1].reshape(shape) * g_old
+    g_view[...] = gi[:, 0] * g_old
+    i_view[...] = gi[:, 1] * g_old
 
 
 def prepare_input(
@@ -404,7 +404,7 @@ def prepare_input(
     _require_in_g(state, squid)
     target = q.gi_vector()
     if mode == "ideal":
-        amps = state.tensor()[None].copy()
+        amps = state.tensor()[..., None].copy()
         _inject_rows(amps, squid, target[None])
         return PureState(amps.reshape(-1), state.spec)
     if mode == "pulsed":
@@ -598,7 +598,7 @@ def execute_schedule(
     """
     e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
     spec = state.spec
-    amps = state.tensor()[None].copy()
+    amps = state.tensor()[..., None].copy()
     entries: list[TraceEntry] = []
     elapsed = 0.0
     for k, slot in enumerate(schedule.slots):
@@ -655,7 +655,8 @@ def clone_batch(
 ) -> np.ndarray:
     """Clone B inputs alpha[b]|+> + beta[b]|-> at once; return the final amplitudes.
 
-    The result has shape (B, 3, 3, 3, fock_cutoff + 1).  Every row runs
+    The result has shape (B, 3, 3, 3, fock_cutoff + 1); the rows run
+    batch axis last and come back through one transpose.  Every row runs
     the cloning schedule; ``slot_factors``, an array of shape
     (B, n_slots), scales each pulse of slot k in row b by
     ``slot_factors[b, k]`` (default: all ones).  Each row is prepared in
@@ -688,8 +689,8 @@ def clone_batch(
             raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
                              f"and >= 0, got {factors[k].tolist()}")
     e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
-    amps = np.zeros((rows,) + spec.factor_dims, dtype=np.complex128)
-    amps[:, LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
+    amps = np.zeros(spec.factor_dims + (rows,), dtype=np.complex128)
+    amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
     _require_rows_in_g(amps, 1, first_sample)
     _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
     for k, slot in enumerate(schedule.slots):
@@ -697,4 +698,4 @@ def clone_batch(
             for op in track:
                 _pulse_rows(amps, slot.step, op, op.duration * factors[:, k], cfg, e_tol,
                             first_sample)
-    return amps
+    return np.ascontiguousarray(np.moveaxis(amps, -1, 0))

@@ -8,11 +8,13 @@ input qubit; the ideal machine puts both at exactly 5/6.
 
 Scoring is batched: ``score_rows`` takes final states as an array of
 shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs' (alpha, beta) and
-scores every row at once, using only per-row stacked matrix products,
-so a row's score does not depend on the batch size.  ``clone_fidelities``
-is the same scoring for one state.  ``universality_sweep`` clones and
-scores its samples in chunks of ``SWEEP_CHUNK`` rows; with timing jitter
-each chunk carries its samples' slot factors as one array.
+scores every row, both copies in one pass, using only per-row stacked
+matrix products, so a row's score does not depend on the batch size.
+``clone_fidelities`` is the same scoring for one state.
+``universality_sweep`` clones and scores its samples in chunks of
+``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
+slot factors as one array.  Its ``SweepResult`` keeps one array per CSV
+column.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ def computational_leakage(state: PureState) -> float:
     return float(_leakage_rows(state.tensor()[None])[0])
 
 
+@functools.lru_cache(maxsize=8)
 def _ancilla_overlap(spec: BasisSpec) -> float:
     empty = np.kron(_G, _fock(spec, 0))
     loaded = np.kron(_G, _fock(spec, 1))
@@ -207,18 +210,23 @@ def score_rows(
     spec = BasisSpec(num_squids=amps.ndim - 2, fock_cutoff=amps.shape[-1] - 1)
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
-    psi = gi_amplitudes(alpha, beta)
-    fields = {}
-    for squid in (2, 3):
-        # A stacked matmul reduces each row on its own; one product over
-        # the flattened batch could round a row differently for another B.
-        copy = np.moveaxis(amps, squid, 1).reshape(rows, 3, -1)
-        rho = copy @ np.conj(copy).transpose(0, 2, 1)
-        defect = density_defect(rho)
-        if defect is not None:
-            raise ValueError(f"sample {first_sample + defect[0]}: squid{squid} {defect[1]}")
-        fid = np.conj(psi)[:, None, :] @ rho[:, :2, :2] @ psi[:, :, None]
-        fields[f"fidelity_squid{squid}"] = fid[:, 0, 0].real
+    psi = np.concatenate([gi_amplitudes(alpha, beta)] * 2)
+    # Rows 0..B-1 hold squid 2's copy, rows B..2B-1 squid 3's.  A stacked
+    # matmul reduces each row on its own; one product over the flattened
+    # batch could round a row differently for another B.
+    copies = np.empty((2,) + amps.shape, dtype=np.complex128)
+    for half, squid in enumerate((2, 3)):
+        copies[half] = np.moveaxis(amps, squid, 1)
+    copies = copies.reshape(2 * rows, 3, -1)
+    rho = copies @ np.conj(copies).transpose(0, 2, 1)
+    if density_defect(rho) is not None:
+        # name the failure as squid by squid: every squid2 row before squid3's
+        for half, squid in enumerate((2, 3)):
+            defect = density_defect(rho[half * rows:(half + 1) * rows])
+            if defect is not None:
+                raise ValueError(f"sample {first_sample + defect[0]}: squid{squid} {defect[1]}")
+    fid = (np.conj(psi)[:, None, :] @ rho[:, :2, :2] @ psi[:, :, None])[:, 0, 0].real
+    fields = {"fidelity_squid2": fid[:rows], "fidelity_squid3": fid[rows:]}
     overlaps = (np.conj(amps.reshape(rows, 1, -1)) @ _target_branches(spec))[:, 0, :]
     fields["target_overlap"] = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
     fields["ancilla_orthogonality"] = np.full(rows, _ancilla_overlap(spec))
@@ -259,31 +267,48 @@ class SweepRow:
     leakage: float
 
 
-@dataclass(frozen=True)
+SWEEP_COLUMNS = ("theta", "phi", "f2", "f3", "target_overlap", "leakage")
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """A sweep's samples as one (n,) float array per ``SWEEP_COLUMNS`` entry.
+
+    Sample k is row k of every column; ``rows`` builds the per-sample
+    ``SweepRow`` tuple on demand.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    target_overlap: np.ndarray
+    leakage: np.ndarray
     seed: int
     n: int
 
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(SweepRow(k, *values) for k, values in enumerate(self._column_lists()))
+
+    def _column_lists(self):
+        return zip(*(getattr(self, name).tolist() for name in SWEEP_COLUMNS))
+
     def summary(self) -> dict:
         """Statistics of the squid2 clone fidelity (population variance)."""
-        f2 = np.array([row.f2 for row in self.rows])
         return {
-            "min": float(np.min(f2)),
-            "max": float(np.max(f2)),
-            "mean": float(np.mean(f2)),
-            "variance": float(np.var(f2)),
+            "min": float(np.min(self.f2)),
+            "max": float(np.max(self.f2)),
+            "mean": float(np.mean(self.f2)),
+            "variance": float(np.var(self.f2)),
             "seed": self.seed,
             "n": self.n,
         }
 
     def to_csv(self) -> str:
-        lines = ["sample,theta,phi,f2,f3,target_overlap,leakage"]
-        for row in self.rows:
-            lines.append(
-                f"{row.sample},{row.theta:.12g},{row.phi:.12g},{row.f2:.12g},"
-                f"{row.f3:.12g},{row.target_overlap:.12g},{row.leakage:.12g}"
-            )
+        template = "%d" + ",%.12g" * len(SWEEP_COLUMNS)
+        lines = ["sample," + ",".join(SWEEP_COLUMNS)]
+        lines += [template % ((k,) + values) for k, values in enumerate(self._column_lists())]
         return "\n".join(lines) + "\n"
 
 
@@ -326,9 +351,6 @@ def universality_sweep(
                             first_sample=start)
         for name, values in score_rows(final, alpha[rows], beta[rows], start).items():
             scores[name].append(values)
-    columns = [thetas, phis] + [np.concatenate(scores[name]) for name in
-                                ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")]
-    rows_out = tuple(
-        SweepRow(k, *values) for k, values in enumerate(zip(*(col.tolist() for col in columns)))
-    )
-    return SweepResult(rows_out, seed=seed, n=n)
+    columns = [np.concatenate(scores[name]) for name in
+               ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")]
+    return SweepResult(thetas, phis, *columns, seed=seed, n=n)

@@ -1,6 +1,7 @@
 """Pulse primitives: closed-form values, unitarity, composition, generator oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -449,19 +450,35 @@ def test_kernel_rows_each_follow_their_own_duration(variant):
     rows = [random_pure_state((67, k), spec) for k in range(6)]
     durations = rng.uniform(0.0, 5.0, size=6)
     op = PulseOp(variant, 2, 1.0, phi1=0.4, phi2=1.3)
-    amps = np.stack([state.tensor() for state in rows])
+    amps = np.stack([state.tensor() for state in rows], axis=-1)  # batch axis last
     pulse_kernel(amps, op, durations, CFG)
     for k, state in enumerate(rows):
         row_op = PulseOp(variant, 2, float(durations[k]), phi1=0.4, phi2=1.3)
         want = _expm_unitary(row_op, spec) @ state.amplitudes
-        assert np.max(np.abs(amps[k].reshape(-1) - want)) < 1e-9
+        assert np.max(np.abs(amps[..., k].reshape(-1) - want)) < 1e-9
         single = apply_pulse_op(state, row_op, CFG, e_tol=math.inf)
-        assert np.array_equal(amps[k].reshape(-1), single.amplitudes)
+        assert np.array_equal(amps[..., k].reshape(-1), single.amplitudes)
 
 
 def test_kernels_reject_targets_outside_the_register():
     from clone_sim.dynamics import pulse_kernel
 
-    amps = np.zeros((2, 3, 3, 3), dtype=complex)
+    # two squids and a cavity of cutoff 2, two rows on the last axis
+    amps = np.zeros((3, 3, 3, 2), dtype=complex)
     with pytest.raises(ValueError):
         pulse_kernel(amps, PulseOp(PulseVariant.JC, 3, 1.0), np.ones(2), CFG)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("durations", [np.ones(1), np.ones(4), np.ones((3, 1)), np.float64(1.0)])
+def test_kernels_take_exactly_one_duration_per_row(variant, durations):
+    # a length-1 array would otherwise broadcast over every row of some kernels
+    from clone_sim.dynamics import pulse_kernel
+
+    amps = np.zeros((3, 3, 3, 3), dtype=complex)  # two squids, three rows
+    amps[0, 0, 0] = 1.0
+    before = amps.copy()
+    shape = re.escape(str(np.shape(durations)))
+    with pytest.raises(ValueError, match=rf"^durations has shape {shape}, expected \(3,\)"):
+        pulse_kernel(amps, PulseOp(variant, 1, 1.0), durations, CFG)
+    assert np.array_equal(amps, before)

@@ -358,3 +358,150 @@ def test_fidelity_against_dm_rejects_leaky_or_bad_input(spec332):
     cavity = DensityMatrix(np.diag([1.0, 0.0, 0.0]), ("cavity",), spec332)
     with pytest.raises(ValueError):
         fidelity_against_dm(plus, cavity)
+
+
+# ------------------------------------------------- density-matrix floor screen
+
+
+FLOOR = -1e-10  # hilbert.EIGENVALUE_FLOOR
+
+
+def _stack_with_lowest(rng, lows, diagonal=False):
+    # Hermitian unit-trace 3x3 matrices whose smallest eigenvalue is lows[k]
+    count = len(lows)
+    rest = rng.uniform(0.2, 0.8, count)
+    evals = np.stack([lows, rest * (1.0 - lows), (1.0 - rest) * (1.0 - lows)], axis=1)
+    if diagonal:
+        return evals[:, :, None] * np.eye(3)
+    gauss = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+    vecs = np.linalg.qr(gauss)[0]
+    mats = (vecs * evals[:, None, :]) @ np.conj(vecs).transpose(0, 2, 1)
+    return (mats + np.conj(mats).transpose(0, 2, 1)) / 2.0
+
+
+def _eigvalsh_verdicts(mats):
+    return np.linalg.eigvalsh(mats)[:, 0] >= FLOOR
+
+
+def _screen_cases():
+    rng = np.random.default_rng(8)
+    shifts = np.array([-1e-11, -1e-13, 1e-13, 1e-11] * 6)
+    return [
+        _stack_with_lowest(rng, rng.uniform(0.0, 0.3, 40)),
+        _stack_with_lowest(rng, rng.uniform(-0.2, 0.0, 40)),
+        _stack_with_lowest(rng, FLOOR + shifts),
+        _stack_with_lowest(rng, FLOOR + shifts, diagonal=True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_density_screen_gives_the_eigvalsh_verdict(case):
+    from clone_sim.hilbert import density_defect
+
+    mats = _screen_cases()[case]
+    want = _eigvalsh_verdicts(mats)
+    for k in range(len(mats)):
+        assert (density_defect(mats[k:k + 1]) is None) == want[k], k
+    defect = density_defect(mats)
+    if want.all():
+        assert defect is None
+    else:
+        k = int(np.flatnonzero(~want)[0])
+        low = float(np.linalg.eigvalsh(mats)[k, 0])
+        assert defect == (k, f"density matrix has eigenvalue {low} below {FLOOR}")
+
+
+def test_density_screen_decides_near_the_floor_both_ways():
+    # a diagonal matrix at floor + 1e-11 is cleared by its discs; one at
+    # floor + 1e-13 is not, and eigvalsh passes it; floor - 1e-13 fails
+    from clone_sim.hilbert import density_defect
+
+    rng = np.random.default_rng(3)
+    for shift, passes in ((1e-11, True), (1e-13, True), (-1e-13, False), (-1e-11, False)):
+        for diagonal in (True, False):
+            mats = _stack_with_lowest(rng, np.array([FLOOR + shift]), diagonal)
+            assert (density_defect(mats) is None) == passes, (shift, diagonal)
+
+
+def _counting_eigvalsh(monkeypatch):
+    seen = []
+    original = np.linalg.eigvalsh
+
+    def counted(mats):
+        seen.append(len(mats))
+        return original(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return seen
+
+
+def test_density_screen_skips_eigvalsh_when_every_matrix_is_cleared(monkeypatch):
+    from clone_sim.hilbert import density_defect
+
+    rng = np.random.default_rng(12)
+    mats = _stack_with_lowest(rng, rng.uniform(0.1, 0.3, 30), diagonal=True)
+    mats[:, 0, 1] = mats[:, 1, 0] = 0.01  # small couplings keep every disc above the floor
+    seen = _counting_eigvalsh(monkeypatch)
+    assert density_defect(mats) is None
+    assert seen == []
+
+
+def test_density_screen_diagonalises_every_matrix_it_cannot_clear(monkeypatch):
+    from clone_sim.hilbert import density_defect
+
+    # no disc bound exceeds the smallest eigenvalue, so none of these clears
+    rng = np.random.default_rng(13)
+    mats = _stack_with_lowest(rng, FLOOR + rng.uniform(0.0, 5e-13, 30))
+    seen = _counting_eigvalsh(monkeypatch)
+    assert density_defect(mats) is None
+    assert seen == [30]
+
+
+def test_density_defect_names_the_first_failing_row_with_its_eigenvalue():
+    from clone_sim.hilbert import density_defect
+
+    rng = np.random.default_rng(21)
+    lows = np.array([0.1, 0.05, FLOOR + 1e-11, FLOOR - 1e-11, 0.2, -0.3])
+    mats = _stack_with_lowest(rng, lows)
+    low = float(np.linalg.eigvalsh(mats[3])[0])
+    assert low < FLOOR
+    assert density_defect(mats) == (3, f"density matrix has eigenvalue {low} below {FLOOR}")
+    with pytest.raises(ValueError, match=f"^density matrix has eigenvalue {low} below"):
+        DensityMatrix(mats[3], ("squid1",), BasisSpec(3, 2))
+
+
+# ---------------------------------------------------------- row-norm screen
+
+
+def _contiguous_norms(amps):
+    # each row summed as one contiguous run, the route a failure reports
+    rows = np.ascontiguousarray(np.moveaxis(amps, -1, 0)).reshape(amps.shape[-1], -1)
+    parts = rows.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
+
+
+def _rows_with_norms(norms, spec=BasisSpec(3, 2)):
+    states = [random_pure_state((91, k), spec).tensor() * norm for k, norm in enumerate(norms)]
+    return np.stack(states, axis=-1)
+
+
+@pytest.mark.parametrize("offsets", [
+    [0.0, 2e-13, -5e-13, 0.0],
+    [0.0, 1e-12 - 2e-16, -(1e-12 - 2e-16), 9.9e-13],
+    [0.0, 1e-12 + 2e-16, 0.0, -2e-12],
+    [-(1e-12 + 2e-16), 0.0, 3e-12, 0.0],
+    [0.0, 0.0, math.nan, 1e-12],
+])
+def test_row_norm_screen_gives_the_contiguous_verdict_and_norm(offsets):
+    from clone_sim.hilbert import check_row_norms
+
+    amps = _rows_with_norms(1.0 + np.array(offsets))
+    norms = _contiguous_norms(amps)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) < 1e-12))
+    if not bad.size:
+        check_row_norms(amps, first_sample=40)
+        return
+    k = int(bad[0])
+    with pytest.raises(NormalizationError) as info:
+        check_row_norms(amps, first_sample=40)
+    assert str(info.value) == f"sample {40 + k}: state norm is {float(norms[k])!r}"

@@ -407,6 +407,35 @@ def test_clone_batch_rows_equal_run_uqcm_finals():
         assert np.array_equal(row.reshape(-1), final.amplitudes)
 
 
+@pytest.mark.parametrize("fock_cutoff", [2, 8])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_clone_batch_rows_do_not_depend_on_the_batch(fock_cutoff, jitter):
+    # batches of 1, 2, 100, 1024 and 1030 rows, cut from one sample range at
+    # several first_sample offsets, against each other and single runs
+    from clone_sim import clone_batch
+    from clone_sim.protocol import (bloch_amplitudes, build_uqcm_schedule, jitter_factors,
+                                    jitter_rng, perturbed_schedule)
+
+    n, seed, ideal = 1030, 4242, jitter == 0.0
+    rng = np.random.default_rng(seed)
+    alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(n)),
+                                   2.0 * math.pi * rng.random(n))
+    factors = np.ones((n, 11)) if ideal else jitter_factors(seed, jitter, np.arange(n), 11)
+    whole = clone_batch(alpha, beta, CFG, fock_cutoff, factors, ideal)
+    assert whole.shape == (n, 3, 3, 3, fock_cutoff + 1)
+    for start, size in [(0, 1), (1029, 1), (511, 2), (7, 100), (0, 1024), (6, 1024)]:
+        rows = slice(start, start + size)
+        part = clone_batch(alpha[rows], beta[rows], CFG, fock_cutoff, factors[rows], ideal,
+                           first_sample=start)
+        assert np.array_equal(part, whole[rows]), (start, size)
+    base = build_uqcm_schedule(CFG)
+    for k in sorted({0, 1, 99, 100, 1023, 1024, 1029} | set(range(0, n, 149))):
+        q = InputQubit(complex(alpha[k]), complex(beta[k]))
+        schedule = None if ideal else perturbed_schedule(base, jitter, jitter_rng(seed, k))
+        final, _ = run_uqcm(q, CFG, fock_cutoff, schedule=schedule, enforce_preconditions=ideal)
+        assert np.array_equal(whole[k].reshape(-1), final.amplitudes), k
+
+
 # ------------------------------------------------------- vectorised jitter stream
 
 

@@ -304,3 +304,58 @@ def test_batched_route_rejects_bad_slot_factors(row, bad, match):
         factors[row, 4] = bad
     with pytest.raises(ValueError, match=match):
         clone_batch(np.ones(4), np.zeros(4), slot_factors=factors, first_sample=5)
+
+
+def test_score_rows_names_the_first_bad_row_and_copy():
+    from clone_sim import clone_batch, score_rows
+
+    alpha, beta = np.ones(4, dtype=complex), np.zeros(4, dtype=complex)
+    final = clone_batch(alpha, beta)
+    stretched = final.copy()
+    stretched[1] *= 1.1  # both copies' traces are 1.21
+    with pytest.raises(ValueError, match=r"^sample 6: squid2 density matrix trace"):
+        score_rows(stretched, alpha, beta, first_sample=5)
+    stretched[0, 0, 0, 0, 0] = math.nan
+    with pytest.raises(ValueError, match=r"^sample 5: squid2 density matrix is not Hermitian"):
+        score_rows(stretched, alpha, beta, first_sample=5)
+
+
+def test_score_rows_builds_the_ancilla_vectors_once_per_register(monkeypatch):
+    from clone_sim import clone_batch, score_rows
+
+    alpha, beta = np.ones(2, dtype=complex), np.zeros(2, dtype=complex)
+    final = clone_batch(alpha, beta, fock_cutoff=5)
+    first = score_rows(final, alpha, beta)
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda *args: calls.append(args) or kron(*args))
+    again = score_rows(final, alpha, beta)
+    assert calls == []
+    for name, values in first.items():
+        assert np.array_equal(values, again[name])
+
+
+def _f_string_csv(result):
+    # the per-row f-string form the CSV had before the columns
+    lines = ["sample,theta,phi,f2,f3,target_overlap,leakage"]
+    for row in result.rows:
+        lines.append(f"{row.sample},{row.theta:.12g},{row.phi:.12g},{row.f2:.12g},"
+                     f"{row.f3:.12g},{row.target_overlap:.12g},{row.leakage:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_columns_give_the_rows_the_csv_and_the_summary():
+    from clone_sim import SweepResult, SweepRow
+
+    result = universality_sweep(40, seed=515, timing_jitter=0.1)
+    assert isinstance(result, SweepResult)
+    assert result.to_csv() == _f_string_csv(result)
+    rows = result.rows
+    assert len(rows) == 40 and all(isinstance(row, SweepRow) for row in rows)
+    assert [row.sample for row in rows] == list(range(40))
+    assert [row.f3 for row in rows] == result.f3.tolist()
+    assert result.summary()["variance"] == float(np.var([row.f2 for row in rows]))
+    odd = np.array([-0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789012.5, 5.0 / 6.0])
+    columns = [odd, odd[::-1], odd, odd[::-1], odd, odd]
+    special = SweepResult(*columns, seed=1, n=len(odd))
+    assert special.to_csv() == _f_string_csv(special)
