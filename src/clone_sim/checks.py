@@ -37,7 +37,10 @@ from .hilbert import (
 )
 from .protocol import (
     InputQubit,
+    build_uqcm_schedule,
     cnot_cavity_control,
+    execute_schedule,
+    prepare_input,
     process_one,
     process_two,
     run_uqcm,
@@ -263,8 +266,10 @@ def check_run_hygiene(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult:
         worst = max(worst, abs(state.norm() - 1.0))
         worst = max(worst, state.photon_tail_population(2))
 
-    q = InputQubit.from_bloch(1.1, 2.3)
-    run_uqcm(q, cfg, observer=watch)
+    spec = BasisSpec(num_squids=3, fock_cutoff=2)
+    state = PureState.basis_state(spec, (LEVEL_G, LEVEL_G, LEVEL_G), 0)
+    state = prepare_input(state, 1, InputQubit.from_bloch(1.1, 2.3), cfg)
+    execute_schedule(state, build_uqcm_schedule(cfg), cfg, observer=watch)
     return CheckResult("protocol.run_hygiene", worst, EXACT_TOL, worst < EXACT_TOL)
 
 

@@ -29,19 +29,24 @@ from .verify import MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
 ENV_CONFIG = "CLONE_SIM_CONFIG"
 LEAK_GATE = 1e-10
 
-_FLOAT_KEYS = {
-    "lambda": "lam",
-    "omega_ge": "omega_ge",
-    "omega_ie": "omega_ie",
-    "lambda_prime": "lambda_prime",
-    "omega_gi": "omega_gi",
-    "tolerance": "tolerance",
-    "timing_jitter": "timing_jitter",
-    "theta": "theta",
-    "phi": "phi",
+# Config key -> (type, default).  A flag with the key's name overrides the
+# file; the finiteness check runs over the float and complex keys in this order.
+_SETTINGS: dict[str, tuple[type, object]] = {
+    "lambda": (float, 1.0),
+    "omega_ge": (float, 1.0),
+    "omega_ie": (float, 1.0),
+    "lambda_prime": (float, 1.0),
+    "omega_gi": (float, 20.0),
+    "fock_cutoff": (int, 2),
+    "tolerance": (float, 1e-9),
+    "seed": (int, 20210),
+    "timing_jitter": (float, 0.0),
+    "num_samples": (int, 100),
+    "theta": (float, None),
+    "phi": (float, None),
+    "alpha": (complex, None),
+    "beta": (complex, None),
 }
-_INT_KEYS = {"fock_cutoff": "fock_cutoff", "seed": "seed", "num_samples": "num_samples"}
-_COMPLEX_KEYS = {"alpha": "alpha", "beta": "beta"}
 
 
 class ConfigError(Exception):
@@ -64,16 +69,23 @@ class Settings:
     verbose: bool
 
 
-def _parse_complex(text: str, key: str) -> complex:
-    parts = [p.strip() for p in text.split(",")]
+def _parse(key: str, value):
+    """A config-file text or flag value as the key's type."""
+    kind = _SETTINGS[key][0]
+    if kind is complex:
+        parts = [p.strip() for p in value.split(",")]
+        try:
+            if len(parts) == 1:
+                return complex(float(parts[0]), 0.0)
+            if len(parts) == 2:
+                return complex(float(parts[0]), float(parts[1]))
+        except ValueError:
+            pass
+        raise ConfigError(f"{key} must be 're' or 're,im', got {value!r}")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"{key} must be 're' or 're,im', got {text!r}")
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -90,72 +102,47 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not (key in _FLOAT_KEYS or key in _INT_KEYS or key in _COMPLEX_KEYS):
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
 
 
 def _resolve_settings(args: argparse.Namespace) -> Settings:
-    values: dict[str, object] = {
-        "lam": 1.0, "omega_ge": 1.0, "omega_ie": 1.0, "lambda_prime": 1.0,
-        "omega_gi": 20.0,
-        "fock_cutoff": 2, "tolerance": 1e-9, "seed": 20210,
-        "timing_jitter": 0.0, "num_samples": 100,
-        "theta": None, "phi": None, "alpha": None, "beta": None,
-    }
+    values = {key: default for key, (_, default) in _SETTINGS.items()}
     config_path = args.config or os.environ.get(ENV_CONFIG)
     if config_path:
         for key, text in _read_config_file(config_path).items():
-            try:
-                if key in _FLOAT_KEYS:
-                    values[_FLOAT_KEYS[key]] = float(text)
-                elif key in _INT_KEYS:
-                    values[_INT_KEYS[key]] = int(text)
-                else:
-                    values[_COMPLEX_KEYS[key]] = _parse_complex(text, key)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {text!r}") from exc
-    for flag, key in (
-        ("theta", "theta"), ("phi", "phi"), ("seed", "seed"),
-        ("timing_jitter", "timing_jitter"), ("fock_cutoff", "fock_cutoff"),
-        ("tolerance", "tolerance"), ("num_samples", "num_samples"),
-    ):
-        given = getattr(args, flag, None)
+            values[key] = _parse(key, text)
+    for key in _SETTINGS:
+        given = getattr(args, key, None)
         if given is not None:
-            values[key] = given
-    for flag in ("alpha", "beta"):
-        given = getattr(args, flag, None)
-        if given is not None:
-            values[flag] = _parse_complex(given, flag)
-    for key, name in _FLOAT_KEYS.items():
-        if values[name] is not None and not math.isfinite(values[name]):
-            raise ConfigError(f"{key} must be finite, got {values[name]}")
-    for key in _COMPLEX_KEYS:
-        if values[key] is not None and not cmath.isfinite(values[key]):
+            values[key] = _parse(key, given)
+    for key, (kind, _) in _SETTINGS.items():
+        # ints are exact; cmath.isfinite would overflow on a huge one
+        if kind is not int and values[key] is not None and not cmath.isfinite(values[key]):
             raise ConfigError(f"{key} must be finite, got {values[key]}")
 
     try:
         cfg = CouplingConfig(
-            lam=float(values["lam"]), omega_ge=float(values["omega_ge"]),
-            omega_ie=float(values["omega_ie"]), lambda_prime=float(values["lambda_prime"]),
-            omega_gi=float(values["omega_gi"]),
+            lam=values["lambda"], omega_ge=values["omega_ge"], omega_ie=values["omega_ie"],
+            lambda_prime=values["lambda_prime"], omega_gi=values["omega_gi"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    fock_cutoff = int(values["fock_cutoff"])
+    fock_cutoff = values["fock_cutoff"]
     if fock_cutoff < 1:
         raise ConfigError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
-    tolerance = float(values["tolerance"])
+    tolerance = values["tolerance"]
     if tolerance <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    seed = int(values["seed"])
+    seed = values["seed"]
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    jitter = float(values["timing_jitter"])
+    jitter = values["timing_jitter"]
     if not 0.0 <= jitter < 1.0:
         raise ConfigError(f"timing_jitter must lie in [0, 1), got {jitter}")
-    num_samples = int(values["num_samples"])
+    num_samples = values["num_samples"]
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
     if num_samples > MAX_SWEEP_SAMPLES:
@@ -169,7 +156,7 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
     if has_amps:
         if values["alpha"] is None or values["beta"] is None:
             raise ConfigError("alpha and beta must be given together")
-        alpha, beta = complex(values["alpha"]), complex(values["beta"])
+        alpha, beta = values["alpha"], values["beta"]
         norm = math.hypot(abs(alpha), abs(beta))
         if norm == 0.0:
             raise ConfigError("alpha and beta cannot both be zero")
@@ -178,8 +165,8 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         except ValueError as exc:
             raise ConfigError(f"cannot normalize alpha and beta: {exc}") from exc
     else:
-        theta = float(values["theta"]) if values["theta"] is not None else 0.0
-        phi = float(values["phi"]) if values["phi"] is not None else 0.0
+        theta = values["theta"] if values["theta"] is not None else 0.0
+        phi = values["phi"] if values["phi"] is not None else 0.0
         q = InputQubit.from_bloch(theta, phi)
 
     return Settings(

@@ -161,9 +161,6 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def renormalized(self) -> "PureState":
-        return PureState.from_amplitudes(self.amplitudes, self.spec, normalize=True)
-
     def level_population(self, squid: int, level: int | str) -> float:
         """Total probability of finding the given SQUID in the given level."""
         _check_squid(self.spec, squid)

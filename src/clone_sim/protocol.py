@@ -33,17 +33,16 @@ Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
 clones B inputs at once in an array of shape (3, 3, 3, fock_cutoff + 1, B),
 batch axis last, pulse j of slot k in row b lasting its nominal duration
 times ``slot_factors[b, k]``, and returns the rows batch axis first;
-``run_uqcm``/``execute_schedule`` run one state as a batch of one.  Both
-take each pulse through ``_pulse_rows``, which checks every row before
-and after the pulse, so a row's result and its checks do not depend on
-the batch it ran in.
+``run_uqcm``/``execute_schedule`` run one state as a batch of one, with
+all-ones factors.  Both apply the schedule through one walk, ``_walk``,
+which checks every row before and after each pulse, so a row's result
+and its checks do not depend on the batch it ran in.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -174,9 +173,6 @@ class Schedule:
 
     def to_dict(self) -> dict:
         return {"slots": [slot.to_dict() for slot in self.slots]}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def draw_slot_factors(fraction: float, n_slots: int, rng: np.random.Generator) -> np.ndarray:
@@ -361,13 +357,6 @@ class StepTrace:
     def to_dict(self) -> list[dict]:
         return [entry.to_dict() for entry in self.entries]
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-
-def _require_in_g(state: PureState, squid: int) -> None:
-    _require_rows_in_g(state.tensor()[..., None], squid)
-
 
 def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
     pops = level_populations(amps, squid, LEVEL_G)
@@ -401,7 +390,7 @@ def prepare_input(
     to a global phase.
     """
     _check_squid(state.spec, squid)
-    _require_in_g(state, squid)
+    _require_rows_in_g(state.tensor()[..., None], squid)
     target = q.gi_vector()
     if mode == "ideal":
         amps = state.tensor()[..., None].copy()
@@ -428,7 +417,7 @@ def step1_prepare_squid2(state: PureState, cfg: CouplingConfig = DEFAULT_COUPLIN
     while -i sin comes out at +i sqrt(1/3), which is the sign the rest
     of the schedule relies on.
     """
-    _require_in_g(state, 2)
+    _require_rows_in_g(state.tensor()[..., None], 2)
     return apply_pulse_op(state, _step1_op(cfg), cfg)
 
 
@@ -559,27 +548,46 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
     return Schedule(slots)
 
 
-def _pulse_rows(
+def _walk(
     amps: np.ndarray,
-    step: str,
-    op: PulseOp,
-    durations: np.ndarray,
+    schedule: Schedule,
+    factors: np.ndarray,
     cfg: CouplingConfig,
-    e_tol: float,
+    enforce_preconditions: bool,
     first_sample: int = 0,
+    on_pulse: Callable[[str, PulseOp], None] | None = None,
+    on_step: Callable[[str, float], None] | None = None,
 ) -> None:
-    """One pulse on every row: two-pulse guard, kernel, then the norm check.
+    """Apply ``schedule`` in place to the batch-last rows ``amps``.
 
-    A tripped check raises its ``PhysicsError`` type, prefixed with the
-    step label and naming the row as sample ``first_sample + row``.
+    Each pulse of slot k in row b lasts its nominal duration times
+    ``factors[b, k]``.  Every pulse runs the two-pulse leakage guard
+    (Raman only, skipped with ``enforce_preconditions`` off), the kernel
+    and the row-norm check; a tripped check raises its ``PhysicsError``
+    type, prefixed with the step label and naming the row as sample
+    ``first_sample + row``.  ``on_pulse(step, op)`` runs after every
+    pulse, ``on_step(step, elapsed)`` after the last slot of each step,
+    with the nominal schedule time so far.
     """
-    try:
-        if op.variant is PulseVariant.RAMAN:
-            check_two_pulse_domain(amps, op.squid, e_tol, first_sample)
-        pulse_kernel(amps, op, durations, cfg)
-        check_row_norms(amps, first_sample)
-    except PhysicsError as exc:
-        raise type(exc)(f"{step}: {exc}") from exc
+    e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
+    slots = schedule.slots
+    elapsed = 0.0
+    for k, slot in enumerate(slots):
+        for track in slot.tracks:
+            for op in track:
+                try:
+                    if op.variant is PulseVariant.RAMAN:
+                        check_two_pulse_domain(amps, op.squid, e_tol, first_sample)
+                    pulse_kernel(amps, op, op.duration * factors[:, k], cfg)
+                    check_row_norms(amps, first_sample)
+                except PhysicsError as exc:
+                    raise type(exc)(f"{slot.step}: {exc}") from exc
+                if on_pulse is not None:
+                    on_pulse(slot.step, op)
+        if on_step is not None:
+            elapsed += slot.duration
+            if k + 1 == len(slots) or slots[k + 1].step != slot.step:
+                on_step(slot.step, elapsed)
 
 
 def execute_schedule(
@@ -596,21 +604,18 @@ def execute_schedule(
     skipped, which perturbed (timing-jittered) schedules need.  The
     state runs through the batched kernels as a batch of one.
     """
-    e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
     spec = state.spec
     amps = state.tensor()[..., None].copy()
     entries: list[TraceEntry] = []
-    elapsed = 0.0
-    for k, slot in enumerate(schedule.slots):
-        for track in slot.tracks:
-            for op in track:
-                _pulse_rows(amps, slot.step, op, np.array([op.duration], dtype=np.float64),
-                            cfg, e_tol)
-                if observer is not None:
-                    observer(slot.step, op, PureState(amps.reshape(-1), spec))
-        elapsed += slot.duration
-        if k + 1 == len(schedule.slots) or schedule.slots[k + 1].step != slot.step:
-            entries.append(TraceEntry(slot.step, elapsed, PureState(amps.reshape(-1), spec)))
+
+    def observe(step: str, op: PulseOp) -> None:
+        observer(step, op, PureState(amps.reshape(-1), spec))
+
+    def snapshot(step: str, elapsed: float) -> None:
+        entries.append(TraceEntry(step, elapsed, PureState(amps.reshape(-1), spec)))
+
+    _walk(amps, schedule, np.ones((1, len(schedule.slots))), cfg, enforce_preconditions,
+          on_pulse=None if observer is None else observe, on_step=snapshot)
     final = entries[-1].state if entries else state
     return final, StepTrace(tuple(entries))
 
@@ -620,8 +625,6 @@ def run_uqcm(
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     fock_cutoff: int = 2,
     schedule: Schedule | None = None,
-    prep_mode: str = "ideal",
-    observer: Callable[[str, PulseOp, PureState], None] | None = None,
     enforce_preconditions: bool = True,
 ) -> tuple[PureState, StepTrace]:
     """Clone ``q``: prepare SQUID 1, run the schedule, return (final, trace).
@@ -634,12 +637,11 @@ def run_uqcm(
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
     state = PureState.basis_state(spec, (LEVEL_G, LEVEL_G, LEVEL_G), 0)
-    state = prepare_input(state, 1, q, cfg, mode=prep_mode)
+    state = prepare_input(state, 1, q, cfg)
     if schedule is None:
         schedule = build_uqcm_schedule(cfg)
-    final, trace = execute_schedule(
-        state, schedule, cfg, observer=observer, enforce_preconditions=enforce_preconditions
-    )
+    final, trace = execute_schedule(state, schedule, cfg,
+                                    enforce_preconditions=enforce_preconditions)
     entries = (TraceEntry("input", 0.0, state),) + trace.entries
     return final, StepTrace(entries)
 
@@ -668,6 +670,8 @@ def clone_batch(
     if alpha.ndim != 1 or alpha.shape != beta.shape:
         raise ValueError(f"alpha and beta must be equal-length 1-D arrays, "
                          f"got {alpha.shape} and {beta.shape}")
+    if not alpha.size:
+        raise ValueError("the batch is empty: alpha and beta need at least one row")
     total = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     bad = np.flatnonzero(~(np.abs(total - 1.0) < 1e-12))
     if bad.size:
@@ -688,14 +692,9 @@ def clone_batch(
             k = int(bad[0])
             raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
                              f"and >= 0, got {factors[k].tolist()}")
-    e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
     amps = np.zeros(spec.factor_dims + (rows,), dtype=np.complex128)
     amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
     _require_rows_in_g(amps, 1, first_sample)
     _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
-    for k, slot in enumerate(schedule.slots):
-        for track in slot.tracks:
-            for op in track:
-                _pulse_rows(amps, slot.step, op, op.duration * factors[:, k], cfg, e_tol,
-                            first_sample)
+    _walk(amps, schedule, factors, cfg, enforce_preconditions, first_sample)
     return np.ascontiguousarray(np.moveaxis(amps, -1, 0))

@@ -160,15 +160,7 @@ def computational_leakage(state: PureState) -> float:
     return float(_leakage_rows(state.tensor()[None])[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _ancilla_overlap(spec: BasisSpec) -> float:
-    empty = np.kron(_G, _fock(spec, 0))
-    loaded = np.kron(_G, _fock(spec, 1))
-    return float(abs(np.vdot(empty, loaded)))
-
-
-REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap",
-                 "ancilla_orthogonality", "leakage")
+REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")
 
 
 def _in_unit_range(value):
@@ -182,7 +174,6 @@ class CloneReport:
     fidelity_squid2: float
     fidelity_squid3: float
     target_overlap: float
-    ancilla_orthogonality: float
     leakage: float
 
     def __post_init__(self) -> None:
@@ -207,6 +198,8 @@ def score_rows(
     reduced matrix; e population shows up in the leakage field.
     """
     rows = len(amps)
+    if not rows:
+        raise ValueError("the batch is empty: amps needs at least one row")
     spec = BasisSpec(num_squids=amps.ndim - 2, fock_cutoff=amps.shape[-1] - 1)
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -229,7 +222,6 @@ def score_rows(
     fields = {"fidelity_squid2": fid[:rows], "fidelity_squid3": fid[rows:]}
     overlaps = (np.conj(amps.reshape(rows, 1, -1)) @ _target_branches(spec))[:, 0, :]
     fields["target_overlap"] = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
-    fields["ancilla_orthogonality"] = np.full(rows, _ancilla_overlap(spec))
     fields["leakage"] = _leakage_rows(amps)
     for name in REPORT_FIELDS:
         bad = np.flatnonzero(~_in_unit_range(fields[name]))

@@ -274,6 +274,34 @@ def test_non_finite_config_values_exit_with_code_two(tmp_path, capsys, content):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize("content, first", [
+    ("theta = nan\nlambda = inf\nalpha = inf\nbeta = 1\n", "lambda must be finite, got inf"),
+    ("beta = nan\nalpha = 1,inf\nphi = nan\n", "phi must be finite, got nan"),
+    ("alpha = 1,inf\nbeta = nan\n", "alpha must be finite, got (1+infj)"),
+])
+def test_a_config_with_several_non_finite_values_names_the_first_in_key_order(
+        tmp_path, capsys, content, first):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(content)
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert err == f"config error: {first}\n"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("run", "--seed", str(10**400)), None),
+    (("sweep", "-n", "2", "--seed", str(10**400), "--timing-jitter", "0.1"), 2),
+])
+def test_huge_seeds_run_without_a_traceback(capsys, argv, rows):
+    # an int this large overflows float(), so the finiteness check must skip ints
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if rows is None:
+        assert json.loads(out)["seed"] == 10**400
+    else:
+        assert len(out.splitlines()) == rows + 1
+
+
 @given(flag=st.sampled_from(["--theta", "--phi", "--tolerance", "--timing-jitter", "--alpha"]),
        value=st.floats(allow_nan=True, allow_infinity=True))
 @settings(max_examples=60, deadline=None)

@@ -303,7 +303,9 @@ def test_schedule_to_dict_shape():
 def test_execute_schedule_observer_sees_every_op():
     q = InputQubit.from_bloch(0.9, 0.3)
     seen = []
-    run_uqcm(q, CFG, observer=lambda step, op_, state: seen.append(step))
+    start = prepare_input(fresh(BasisSpec(3, 2)), 1, q, CFG)
+    execute_schedule(start, build_uqcm_schedule(CFG), CFG,
+                     observer=lambda step, op_, state: seen.append(step))
     assert len(seen) == 17  # 9 single-op slots + two-track step6 + 6-op step7
     assert seen[0] == "step1" and seen[-1] == "step10"
 
@@ -357,8 +359,9 @@ def test_run_uqcm_is_linear_in_the_input():
 
 def test_run_uqcm_with_pulsed_preparation():
     q = InputQubit.from_bloch(1.2, 0.4)
-    pulsed, _ = run_uqcm(q, CFG, prep_mode="pulsed")
-    ideal, _ = run_uqcm(q, CFG, prep_mode="ideal")
+    start = prepare_input(fresh(BasisSpec(3, 2)), 1, q, CFG, mode="pulsed")
+    pulsed, _ = execute_schedule(start, build_uqcm_schedule(CFG), CFG)
+    ideal, _ = run_uqcm(q, CFG)
     assert phase_aligned_distance(pulsed, ideal) < 1e-10
 
 
@@ -394,6 +397,13 @@ def test_clone_batch_checks_every_input_row():
         clone_batch(alpha, beta, CFG, first_sample=5)
     with pytest.raises(ValueError):
         clone_batch(alpha, beta[:2], CFG)
+
+
+def test_clone_batch_rejects_an_empty_batch():
+    from clone_sim import clone_batch
+
+    with pytest.raises(ValueError, match="batch is empty"):
+        clone_batch(np.array([]), np.array([]))
 
 
 def test_clone_batch_rows_equal_run_uqcm_finals():

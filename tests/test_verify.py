@@ -82,7 +82,6 @@ def test_target_state_scores_five_sixths_for_random_inputs():
         assert abs(report.fidelity_squid3 - FIVE_SIXTHS) < 1e-12
         assert abs(report.fidelity_squid2 - report.fidelity_squid3) < 1e-12
         assert abs(report.target_overlap - 1.0) < 1e-12
-        assert report.ancilla_orthogonality == 0.0
         assert report.leakage < 1e-10
 
 
@@ -115,9 +114,9 @@ def test_computational_leakage_flags_the_right_populations():
 
 def test_clone_report_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
-        CloneReport(1.2, 0.5, 0.5, 0.0, 0.0)
+        CloneReport(1.2, 0.5, 0.5, 0.0)
     with pytest.raises(ValueError):
-        CloneReport(0.5, 0.5, 0.5, 0.0, -0.1)
+        CloneReport(0.5, 0.5, 0.5, -0.1)
 
 
 # ----------------------------------------------------------- step conformance
@@ -265,7 +264,6 @@ def test_batched_scores_match_the_independent_route():
             "fidelity_squid2": fidelity_against_dm(psi, partial_trace(state, ("squid2",))),
             "fidelity_squid3": fidelity_against_dm(psi, partial_trace(state, ("squid3",))),
             "target_overlap": abs(inner_product(state, reference_step_state("step10", q, spec))),
-            "ancilla_orthogonality": 0.0,
             "leakage": 1.0 - float(np.sum(np.abs(amps[k, :2, :2, :2, :2]) ** 2)),
         }
         for name, value in want.items():
@@ -320,7 +318,14 @@ def test_score_rows_names_the_first_bad_row_and_copy():
         score_rows(stretched, alpha, beta, first_sample=5)
 
 
-def test_score_rows_builds_the_ancilla_vectors_once_per_register(monkeypatch):
+def test_score_rows_rejects_an_empty_batch():
+    from clone_sim import score_rows
+
+    with pytest.raises(ValueError, match="batch is empty"):
+        score_rows(np.zeros((0, 3, 3, 3, 3), dtype=complex), np.array([]), np.array([]))
+
+
+def test_score_rows_builds_its_reference_vectors_once_per_register(monkeypatch):
     from clone_sim import clone_batch, score_rows
 
     alpha, beta = np.ones(2, dtype=complex), np.zeros(2, dtype=complex)
