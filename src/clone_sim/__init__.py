@@ -46,7 +46,6 @@ from .protocol import (
     process_times,
     process_two,
     run_uqcm,
-    step1_prepare_squid2,
 )
 from .verify import (
     CloneReport,

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from .checks import run_all_checks
 from .dynamics import CouplingConfig
 from .errors import PhysicsError
+from .hilbert import E_LEAK_TOL
 from .protocol import InputQubit, build_uqcm_schedule, jitter_rng, perturbed_schedule, run_uqcm
 from .verify import MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
 
 ENV_CONFIG = "CLONE_SIM_CONFIG"
-LEAK_GATE = 1e-10
 
 # Config key -> (type, default).  A flag with the key's name overrides the
 # file; the finiteness check runs over the float and complex keys in this order.
@@ -196,7 +196,7 @@ def _execute(settings: Settings):
     schedule = None
     if settings.timing_jitter > 0.0:
         schedule = perturbed_schedule(build_uqcm_schedule(settings.cfg), settings.timing_jitter,
-                                      jitter_rng(settings.seed, 0))
+                                      jitter_rng(settings.seed))
     return run_uqcm(
         settings.q, settings.cfg, fock_cutoff=settings.fock_cutoff,
         schedule=schedule, enforce_preconditions=settings.timing_jitter == 0.0,
@@ -215,7 +215,7 @@ def cmd_run(settings: Settings) -> int:
         abs(report.fidelity_squid2 - five_sixths) <= settings.tolerance
         and abs(report.fidelity_squid3 - five_sixths) <= settings.tolerance
         and 1.0 - report.target_overlap <= settings.tolerance
-        and report.leakage <= LEAK_GATE
+        and report.leakage <= E_LEAK_TOL
     )
     payload = dict(report.to_dict())
     payload["input"] = {
@@ -229,8 +229,8 @@ def cmd_run(settings: Settings) -> int:
     payload["tolerance"] = settings.tolerance
     payload["passed"] = gates_ok
     print(json.dumps(_sig12(payload), indent=2))
-    if report.leakage > LEAK_GATE:
-        print(f"physics error: leakage {report.leakage:.3e} above {LEAK_GATE:.0e}",
+    if report.leakage > E_LEAK_TOL:
+        print(f"physics error: leakage {report.leakage:.3e} above {E_LEAK_TOL:.0e}",
               file=sys.stderr)
         return 3
     return 0 if gates_ok else 1

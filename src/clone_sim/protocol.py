@@ -23,11 +23,11 @@ Step roles, in schedule order:
 
 A schedule is data: a slot's duration is its longest track, and a
 timing perturbation is one factor per slot, 1 + f*u with u ~ U(-1, 1)
-(``draw_slot_factors``), sample k drawing from its own stream
-``jitter_rng(seed, k)``.  ``perturbed_schedule`` applies the factors to
-a ``Schedule``; a batch carries them as a (B, n_slots) array, which
-``jitter_factors`` draws for many samples at once, bit-identical to their
-streams.
+(``draw_slot_factors``).  One seed has one jitter stream,
+``jitter_rng(seed)``, and sample k reads its n_slots factors from draws
+k*n_slots ... (k+1)*n_slots - 1 of it.  ``perturbed_schedule`` applies
+one sample's factors to a ``Schedule``; a batch carries them as a
+(B, n_slots) array drawn in one call.
 
 Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
 clones B inputs at once in an array of shape (3, 3, 3, fock_cutoff + 1, B),
@@ -44,7 +44,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -175,143 +174,21 @@ class Schedule:
         return {"slots": [slot.to_dict() for slot in self.slots]}
 
 
-def draw_slot_factors(fraction: float, n_slots: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_slots,) duration factors 1 + fraction*u, u ~ U(-1, 1), one per slot in slot order."""
-    return 1.0 + fraction * rng.uniform(-1.0, 1.0, n_slots)
+def draw_slot_factors(
+    fraction: float, shape: int | tuple[int, int], rng: np.random.Generator
+) -> np.ndarray:
+    """Duration factors 1 + fraction*u, u ~ U(-1, 1), of ``shape`` n_slots or (rows, n_slots).
 
-
-def jitter_rng(seed: int, sample: int) -> np.random.Generator:
-    """The stream sample ``sample`` draws its slot factors from, separate from input sampling."""
-    return np.random.default_rng([seed, _JITTER_STREAM, sample])
-
-
-# jitter_factors runs numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx)
-# and PCG64 XSL-RR (O'Neill 2014, HMC-CS-2014-0905) on whole arrays of samples.
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _wrap32(x):
-    # Python ints grow where uint32 arrays wrap; mask the ints to match.
-    return x & _MASK32 if isinstance(x, int) else x
-
-
-def _seed_words(entropy: list) -> list:
-    """``SeedSequence(entropy).generate_state(8, np.uint32)``, word by word.
-
-    Each entropy word is a Python int (shared by every sample) or a
-    uint32 array (one word per sample); a word that some array word has
-    mixed into is an array, the rest stay Python ints.
+    Each factor takes one draw of ``rng`` in row-major order, so row k of a
+    (rows, n_slots) draw reads draws k*n_slots ... (k+1)*n_slots - 1, and a
+    draw split into consecutive chunks gives the same rows bit for bit.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = _wrap32(value * hash_const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = _wrap32(_wrap32(_MIX_MULT_L * x) - _wrap32(_MIX_MULT_R * y))
-        return result ^ (result >> 16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = _wrap32(value * hash_const)
-        out.append(value ^ (value >> 16))
-    return out
+    return 1.0 + fraction * rng.uniform(-1.0, 1.0, shape)
 
 
-def _join64(low, high) -> np.ndarray:
-    """uint64 array from two 32-bit words, as numpy's little-endian view forms it."""
-    return np.asarray(low, dtype=np.uint64) | (np.asarray(high, dtype=np.uint64) << 32)
-
-
-def _split128(values: list[int]) -> tuple[np.ndarray, ...]:
-    """(hi, lo, lo & 0xFFFFFFFF, lo >> 32) uint64 arrays of 128-bit constants."""
-    lo = [v & _MASK64 for v in values]
-    return tuple(np.array(words, dtype=np.uint64) for words in
-                 ([v >> 64 for v in values], lo, [w & _MASK32 for w in lo], [w >> 32 for w in lo]))
-
-
-def _mul128(x_hi: np.ndarray, x_lo: np.ndarray, table: tuple[np.ndarray, ...]):
-    """(hi, lo) of x * c mod 2**128 for a ``_split128`` table c, broadcast."""
-    c_hi, c_lo, c_lo0, c_lo1 = table
-    x_lo0, x_lo1 = x_lo & _MASK32, x_lo >> 32
-    cross01, cross10 = x_lo0 * c_lo1, x_lo1 * c_lo0
-    middle = ((x_lo0 * c_lo0) >> 32) + (cross01 & _MASK32) + (cross10 & _MASK32)
-    carry = x_lo1 * c_lo1 + (cross01 >> 32) + (cross10 >> 32) + (middle >> 32)
-    return carry + x_lo * c_hi + x_hi * c_lo, x_lo * c_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-@functools.lru_cache(maxsize=8)
-def _pcg_jump_tables(n_draws: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Jump-ahead constants of the PCG64 LCG s -> M s + inc, for draws 1..n_draws.
-
-    After seeding, the state before the first draw's step is
-    x = inc + initstate; draw j reads the state k = j + 1 steps on,
-    M^k x + (1 + M + ... + M^(k-1)) inc.  Returns the tables of M^k and
-    of that geometric sum.
-    """
-    powers = [pow(_PCG_MULT, k, 1 << 128) for k in range(n_draws + 2)]
-    sums = [0]
-    for power in powers[:-1]:
-        sums.append((sums[-1] + power) % (1 << 128))
-    return _split128(powers[2:]), _split128(sums[2:])
-
-
-def jitter_factors(seed: int, fraction: float, samples: np.ndarray, n_slots: int) -> np.ndarray:
-    """(len(samples), n_slots) slot factors: row k is sample ``samples[k]``'s draw.
-
-    Row k equals ``draw_slot_factors(fraction, n_slots, jitter_rng(seed,
-    samples[k]))`` bit for bit, computed for all samples at once: the
-    SeedSequence hash of [seed, 17, sample], PCG64 seeding and its first
-    n_slots outputs, and ``Generator.uniform``'s -1 + 2 * (x >> 11) / 2**53.
-    Sample indices must lie in [0, 2**32), one entropy word each.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValueError(f"samples must be a 1-D array, got shape {samples.shape}")
-    if samples.size and not (samples.min() >= 0 and samples.max() <= _MASK32):
-        raise ValueError(f"sample indices must lie in [0, 2**32), got {samples.min()} "
-                         f"to {samples.max()}")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    seed_words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words = _seed_words(seed_words + [_JITTER_STREAM, samples.astype(np.uint32)])
-    init_hi, init_lo = _join64(words[0], words[1]), _join64(words[2], words[3])
-    seq_hi, seq_lo = _join64(words[4], words[5]), _join64(words[6], words[7])
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    x_hi, x_lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
-    powers, sums = _pcg_jump_tables(n_slots)
-    hi, lo = _add128(*_mul128(x_hi[:, None], x_lo[:, None], powers),
-                     *_mul128(inc_hi[:, None], inc_lo[:, None], sums))
-    xored, rot = hi ^ lo, hi >> 58
-    draws = (xored >> rot) | (xored << ((64 - rot) & 63))
-    return 1.0 + fraction * (-1.0 + 2.0 * ((draws >> 11) * 2.0 ** -53))
+def jitter_rng(seed: int) -> np.random.Generator:
+    """The jitter stream of ``seed``, separate from its input sampling stream."""
+    return np.random.default_rng([seed, _JITTER_STREAM])
 
 
 def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator) -> Schedule:
@@ -410,18 +287,13 @@ def prepare_input(
     raise ValueError(f"unknown preparation mode {mode!r}")
 
 
-def step1_prepare_squid2(state: PureState, cfg: CouplingConfig = DEFAULT_COUPLINGS) -> PureState:
-    """Drive SQUID 2 from |g> to sqrt(2/3)|g> + i sqrt(1/3)|e>.
+def _step1_op(cfg: CouplingConfig) -> PulseOp:
+    """The g-e drive taking SQUID 2 from |g> to sqrt(2/3)|g> + i sqrt(1/3)|e>.
 
     The pulse angle 2 pi - arcsin(sqrt(1/3)) leaves cos at +sqrt(2/3)
     while -i sin comes out at +i sqrt(1/3), which is the sign the rest
     of the schedule relies on.
     """
-    _require_rows_in_g(state.tensor()[..., None], 2)
-    return apply_pulse_op(state, _step1_op(cfg), cfg)
-
-
-def _step1_op(cfg: CouplingConfig) -> PulseOp:
     angle = 2.0 * math.pi - math.asin(math.sqrt(1.0 / 3.0))
     return PulseOp(PulseVariant.DRIVE_GE, 2, angle / cfg.omega_ge)
 
@@ -430,7 +302,7 @@ def cnot_cavity_control(
     state: PureState,
     squid: int,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    leak_tol: float = 1e-10,
+    leak_tol: float = E_LEAK_TOL,
 ) -> PureState:
     """Full-period cavity exchange: flips |+> <-> |-> of the target iff one photon.
 

@@ -13,8 +13,8 @@ matrix products, so a row's score does not depend on the batch size.
 ``clone_fidelities`` is the same scoring for one state.
 ``universality_sweep`` clones and scores its samples in chunks of
 ``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
-slot factors as one array.  Its ``SweepResult`` keeps one array per CSV
-column.
+slot factors as one array, the next rows of the seed's one jitter
+stream.  Its ``SweepResult`` keeps one array per CSV column.
 """
 
 from __future__ import annotations
@@ -39,14 +39,16 @@ from .protocol import (
     bloch_amplitudes,
     build_uqcm_schedule,
     clone_batch,
+    draw_slot_factors,
     gi_amplitudes,
-    jitter_factors,
+    jitter_rng,
 )
 
 # Rows cloned and scored per batch by universality_sweep; bounds the
 # sweep's buffers whatever the sample count.
 SWEEP_CHUNK = 1024
-# A sample index is one uint32 word of its jitter stream's seed.
+# Largest sample count a sweep accepts.  The sweep keeps O(n) columns, so
+# memory runs out far below it; the cap gives a huge n a config error.
 MAX_SWEEP_SAMPLES = 2 ** 32
 
 _R23 = math.sqrt(2.0 / 3.0)
@@ -203,6 +205,9 @@ def score_rows(
     spec = BasisSpec(num_squids=amps.ndim - 2, fock_cutoff=amps.shape[-1] - 1)
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
+    if alpha.shape != (rows,) or beta.shape != (rows,):
+        raise ValueError(f"alpha and beta must be 1-D with one entry per row of amps "
+                         f"({rows}), got shapes {alpha.shape} and {beta.shape}")
     psi = np.concatenate([gi_amplitudes(alpha, beta)] * 2)
     # Rows 0..B-1 hold squid 2's copy, rows B..2B-1 squid 3's.  A stacked
     # matmul reduces each row on its own; one product over the flattened
@@ -314,13 +319,15 @@ def universality_sweep(
     """Clone ``n`` Bloch-uniform inputs drawn from a seeded PCG64 stream.
 
     theta = arccos(1 - 2u), phi = 2 pi v with u, v uniform on [0, 1).
-    With ``timing_jitter`` f > 0, sample k's slot factors are
-    ``draw_slot_factors(f, n_slots, jitter_rng(seed, k))``, drawn for a
-    whole chunk at once by ``jitter_factors``, and the two-pulse leakage
-    guard is off; with f = 0 the nominal schedule runs guarded.  Repeat
-    calls with one seed are bit-identical, and each row equals a single
-    ``run_uqcm`` (with the same perturbed schedule) plus
-    ``clone_fidelities`` of its input.  ``n`` is at most 2**32.
+    With ``timing_jitter`` f > 0, sample k's slot factors are draws
+    k*n_slots ... (k+1)*n_slots - 1 of ``jitter_rng(seed)``, read chunk by
+    chunk in sample order with ``draw_slot_factors``, and the two-pulse
+    leakage guard is off; with f = 0 the nominal schedule runs guarded.
+    Repeat calls with one seed are bit-identical, and each row equals a
+    single ``run_uqcm`` (with the same perturbed schedule) plus
+    ``clone_fidelities`` of its input; row 0's schedule is the one
+    ``perturbed_schedule(base, f, jitter_rng(seed))`` builds.  ``n`` is
+    at most 2**32.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -334,11 +341,12 @@ def universality_sweep(
     alpha, beta = bloch_amplitudes(thetas, phis)
     ideal = timing_jitter == 0.0
     n_slots = 0 if ideal else len(build_uqcm_schedule(cfg).slots)
+    jitter = None if ideal else jitter_rng(seed)
     scores: dict[str, list[np.ndarray]] = {name: [] for name in REPORT_FIELDS}
     for start in range(0, n, SWEEP_CHUNK):
         rows = slice(start, min(start + SWEEP_CHUNK, n))
-        factors = None if ideal else jitter_factors(
-            seed, timing_jitter, np.arange(rows.start, rows.stop), n_slots)
+        factors = None if ideal else draw_slot_factors(
+            timing_jitter, (rows.stop - start, n_slots), jitter)
         final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
                             first_sample=start)
         for name, values in score_rows(final, alpha[rows], beta[rows], start).items():

@@ -134,6 +134,25 @@ def test_sweep_single_sample_matches_run_for_the_same_input(capsys):
     assert float(row[6]) == payload["leakage"]
 
 
+@pytest.mark.parametrize("seed", [0, 2**32])
+def test_jittered_run_reports_sweep_row_zero(capsys, seed):
+    # run and sweep row 0 read the same first eleven draws of the seed's jitter stream;
+    # the angles are sample 0's exact draws, not the CSV's 12-digit rounding
+    code, out, _ = run_cli(capsys, "sweep", "-n", "1", "--seed", str(seed),
+                           "--timing-jitter", "0.05")
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    rng = np.random.default_rng(seed)  # the sweep's input stream, as it draws n = 1
+    theta = float(np.arccos(1.0 - 2.0 * rng.random(1))[0])
+    phi = float(2.0 * math.pi * rng.random(1)[0])
+    code, out, _ = run_cli(capsys, "run", "--theta", repr(theta), "--phi", repr(phi),
+                           "--seed", str(seed), "--timing-jitter", "0.05")
+    assert code in (1, 3)
+    report = json.loads(out)
+    fields = ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")
+    assert [report[name] for name in fields] == [float(value) for value in row[3:]]
+
+
 def test_sweep_summary_file(tmp_path, capsys):
     path = tmp_path / "summary.json"
     code, _, _ = run_cli(capsys, "sweep", "-n", "5", "--seed", "11",

@@ -29,7 +29,6 @@ from clone_sim import (
     process_times,
     process_two,
     run_uqcm,
-    step1_prepare_squid2,
     target_state,
 )
 from clone_sim.protocol import STEP_LABELS, StepTrace
@@ -108,11 +107,13 @@ def test_prepare_input_rejects_unknown_mode():
 
 
 def test_step1_splits_two_thirds_one_third():
-    out = step1_prepare_squid2(fresh(BasisSpec(3, 2)), CFG)
+    # |+> puts squid1 in (|g> + |i>)/sqrt(2); squid2's split carries that factor
+    _, trace = run_uqcm(InputQubit(1.0, 0.0), CFG)
+    out = trace.entry("step1").state
     a_g = amp(out, ("g", "g", "g"), 0)
     a_e = amp(out, ("g", "e", "g"), 0)
-    assert abs(a_g - math.sqrt(2.0 / 3.0)) < 1e-12
-    assert abs(a_e - 1j * math.sqrt(1.0 / 3.0)) < 1e-12
+    assert abs(a_g - math.sqrt(2.0 / 3.0) / RT2) < 1e-12
+    assert abs(a_e - 1j * math.sqrt(1.0 / 3.0) / RT2) < 1e-12
     assert abs(out.level_population(2, "g") - 2.0 / 3.0) < 1e-12
     assert abs(out.level_population(2, "e") - 1.0 / 3.0) < 1e-12
     assert abs(out.norm() - 1.0) < 1e-12
@@ -423,14 +424,14 @@ def test_clone_batch_rows_do_not_depend_on_the_batch(fock_cutoff, jitter):
     # batches of 1, 2, 100, 1024 and 1030 rows, cut from one sample range at
     # several first_sample offsets, against each other and single runs
     from clone_sim import clone_batch
-    from clone_sim.protocol import (bloch_amplitudes, build_uqcm_schedule, jitter_factors,
+    from clone_sim.protocol import (bloch_amplitudes, build_uqcm_schedule, draw_slot_factors,
                                     jitter_rng, perturbed_schedule)
 
     n, seed, ideal = 1030, 4242, jitter == 0.0
     rng = np.random.default_rng(seed)
     alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(n)),
                                    2.0 * math.pi * rng.random(n))
-    factors = np.ones((n, 11)) if ideal else jitter_factors(seed, jitter, np.arange(n), 11)
+    factors = np.ones((n, 11)) if ideal else draw_slot_factors(jitter, (n, 11), jitter_rng(seed))
     whole = clone_batch(alpha, beta, CFG, fock_cutoff, factors, ideal)
     assert whole.shape == (n, 3, 3, 3, fock_cutoff + 1)
     for start, size in [(0, 1), (1029, 1), (511, 2), (7, 100), (0, 1024), (6, 1024)]:
@@ -441,50 +442,29 @@ def test_clone_batch_rows_do_not_depend_on_the_batch(fock_cutoff, jitter):
     base = build_uqcm_schedule(CFG)
     for k in sorted({0, 1, 99, 100, 1023, 1024, 1029} | set(range(0, n, 149))):
         q = InputQubit(complex(alpha[k]), complex(beta[k]))
-        schedule = None if ideal else perturbed_schedule(base, jitter, jitter_rng(seed, k))
+        schedule = None if ideal else perturbed_schedule(base, jitter, _stream_at(seed, k))
         final, _ = run_uqcm(q, CFG, fock_cutoff, schedule=schedule, enforce_preconditions=ideal)
         assert np.array_equal(whole[k].reshape(-1), final.amplitudes), k
 
 
-# ------------------------------------------------------- vectorised jitter stream
+# ------------------------------------------------------------ jitter stream
 
 
-def _stream_rows(seed, fraction, samples, n_slots=11):
-    # numpy's own Generator, one per sample: the route jitter_factors must equal
+def _stream_at(seed, k, n_slots=11):
+    # the seed's jitter stream after sample k's predecessors, spelled out on its own
+    bits = np.random.PCG64(np.random.SeedSequence([seed, 17]))
+    return np.random.Generator(bits.advance(n_slots * k))
+
+
+@given(seed=st.integers(0, 2**100), k=st.integers(0, 2100), n_slots=st.integers(1, 16))
+@settings(max_examples=80, deadline=None)
+def test_row_k_of_a_factor_draw_reads_the_stream_from_draw_k_times_n_slots(seed, k, n_slots):
     from clone_sim.protocol import draw_slot_factors, jitter_rng
 
-    return np.array([draw_slot_factors(fraction, n_slots, jitter_rng(seed, k)) for k in samples])
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
-@pytest.mark.parametrize("fraction", [0.05, 0.999])
-def test_jitter_factors_equal_the_per_sample_streams_bit_for_bit(seed, fraction):
-    from clone_sim.protocol import jitter_factors
-
-    samples = list(range(6)) + list(range(1020, 1031))  # across the first chunk boundary
-    got = jitter_factors(seed, fraction, np.array(samples), 11)
-    assert got.shape == (len(samples), 11)
-    assert got.tobytes() == _stream_rows(seed, fraction, samples).tobytes()
-
-
-@given(seed=st.integers(0, 2**100), sample=st.integers(0, 2**32 - 1),
-       n_slots=st.integers(1, 16))
-@settings(max_examples=80, deadline=None)
-def test_jitter_factors_match_the_stream_for_any_seed_and_sample(seed, sample, n_slots):
-    from clone_sim.protocol import jitter_factors
-
-    got = jitter_factors(seed, 0.3, np.array([sample]), n_slots)
-    assert got.tobytes() == _stream_rows(seed, 0.3, [sample], n_slots).tobytes()
-
-
-def test_jitter_factors_reject_samples_outside_one_word_and_negative_seeds():
-    from clone_sim.protocol import jitter_factors
-
-    for samples in ([-1], [2**32], [[0, 1]]):
-        with pytest.raises(ValueError, match="sample"):
-            jitter_factors(1, 0.05, np.array(samples), 11)
-    with pytest.raises(ValueError, match="seed"):
-        jitter_factors(-1, 0.05, np.arange(3), 11)
+    rows = draw_slot_factors(0.3, (k + 1, n_slots), jitter_rng(seed))
+    assert rows.shape == (k + 1, n_slots)
+    alone = draw_slot_factors(0.3, n_slots, _stream_at(seed, k, n_slots))
+    assert rows[k].tobytes() == alone.tobytes()
 
 
 def test_nominal_schedule_is_built_once_per_config():

@@ -185,7 +185,7 @@ def test_sweep_summary_contents():
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         universality_sweep(0, seed=1)
-    # a sample index must fit the one entropy word of its jitter stream
+    # a sample count above 2**32 is refused, as the CLI's exit 2 relies on
     with pytest.raises(ValueError, match=r"sample count must be <= 2\*\*32"):
         universality_sweep(2**32 + 1, seed=1, timing_jitter=0.05)
     for jitter in (-0.1, 1.0, math.nan):
@@ -210,7 +210,12 @@ def _jitter_factory(fraction, seed=606):
     if fraction == 0.0:
         return None
     base = build_uqcm_schedule()
-    return lambda k: perturbed_schedule(base, fraction, np.random.default_rng([seed, 17, k]))
+
+    def schedule(k):
+        bits = np.random.PCG64(np.random.SeedSequence([seed, 17])).advance(11 * k)
+        return perturbed_schedule(base, fraction, np.random.Generator(bits))
+
+    return schedule
 
 
 @pytest.mark.parametrize("fock_cutoff", [2, 8])
@@ -323,6 +328,16 @@ def test_score_rows_rejects_an_empty_batch():
 
     with pytest.raises(ValueError, match="batch is empty"):
         score_rows(np.zeros((0, 3, 3, 3, 3), dtype=complex), np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("inputs", [2, 4])
+def test_score_rows_rejects_inputs_that_do_not_match_the_rows(inputs):
+    from clone_sim import clone_batch, score_rows
+
+    final = clone_batch(np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match=rf"one entry per row of amps \(3\), got shapes "
+                                         rf"\({inputs},\) and \({inputs},\)"):
+        score_rows(final, np.ones(inputs), np.zeros(inputs))
 
 
 def test_score_rows_builds_its_reference_vectors_once_per_register(monkeypatch):
