@@ -29,8 +29,10 @@ from .verify import MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
 
 ENV_CONFIG = "CLONE_SIM_CONFIG"
 
-# Config key -> (type, default).  A flag with the key's name overrides the
-# file; the finiteness check runs over the float and complex keys in this order.
+# Config key -> (type, default).  Where a command has a flag of the key's
+# name, the flag overrides the file; no command has one for the five rates,
+# which only a config file sets.  The finiteness check runs over the float
+# and complex keys in this order.
 _SETTINGS: dict[str, tuple[type, object]] = {
     "lambda": (float, 1.0),
     "omega_ge": (float, 1.0),
@@ -168,6 +170,11 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
         theta = values["theta"] if values["theta"] is not None else 0.0
         phi = values["phi"] if values["phi"] is not None else 0.0
         q = InputQubit.from_bloch(theta, phi)
+
+    try:
+        build_uqcm_schedule(cfg)  # every command runs it; finite rates can overflow its times
+    except ValueError as exc:
+        raise ConfigError(f"the rates give no cloning schedule: {exc}") from exc
 
     return Settings(
         cfg=cfg, fock_cutoff=fock_cutoff, tolerance=tolerance,

@@ -24,13 +24,20 @@ one-parameter group in t.
 Each map is one kernel that acts in place on a batch: a complex array of
 shape ``(3, ..., 3, fock_cutoff + 1, B)`` holding one register state per
 index of its last axis (a "row"), with a ``(B,)`` array of durations, so
-every row may carry its own pulse length.  With the batch axis last, each
-per-row coefficient broadcasts along a contiguous run of B amplitudes.
-The kernels use only elementwise arithmetic, so a row's result does not
-depend on the batch size.  ``pulse_kernel`` is the one dispatch on the
-pulse variant, and ``apply_pulse_op`` runs it on one ``PureState`` as a
-batch of one (a trailing axis of length 1); each ``apply_*`` is
-``apply_pulse_op`` with its variant.  ``build_generator`` assembles each generator from
+every row may carry its own pulse length.  A kernel is two parts:
+``pulse_coefficients`` turns the durations into read-only coefficient
+arrays (cos and i sin of the rotation angles, the two-pulse couplings, the
+|i> phase), and ``apply_coefficients`` applies them to the level views
+with one of three in-place routines (a 2x2 rotation, the two-pulse map, an
+|i> phase).  Coefficients built from a (1,) duration broadcast over every
+row, so a caller that runs one pulse many times at one duration can build
+them once.  With the batch axis last, each per-row coefficient broadcasts
+along a contiguous run of B amplitudes.  The kernels use only elementwise
+arithmetic, so a row's result does not depend on the batch size.
+``pulse_kernel`` is both parts for (B,) durations, and ``apply_pulse_op``
+runs it on one ``PureState`` as a batch of one (a trailing axis of length
+1); each ``apply_*`` is ``apply_pulse_op`` with its variant.
+``build_generator`` assembles each generator from
 Kronecker products with identities on the other factors.
 ``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
 generator) and ``evolve_diagonalized`` (once per state and duration).
@@ -41,6 +48,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +60,13 @@ from .hilbert import (
     LEVEL_G,
     LEVEL_I,
     NUM_LEVELS,
+    _EPS,
     BasisSpec,
     PureState,
     _check_squid,
 )
+
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -133,14 +144,6 @@ def _level(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     return amps[tuple(index)]
 
 
-def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> None:
-    # |a> -> cos|a> - i sin|b>, |b> -> cos|b> - i sin|a>, in place.
-    c, s = np.cos(theta), np.sin(theta)
-    a_old = a.copy()
-    a[...] = c * a_old - 1j * s * b
-    b[...] = c * b - 1j * s * a_old
-
-
 def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     """(B,) probability of finding ``squid`` in ``level``, one entry per row."""
     view = _level(amps, squid, level)
@@ -150,73 +153,116 @@ def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     return np.sum(np.abs(rows) ** 2, axis=1)
 
 
-def jc_kernel(
-    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
-) -> None:
-    """Resonant cavity exchange on one SQUID's g-e transition, row b for ``durations[b]``.
+def population_screen(amps: np.ndarray, squid: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) populations of ``level`` summed down the batch-last array at once, and their slack.
 
-    Each excitation sector {|g, n+1>, |e, n>} rotates by the angle
-    lam * sqrt(n+1) * duration; |i, n> and |g, 0> are dark.  Within the
-    truncated space |e, fock_cutoff> has no partner and stays put.  All
-    sectors rotate in one step.
+    Each value differs from the one ``level_populations`` gives for the row
+    by less than its slack: both sum the same n terms, in other orders and
+    from differently rounded squares, and each lies within (n + 3) units of
+    roundoff of the exact sum, or within a few subnormals of it where the
+    squares underflow.  A guard clears the rows that lie farther than the
+    slack from its threshold and, only if some row is not cleared, reads
+    those rows from ``level_populations``, so its verdict and the
+    population it reports are the ones ``level_populations`` alone gives.
     """
-    fock = amps.shape[-2] - 1
-    rates = cfg.lam * np.sqrt(np.arange(1, fock + 1, dtype=np.float64))
-    theta = rates[:, None] * np.asarray(durations, dtype=np.float64)
-    g_view = _level(amps, squid, LEVEL_G)[..., 1:, :]
-    e_view = _level(amps, squid, LEVEL_E)[..., :-1, :]
-    _rotate(g_view, e_view, theta)
+    view = _level(np.ascontiguousarray(amps), squid, level)
+    parts = view.view(np.float64)
+    letters = string.ascii_lowercase[:parts.ndim]
+    sums = np.einsum(f"{letters},{letters}->{letters[-1]}", parts, parts)
+    pops = sums[0::2] + sums[1::2]
+    terms = view.size // view.shape[-1]
+    return pops, 4 * (terms + 3) * (_EPS * pops + _TINY)
 
 
-def _drive_kernel(amps: np.ndarray, squid: int, angles: np.ndarray, lower: int) -> None:
-    _rotate(_level(amps, squid, lower), _level(amps, squid, LEVEL_E), angles)
+def pulse_coefficients(
+    op: PulseOp, durations: np.ndarray, fock_cutoff: int, cfg: CouplingConfig = DEFAULT_COUPLINGS
+) -> tuple[np.ndarray, ...]:
+    """Read-only coefficients of ``op``'s map, row b lasting ``durations[b]``.
 
-
-def drive_ge_kernel(
-    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
-) -> None:
-    """Classical drive on the g-e transition; |i> is a spectator."""
-    _drive_kernel(amps, squid, cfg.omega_ge * np.asarray(durations, dtype=np.float64), LEVEL_G)
-
-
-def drive_ie_kernel(
-    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
-) -> None:
-    """Classical drive on the i-e transition; |g> is a spectator."""
-    _drive_kernel(amps, squid, cfg.omega_ie * np.asarray(durations, dtype=np.float64), LEVEL_I)
-
-
-def raman_kernel(
-    amps: np.ndarray,
-    squid: int,
-    durations: np.ndarray,
-    phi1: float,
-    phi2: float,
-    cfg: CouplingConfig = DEFAULT_COUPLINGS,
-) -> None:
-    """Effective two-pulse rotation between |g> and |i> (module docstring map).
-
-    e amplitudes are left untouched; callers that need the map to be
-    valid run ``check_two_pulse_domain`` first.
+    A rotation (``JC``, ``DRIVE_GE``, ``DRIVE_IE``) gets (cos, i sin) of
+    its angle, with shape (fock_cutoff, B) for ``JC``, whose photon
+    sectors rotate at lam * sqrt(n+1); ``RAMAN`` gets (cos, up, down,
+    free), where up and down are i exp(+-i dphi) sin and free is the
+    |i> phase; ``FREE_EVOLVE`` gets (free,).  cos is cast to complex,
+    which is what numpy does with it in every product it enters, so the
+    arrays give the same bits as the real values would.  Any array that
+    broadcasts against the rows may stand in for ``durations``: a (1,)
+    array serves every row with one duration.
     """
-    dphi = phi1 - phi2
-    g_view = _level(amps, squid, LEVEL_G)
-    i_view = _level(amps, squid, LEVEL_I)
     t = np.asarray(durations, dtype=np.float64)
-    c = np.cos(cfg.lambda_prime * t)
-    s = np.sin(cfg.lambda_prime * t)
-    free = np.exp(-1j * cfg.omega_gi * t)
-    g_old = g_view.copy()
-    g_view[...] = c * g_old + 1j * cmath.exp(1j * dphi) * s * i_view
-    i_view[...] = free * (1j * cmath.exp(-1j * dphi) * s * g_old + c * i_view)
+    if op.variant is PulseVariant.JC:
+        rates = cfg.lam * np.sqrt(np.arange(1, fock_cutoff + 1, dtype=np.float64))
+        coeffs = _rotation(rates[:, None] * t)
+    elif op.variant is PulseVariant.DRIVE_GE:
+        coeffs = _rotation(cfg.omega_ge * t)
+    elif op.variant is PulseVariant.DRIVE_IE:
+        coeffs = _rotation(cfg.omega_ie * t)
+    elif op.variant is PulseVariant.RAMAN:
+        dphi = op.phi1 - op.phi2
+        angle = cfg.lambda_prime * t
+        s = np.sin(angle)
+        coeffs = (np.cos(angle).astype(np.complex128), 1j * cmath.exp(1j * dphi) * s,
+                  1j * cmath.exp(-1j * dphi) * s, _free_phase(t, cfg))
+    elif op.variant is PulseVariant.FREE_EVOLVE:
+        coeffs = (_free_phase(t, cfg),)
+    else:
+        raise ValueError(f"unknown pulse variant {op.variant!r}")
+    for array in coeffs:
+        array.flags.writeable = False
+    return coeffs
 
 
-def free_evolution_kernel(
-    amps: np.ndarray, squid: int, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
+def _rotation(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.cos(theta).astype(np.complex128), 1j * np.sin(theta)
+
+
+def _free_phase(t: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
+    return np.exp(-1j * cfg.omega_gi * t)
+
+
+def _rotate(a: np.ndarray, b: np.ndarray, c: np.ndarray, i_s: np.ndarray) -> None:
+    # |a> -> cos|a> - i sin|b>, |b> -> cos|b> - i sin|a>, in place.
+    a_old = a.copy()
+    a[...] = c * a_old - i_s * b
+    b[...] = c * b - i_s * a_old
+
+
+def _raman(
+    g: np.ndarray, i: np.ndarray, c: np.ndarray, up: np.ndarray, down: np.ndarray, free: np.ndarray
 ) -> None:
-    """Free phase accumulation: |i> -> exp(-i omega_gi t)|i>, |g> and |e> fixed."""
-    i_view = _level(amps, squid, LEVEL_I)
-    i_view[...] = np.exp(-1j * cfg.omega_gi * np.asarray(durations, dtype=np.float64)) * i_view
+    # The two-pulse map of the module docstring, in place.
+    g_old = g.copy()
+    g[...] = c * g_old + up * i
+    i[...] = free * (down * g_old + c * i)
+
+
+def _phase(i: np.ndarray, free: np.ndarray) -> None:
+    i[...] = free * i
+
+
+def apply_coefficients(amps: np.ndarray, op: PulseOp, coeffs: tuple[np.ndarray, ...]) -> None:
+    """Apply ``op``'s map in place to every row of ``amps``, given its ``pulse_coefficients``.
+
+    Cavity exchange rotates each excitation sector {|g, n+1>, |e, n>} by
+    its own angle; |i, n> and |g, 0> are dark, and |e, fock_cutoff> has no
+    partner within the truncated space and stays put.  The two-pulse map
+    leaves e amplitudes untouched; callers that need it to be valid run
+    ``check_two_pulse_domain`` first.
+    """
+    squid = op.squid
+    if op.variant is PulseVariant.JC:
+        _rotate(_level(amps, squid, LEVEL_G)[..., 1:, :],
+                _level(amps, squid, LEVEL_E)[..., :-1, :], *coeffs)
+    elif op.variant is PulseVariant.DRIVE_GE:
+        _rotate(_level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_E), *coeffs)
+    elif op.variant is PulseVariant.DRIVE_IE:
+        _rotate(_level(amps, squid, LEVEL_I), _level(amps, squid, LEVEL_E), *coeffs)
+    elif op.variant is PulseVariant.RAMAN:
+        _raman(_level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_I), *coeffs)
+    elif op.variant is PulseVariant.FREE_EVOLVE:
+        _phase(_level(amps, squid, LEVEL_I), *coeffs)
+    else:
+        raise ValueError(f"unknown pulse variant {op.variant!r}")
 
 
 def pulse_kernel(
@@ -225,24 +271,14 @@ def pulse_kernel(
     """Apply ``op`` to every row of ``amps`` in place, row b lasting ``durations[b]``.
 
     ``op.duration`` is ignored; the per-row durations replace it, one per
-    row: a ``durations`` of any shape but (B,) raises ``ValueError``.
+    row: a ``durations`` of any shape but (B,) raises ``ValueError``.  The
+    kernel is ``pulse_coefficients`` followed by ``apply_coefficients``.
     """
     durations = np.asarray(durations, dtype=np.float64)
     if durations.shape != amps.shape[-1:]:
         raise ValueError(f"durations has shape {durations.shape}, expected {amps.shape[-1:]} "
                          f"(one per row of the batch)")
-    if op.variant is PulseVariant.JC:
-        jc_kernel(amps, op.squid, durations, cfg)
-    elif op.variant is PulseVariant.DRIVE_GE:
-        drive_ge_kernel(amps, op.squid, durations, cfg)
-    elif op.variant is PulseVariant.DRIVE_IE:
-        drive_ie_kernel(amps, op.squid, durations, cfg)
-    elif op.variant is PulseVariant.RAMAN:
-        raman_kernel(amps, op.squid, durations, op.phi1, op.phi2, cfg)
-    elif op.variant is PulseVariant.FREE_EVOLVE:
-        free_evolution_kernel(amps, op.squid, durations, cfg)
-    else:
-        raise ValueError(f"unknown pulse variant {op.variant!r}")
+    apply_coefficients(amps, op, pulse_coefficients(op, durations, amps.shape[-2] - 1, cfg))
 
 
 def check_two_pulse_domain(
@@ -255,13 +291,17 @@ def check_two_pulse_domain(
     """
     if e_tol == math.inf:
         return
-    pops = level_populations(amps, squid, LEVEL_E)
+    screen, slack = population_screen(amps, squid, LEVEL_E)
+    suspects = np.flatnonzero(~(screen + slack < e_tol))
+    if not suspects.size:
+        return
+    pops = level_populations(amps, squid, LEVEL_E)[suspects]
     bad = pops >= e_tol
     if bad.any():
         k = int(np.argmax(bad))
         raise LeakageError(
-            f"sample {first_sample + k}: squid{squid} e-level population {float(pops[k])} "
-            f"exceeds {e_tol}; two-pulse map undefined outside the g-i subspace"
+            f"sample {first_sample + int(suspects[k])}: squid{squid} e-level population "
+            f"{float(pops[k])} exceeds {e_tol}; two-pulse map undefined outside the g-i subspace"
         )
 
 
@@ -288,21 +328,21 @@ def apply_pulse_op(
 def apply_jc(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """``jc_kernel`` on one state."""
+    """One cavity-exchange pulse on one state."""
     return apply_pulse_op(state, PulseOp(PulseVariant.JC, squid, duration), cfg)
 
 
 def apply_drive_ge(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """``drive_ge_kernel`` on one state."""
+    """One g-e drive pulse on one state."""
     return apply_pulse_op(state, PulseOp(PulseVariant.DRIVE_GE, squid, duration), cfg)
 
 
 def apply_drive_ie(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """``drive_ie_kernel`` on one state."""
+    """One i-e drive pulse on one state."""
     return apply_pulse_op(state, PulseOp(PulseVariant.DRIVE_IE, squid, duration), cfg)
 
 
@@ -315,7 +355,7 @@ def apply_raman(
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
     e_tol: float = E_LEAK_TOL,
 ) -> PureState:
-    """``raman_kernel`` on one state, guarded as ``apply_pulse_op`` guards it."""
+    """One two-pulse rotation on one state, guarded as ``apply_pulse_op`` guards it."""
     op = PulseOp(PulseVariant.RAMAN, squid, duration, phi1, phi2)
     return apply_pulse_op(state, op, cfg, e_tol)
 
@@ -323,7 +363,7 @@ def apply_raman(
 def apply_free_evolution(
     state: PureState, squid: int, duration: float, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """``free_evolution_kernel`` on one state."""
+    """Free evolution of one state."""
     return apply_pulse_op(state, PulseOp(PulseVariant.FREE_EVOLVE, squid, duration), cfg)
 
 

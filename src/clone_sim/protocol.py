@@ -33,10 +33,14 @@ Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
 clones B inputs at once in an array of shape (3, 3, 3, fock_cutoff + 1, B),
 batch axis last, pulse j of slot k in row b lasting its nominal duration
 times ``slot_factors[b, k]``, and returns the rows batch axis first;
-``run_uqcm``/``execute_schedule`` run one state as a batch of one, with
-all-ones factors.  Both apply the schedule through one walk, ``_walk``,
-which checks every row before and after each pulse, so a row's result
-and its checks do not depend on the batch it ran in.
+``run_uqcm``/``execute_schedule`` run one state as a batch of one, every
+pulse at the schedule's own duration.  Both apply the schedule through one
+walk, ``_walk``, which checks every row before and after each pulse, so a
+row's result and its checks do not depend on the batch it ran in.  A walk
+without slot factors reads every pulse's coefficients from a table built
+once per schedule, coupling config and photon cutoff
+(``_nominal_coefficients``); a walk with slot factors builds them per
+call, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -56,13 +60,15 @@ from .dynamics import (
     PulseOp,
     PulseVariant,
     _level,
+    apply_coefficients,
     apply_free_evolution,
     apply_jc,
     apply_pulse_op,
     apply_raman,
     check_two_pulse_domain,
     level_populations,
-    pulse_kernel,
+    population_screen,
+    pulse_coefficients,
 )
 from .errors import LeakageError, PhysicsError, PreconditionError
 from .hilbert import (
@@ -236,12 +242,16 @@ class StepTrace:
 
 
 def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
-    pops = level_populations(amps, squid, LEVEL_G)
+    screen, slack = population_screen(amps, squid, LEVEL_G)
+    suspects = np.flatnonzero(~(np.abs(screen - 1.0) + slack <= 1e-10))
+    if not suspects.size:
+        return
+    pops = level_populations(amps, squid, LEVEL_G)[suspects]
     bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
     if bad.size:
         k = int(bad[0])
-        raise PreconditionError(f"sample {first_sample + k}: squid{squid} must start in |g> "
-                                f"(population {float(pops[k])})")
+        raise PreconditionError(f"sample {first_sample + int(suspects[k])}: squid{squid} must "
+                                f"start in |g> (population {float(pops[k])})")
 
 
 def _inject_rows(amps: np.ndarray, squid: int, gi: np.ndarray) -> None:
@@ -326,7 +336,11 @@ def _phase_closure_idle(t_pulse: float, cfg: CouplingConfig) -> float:
     Pulse plus idle span the first whole number of 2 pi / omega_gi phase
     periods at or after the pulse end.
     """
-    periods = math.ceil(cfg.omega_gi * t_pulse / (2.0 * math.pi))
+    phase = cfg.omega_gi * t_pulse / (2.0 * math.pi)
+    if phase == math.inf:
+        raise ValueError(f"no phase closure: omega_gi = {cfg.omega_gi} times the pulse time "
+                         f"{t_pulse} overflows")
+    periods = math.ceil(phase)
     return 2.0 * math.pi * periods / cfg.omega_gi - t_pulse
 
 
@@ -420,10 +434,26 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
     return Schedule(slots)
 
 
+@functools.lru_cache(maxsize=8)
+def _nominal_coefficients(
+    schedule: Schedule, cfg: CouplingConfig, fock_cutoff: int
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Every pulse's ``pulse_coefficients`` at its nominal duration, in walk order.
+
+    Each has shape (1,) or (fock_cutoff, 1) and broadcasts over the rows.
+    The arrays are read-only, because every walk of the schedule shares
+    them.
+    """
+    return tuple(
+        pulse_coefficients(op, np.array([op.duration]), fock_cutoff, cfg)
+        for slot in schedule.slots for track in slot.tracks for op in track
+    )
+
+
 def _walk(
     amps: np.ndarray,
     schedule: Schedule,
-    factors: np.ndarray,
+    factors: np.ndarray | None,
     cfg: CouplingConfig,
     enforce_preconditions: bool,
     first_sample: int = 0,
@@ -433,24 +463,33 @@ def _walk(
     """Apply ``schedule`` in place to the batch-last rows ``amps``.
 
     Each pulse of slot k in row b lasts its nominal duration times
-    ``factors[b, k]``.  Every pulse runs the two-pulse leakage guard
-    (Raman only, skipped with ``enforce_preconditions`` off), the kernel
-    and the row-norm check; a tripped check raises its ``PhysicsError``
+    ``factors[b, k]``; with ``factors`` None every pulse lasts its nominal
+    duration, and its coefficients come from the schedule's cached table
+    (``_nominal_coefficients``).  Every pulse runs the two-pulse leakage
+    guard (Raman only, skipped with ``enforce_preconditions`` off), the
+    kernel and the row-norm check; a tripped check raises its ``PhysicsError``
     type, prefixed with the step label and naming the row as sample
     ``first_sample + row``.  ``on_pulse(step, op)`` runs after every
     pulse, ``on_step(step, elapsed)`` after the last slot of each step,
     with the nominal schedule time so far.
     """
     e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
+    fock_cutoff = amps.shape[-2] - 1
+    if factors is None:
+        nominal = iter(_nominal_coefficients(schedule, cfg, fock_cutoff))
     slots = schedule.slots
     elapsed = 0.0
     for k, slot in enumerate(slots):
         for track in slot.tracks:
             for op in track:
+                if factors is None:
+                    coeffs = next(nominal)
+                else:
+                    coeffs = pulse_coefficients(op, op.duration * factors[:, k], fock_cutoff, cfg)
                 try:
                     if op.variant is PulseVariant.RAMAN:
                         check_two_pulse_domain(amps, op.squid, e_tol, first_sample)
-                    pulse_kernel(amps, op, op.duration * factors[:, k], cfg)
+                    apply_coefficients(amps, op, coeffs)
                     check_row_norms(amps, first_sample)
                 except PhysicsError as exc:
                     raise type(exc)(f"{slot.step}: {exc}") from exc
@@ -486,7 +525,7 @@ def execute_schedule(
     def snapshot(step: str, elapsed: float) -> None:
         entries.append(TraceEntry(step, elapsed, PureState(amps.reshape(-1), spec)))
 
-    _walk(amps, schedule, np.ones((1, len(schedule.slots))), cfg, enforce_preconditions,
+    _walk(amps, schedule, None, cfg, enforce_preconditions,
           on_pulse=None if observer is None else observe, on_step=snapshot)
     final = entries[-1].state if entries else state
     return final, StepTrace(tuple(entries))
@@ -533,9 +572,10 @@ def clone_batch(
     batch axis last and come back through one transpose.  Every row runs
     the cloning schedule; ``slot_factors``, an array of shape
     (B, n_slots), scales each pulse of slot k in row b by
-    ``slot_factors[b, k]`` (default: all ones).  Each row is prepared in
-    the ideal mode and checked exactly as ``run_uqcm`` checks a single
-    run; errors name the row as sample ``first_sample + b``.
+    ``slot_factors[b, k]`` (default: every pulse at its nominal duration).
+    Each row is prepared in the ideal mode and checked exactly as
+    ``run_uqcm`` checks a single run; errors name the row as sample
+    ``first_sample + b``.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -553,9 +593,8 @@ def clone_batch(
     rows = len(alpha)
     schedule = build_uqcm_schedule(cfg)
     shape = (rows, len(schedule.slots))
-    if slot_factors is None:
-        factors = np.ones(shape)
-    else:
+    factors = None
+    if slot_factors is not None:
         factors = np.asarray(slot_factors, dtype=np.float64)
         if factors.shape != shape:
             raise ValueError(f"slot_factors has shape {factors.shape}, expected {shape}")

@@ -349,3 +349,37 @@ def test_sweep_maps_a_tripped_raman_guard_to_exit_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("physics error: step7: sample 0: squid2 e-level population")
+
+
+@pytest.mark.parametrize("content", [
+    "lambda = 1e-308\n",       # the full-period exchange lasts inf
+    "omega_ie = 1e-310\n",     # the i-e quarter period lasts inf
+    "omega_gi = 1e-310\n",     # the phase-closure idle lasts inf
+    "lambda_prime = 1e-310\n",  # the process pulse lasts inf
+    "omega_gi = 1e308\n",      # omega_gi times the pulse time overflows
+])
+@pytest.mark.parametrize("command", [("run",), ("sweep", "-n", "2"), ("validate",)])
+def test_finite_rates_without_a_finite_schedule_exit_with_code_two(tmp_path, capsys, content,
+                                                                   command):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(content)
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: the rates give no cloning schedule: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_jittered_runs_keep_the_coefficient_cache_bounded(capsys):
+    # every jittered run walks its own perturbed schedule without slot factors
+    from clone_sim.protocol import _nominal_coefficients
+
+    bound = _nominal_coefficients.cache_parameters()["maxsize"]
+    assert bound is not None
+    misses = _nominal_coefficients.cache_info().misses
+    for seed in range(9000, 9050):  # seeds no other test runs, so each schedule is new
+        code, _, _ = run_cli(capsys, "run", "--theta", "0.8", "--timing-jitter", "0.05",
+                             "--seed", str(seed))
+        assert code in (0, 1, 3)
+        assert _nominal_coefficients.cache_info().currsize <= bound
+    assert _nominal_coefficients.cache_info().misses >= misses + 50

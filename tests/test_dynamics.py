@@ -12,6 +12,8 @@ from clone_sim import (
     BasisSpec,
     CouplingConfig,
     LeakageError,
+    PhysicsError,
+    PreconditionError,
     PulseOp,
     PulseVariant,
     PureState,
@@ -30,6 +32,7 @@ from clone_sim import (
     inner_product,
     partial_trace,
 )
+from clone_sim.hilbert import LEVEL_E, LEVEL_G, LEVEL_I
 from conftest import random_pure_state
 
 CFG = CouplingConfig()
@@ -482,3 +485,136 @@ def test_kernels_take_exactly_one_duration_per_row(variant, durations):
     with pytest.raises(ValueError, match=rf"^durations has shape {shape}, expected \(3,\)"):
         pulse_kernel(amps, PulseOp(variant, 1, 1.0), durations, CFG)
     assert np.array_equal(amps, before)
+
+
+# ------------------------------------------------------ guard population screen
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _rows_at(level, squid, targets, fock_cutoff, seed):
+    """Random batch-last rows whose ``level`` population on ``squid`` is ``targets[b]``.
+
+    The population is set through ``level_populations``, so it lands within
+    an ulp or so of each target; a NaN target gives a NaN row.
+    """
+    from clone_sim.dynamics import _level, level_populations
+
+    rng = np.random.default_rng(seed)
+    shape = (3, 3, 3, fock_cutoff + 1, len(targets))
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    view = _level(amps, squid, level)
+    view *= np.sqrt(np.asarray(targets) / level_populations(amps, squid, level))
+    return amps
+
+
+def _outcome(guard, *args):
+    try:
+        guard(*args)
+    except PhysicsError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _raman_reference(amps, squid, e_tol, first_sample):
+    # the guard's rule on level_populations alone, as it read before the screen
+    from clone_sim.dynamics import level_populations
+
+    pops = level_populations(amps, squid, LEVEL_E)
+    bad = np.flatnonzero(pops >= e_tol)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return "LeakageError", (
+        f"sample {first_sample + k}: squid{squid} e-level population {float(pops[k])} "
+        f"exceeds {e_tol}; two-pulse map undefined outside the g-i subspace")
+
+
+def _g_reference(amps, squid, first_sample):
+    from clone_sim.dynamics import level_populations
+
+    pops = level_populations(amps, squid, LEVEL_G)
+    bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return "PreconditionError", (f"sample {first_sample + k}: squid{squid} must start in |g> "
+                                 f"(population {float(pops[k])})")
+
+
+def _near(threshold):
+    # threshold * (1 -+ 1e-13), and threshold nudged by -24 ... 24 units of roundoff
+    return ([threshold * (1.0 - 1e-13), threshold * (1.0 + 1e-13)]
+            + [threshold * (1.0 + k * EPS) for k in range(-24, 25)])
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 8])
+@pytest.mark.parametrize("squid", [1, 2, 3])
+def test_raman_guard_screen_agrees_with_level_populations(fock_cutoff, squid):
+    from clone_sim.dynamics import check_two_pulse_domain
+
+    e_tol = 1e-10
+    targets = _near(e_tol) + [math.nan, 0.0]
+    for seed in range(4):
+        amps = _rows_at(LEVEL_E, squid, targets, fock_cutoff, (seed, squid))
+        for b in range(amps.shape[-1]):
+            row = amps[..., b:b + 1].copy()
+            assert (_outcome(check_two_pulse_domain, row, squid, e_tol, b)
+                    == _raman_reference(row, squid, e_tol, b)), (seed, b)
+        # the whole batch, in order and with the threshold rows last
+        for batch in (amps, np.concatenate([amps[..., 2:], amps[..., :2]], axis=-1)):
+            assert (_outcome(check_two_pulse_domain, batch, squid, e_tol, 7)
+                    == _raman_reference(batch, squid, e_tol, 7))
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 8])
+@pytest.mark.parametrize("squid", [1, 2, 3])
+def test_ground_state_screen_agrees_with_level_populations(fock_cutoff, squid):
+    from clone_sim.protocol import _require_rows_in_g
+
+    targets = _near(1.0 - 1e-10) + _near(1.0 + 1e-10) + [1.0, math.nan]
+    for seed in range(4):
+        amps = _rows_at(LEVEL_G, squid, targets, fock_cutoff, (seed, squid, 1))
+        for b in range(amps.shape[-1]):
+            row = amps[..., b:b + 1].copy()
+            assert (_outcome(_require_rows_in_g, row, squid, b)
+                    == _g_reference(row, squid, b)), (seed, b)
+        assert _outcome(_require_rows_in_g, amps, squid, 3) == _g_reference(amps, squid, 3)
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 32])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-160])
+def test_population_screen_lies_within_its_slack(fock_cutoff, scale):
+    from clone_sim.dynamics import level_populations, population_screen
+
+    for seed in range(3):
+        rng = np.random.default_rng((seed, fock_cutoff))
+        shape = (3, 3, 3, fock_cutoff + 1, 64)
+        amps = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for squid in (1, 2, 3):
+            for level in (LEVEL_G, LEVEL_I, LEVEL_E):
+                screen, slack = population_screen(amps, squid, level)
+                exact = level_populations(amps, squid, level)
+                assert np.all(np.abs(screen - exact) <= slack)
+                assert np.all(slack <= 1e-11 * screen + 1e-300)
+
+
+def test_tripped_guards_print_the_level_populations_value():
+    from clone_sim.dynamics import check_two_pulse_domain
+    from clone_sim.protocol import _require_rows_in_g
+
+    amps = np.zeros((3, 3, 3, 3, 5), dtype=complex)  # three squids, five rows, all in |g>
+    amps[0, 0, 0, 0] = 1.0
+    amps[0, 0, 0, 0, 3] = math.sqrt(0.75)  # row 3: squid2 a quarter in |e>
+    amps[0, 2, 0, 0, 3] = 0.5
+    with pytest.raises(LeakageError) as info:
+        check_two_pulse_domain(amps, 2, first_sample=10)
+    assert str(info.value) == ("sample 13: squid2 e-level population 0.25 exceeds 1e-10; "
+                               "two-pulse map undefined outside the g-i subspace")
+    amps[0, 2, 0, 0, 3], amps[0, 1, 0, 0, 3] = 0.0, 0.5  # now a quarter in |i>
+    check_two_pulse_domain(amps, 2, first_sample=10)
+    _require_rows_in_g(amps, 1, first_sample=10)
+    with pytest.raises(PreconditionError) as info:
+        _require_rows_in_g(amps, 2, first_sample=10)
+    assert str(info.value) == ("sample 13: squid2 must start in |g> "
+                               "(population 0.7499999999999999)")

@@ -472,3 +472,59 @@ def test_nominal_schedule_is_built_once_per_config():
     assert build_uqcm_schedule(CFG) is build_uqcm_schedule(CFG)
     assert build_uqcm_schedule(other) is not build_uqcm_schedule(CFG)
     assert build_uqcm_schedule.__wrapped__(other) == build_uqcm_schedule(other)
+
+
+# ------------------------------------------------- nominal coefficient table
+
+RATES = st.floats(1e-3, 1e3)
+
+
+@given(lam=RATES, omega_ge=RATES, omega_ie=RATES, lambda_prime=RATES,
+       omega_gi=st.floats(1e-3, 1e9), fock_cutoff=st.integers(1, 8), rows=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
+        lam, omega_ge, omega_ie, lambda_prime, omega_gi, fock_cutoff, rows, seed):
+    # no slot factors reads the cached table; all-ones factors build every pulse per call
+    from clone_sim import clone_batch
+    from clone_sim.protocol import bloch_amplitudes
+
+    cfg = CouplingConfig(lam=lam, omega_ge=omega_ge, omega_ie=omega_ie,
+                         lambda_prime=lambda_prime, omega_gi=omega_gi)
+    rng = np.random.default_rng(seed)
+    alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
+                                   2.0 * math.pi * rng.random(rows))
+    outcomes = []
+    for factors in (None, np.ones((rows, 11))):
+        try:
+            outcomes.append(clone_batch(alpha, beta, cfg, fock_cutoff, factors).tobytes())
+        except (PhysicsError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_cached_coefficients_are_shared_and_read_only():
+    from clone_sim import clone_batch
+    from clone_sim.protocol import _nominal_coefficients
+
+    schedule = build_uqcm_schedule(CFG)
+    table = _nominal_coefficients(schedule, CFG, 2)
+    assert len(table) == sum(len(track) for slot in schedule.slots for track in slot.tracks)
+    hits = _nominal_coefficients.cache_info().hits
+    clone_batch(np.ones(3), np.zeros(3), CFG, 2)
+    run_uqcm(InputQubit(1.0, 0.0), CFG, 2)
+    assert _nominal_coefficients.cache_info().hits == hits + 2
+    for coeffs in table:
+        for array in coeffs:
+            assert array.shape in {(1,), (2, 1)}
+            before = array.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            assert np.array_equal(array, before)
+
+
+def test_phase_closure_overflow_names_the_rate_and_the_pulse_time():
+    with pytest.raises(ValueError, match=r"omega_gi = 1e\+308 .* pulse time 2\.35619449019"):
+        process_times(CouplingConfig(omega_gi=1e308))
+    with pytest.raises(ValueError, match=r"omega_gi = 20\.0 .* pulse time inf"):
+        build_uqcm_schedule(CouplingConfig(lambda_prime=1e-310))
