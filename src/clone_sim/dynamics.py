@@ -149,7 +149,7 @@ def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     view = _level(amps, squid, level)
     # Sum each row as one contiguous run, so the rounding, and with it the
     # population a guard reports, does not depend on the batch layout.
-    rows = np.moveaxis(view, -1, 0).reshape(amps.shape[-1], -1)
+    rows = np.ascontiguousarray(np.moveaxis(view, -1, 0)).reshape(amps.shape[-1], -1)
     return np.sum(np.abs(rows) ** 2, axis=1)
 
 

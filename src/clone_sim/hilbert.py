@@ -16,7 +16,9 @@ The batched engine holds B states as one array of shape
 ``spec.factor_dims + (B,)``, batch axis last, row b (index b of that
 axis) being sample b.  ``check_row_norms`` applies the norm rule to every
 row of such an array at once, and ``density_defect`` the density-matrix
-rules to a stack of matrices.
+rules to a stack of matrices; for a stack of computed Gram products it
+proves the eigenvalue floor from the product's rounding bound, without
+``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -313,15 +315,40 @@ def _gershgorin_discs(mats: np.ndarray) -> np.ndarray:
     return np.diagonal(mats, axis1=-2, axis2=-1).real - radii
 
 
-def density_defect(mats: np.ndarray) -> tuple[int, str] | None:
+def density_defect(mats: np.ndarray, gram_terms: int | None = None) -> tuple[int, str] | None:
     """First (row, reason) in a stack of square matrices that is no density matrix.
 
     Checks Hermiticity, unit trace and the eigenvalue floor, in that
-    order; returns None when every matrix passes.  A matrix whose
-    Gershgorin bound clears the floor by 1e-12, far above the roundoff of
-    either route, passes the floor test without ``eigvalsh``; the rest are
-    diagonalised, so the verdict and the eigenvalue a failure reports are
-    ``eigvalsh``'s.
+    order; returns None when every matrix passes.  Up to two screens pass
+    a matrix on the floor test without ``eigvalsh``, each only when it
+    clears the floor by 1e-12, far above ``eigvalsh``'s own roundoff; the
+    rest are diagonalised, so the verdict and the eigenvalue a failure
+    reports are ``eigvalsh``'s.
+
+    Gram screen, only when ``gram_terms`` = n is given: every matrix must
+    then be a computed Gram product fl(C C^H) of a complex matrix C with
+    rows of length n.  For any summation order, blocking or FMA use in a
+    conventional product, each computed entry lies within
+    gamma * sum_l |c_il| |c_jl| of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.5-3.6), with
+    gamma = 8 (n + 2) u, u = 2^-53, a generous complex gamma_{n+2}.  The
+    matrix ``eigvalsh`` reads (real diagonal, lower triangle mirrored)
+    therefore differs from the positive semidefinite C C^H by an E with
+    ||E||_2 <= ||E||_F <= gamma ||C||_F^2, and by Weyl's inequality its
+    smallest eigenvalue is at least -gamma ||C||_F^2.  ||C||_F^2 is the
+    exact trace T, and the computed trace t, two more additions, has
+    |t - T| <= gamma T, so T <= (|t| + NORM_TOL) / (1 - gamma), NORM_TOL
+    covering the rounding of |t| and of the test.  The stack passes when
+    gamma (|t| + NORM_TOL) <= (1 - gamma) (-EIGENVALUE_FLOOR - 1e-12)
+    for its largest |t|; multiplied out, the test also fails once
+    gamma >= 1.  Every |t| lies within about NORM_TOL of 1 here, so one
+    bound serves the whole stack.  A copy's matrix in the three-SQUID
+    register has n = 9 (n_max + 1) and passes for every photon cutoff
+    n_max below about 1.2 * 10^4.
+
+    Gershgorin screen, when the Gram screen is not asked for or does not
+    clear the stack: a matrix whose discs all lie 1e-12 above the floor
+    passes.
     """
     skew = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
     trace = np.trace(mats, axis1=-2, axis2=-1)
@@ -333,6 +360,11 @@ def density_defect(mats: np.ndarray) -> tuple[int, str] | None:
         if bad_skew[k]:
             return k, "density matrix is not Hermitian within tolerance"
         return k, f"density matrix trace {complex(trace[k])!r} != 1 within tolerance"
+    if gram_terms is not None:
+        gamma = 8 * (gram_terms + 2) * (_EPS / 2)
+        largest = float(np.max(np.abs(trace), initial=0.0))
+        if gamma * (largest + NORM_TOL) <= (1.0 - gamma) * (-EIGENVALUE_FLOOR - 1e-12):
+            return None
     cleared = _gershgorin_discs(mats) >= EIGENVALUE_FLOOR + 1e-12
     if cleared.all():
         return None

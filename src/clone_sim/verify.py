@@ -10,6 +10,9 @@ Scoring is batched: ``score_rows`` takes final states as an array of
 shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs' (alpha, beta) and
 scores every row, both copies in one pass, using only per-row stacked
 matrix products, so a row's score does not depend on the batch size.
+Each copy's reduced matrix is a computed Gram product, so its eigenvalue
+floor follows from the product's rounding bound and sweeps need no
+``eigvalsh``.
 ``clone_fidelities`` is the same scoring for one state.
 ``universality_sweep`` clones and scores its samples in chunks of
 ``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
@@ -193,16 +196,25 @@ def score_rows(
 ) -> dict[str, np.ndarray]:
     """Score B final states against their inputs; one (B,) array per ``CloneReport`` field.
 
-    Each copy's reduced matrix is checked like a ``DensityMatrix``
-    (Hermitian, unit trace, eigenvalue floor) and every field must lie in
-    [0, 1]; a failure raises ``ValueError`` naming sample
-    ``first_sample + row``.  The fidelity reads the (g, i) block of the
-    reduced matrix; e population shows up in the leakage field.
+    ``amps`` has shape (B, 3, 3, 3, fock_cutoff + 1) with fock_cutoff >= 1;
+    any other shape raises ``ValueError`` before any arithmetic.  Each
+    copy's reduced matrix is checked like a ``DensityMatrix`` (Hermitian,
+    unit trace, eigenvalue floor) and every field must lie in [0, 1]; a
+    failure raises ``ValueError`` naming sample ``first_sample + row``.
+    The matrix is the computed product C C^H of the copy's
+    3 x 9 (fock_cutoff + 1) amplitude block C, so ``density_defect``'s
+    Gram screen proves its floor from the product's rounding bound at any
+    cutoff below about 1.2 * 10^4; only above that do the Gershgorin
+    screen and ``eigvalsh`` decide.  The fidelity reads the (g, i) block of the reduced matrix;
+    e population shows up in the leakage field.
     """
+    if amps.ndim != 5 or amps.shape[1:4] != (3, 3, 3) or amps.shape[4] < 2:
+        raise ValueError(f"amps must have shape (B, 3, 3, 3, fock_cutoff + 1) with "
+                         f"fock_cutoff >= 1, got {amps.shape}")
     rows = len(amps)
     if not rows:
         raise ValueError("the batch is empty: amps needs at least one row")
-    spec = BasisSpec(num_squids=amps.ndim - 2, fock_cutoff=amps.shape[-1] - 1)
+    spec = BasisSpec(num_squids=3, fock_cutoff=amps.shape[-1] - 1)
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
     if alpha.shape != (rows,) or beta.shape != (rows,):
@@ -217,10 +229,11 @@ def score_rows(
         copies[half] = np.moveaxis(amps, squid, 1)
     copies = copies.reshape(2 * rows, 3, -1)
     rho = copies @ np.conj(copies).transpose(0, 2, 1)
-    if density_defect(rho) is not None:
+    terms = copies.shape[-1]
+    if density_defect(rho, terms) is not None:
         # name the failure as squid by squid: every squid2 row before squid3's
         for half, squid in enumerate((2, 3)):
-            defect = density_defect(rho[half * rows:(half + 1) * rows])
+            defect = density_defect(rho[half * rows:(half + 1) * rows], terms)
             if defect is not None:
                 raise ValueError(f"sample {first_sample + defect[0]}: squid{squid} {defect[1]}")
     fid = (np.conj(psi)[:, None, :] @ rho[:, :2, :2] @ psi[:, :, None])[:, 0, 0].real

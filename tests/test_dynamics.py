@@ -618,3 +618,17 @@ def test_tripped_guards_print_the_level_populations_value():
         _require_rows_in_g(amps, 2, first_sample=10)
     assert str(info.value) == ("sample 13: squid2 must start in |g> "
                                "(population 0.7499999999999999)")
+
+
+@pytest.mark.parametrize("squid", [1, 2, 3])
+def test_level_populations_of_a_row_do_not_depend_on_the_batch(squid):
+    # SQUID 1's level view is contiguous, so its rows came out strided in a
+    # batch and were summed in another order than a row alone
+    from clone_sim.dynamics import level_populations
+
+    rng = np.random.default_rng(17)
+    amps = rng.normal(size=(3, 3, 3, 9, 6)) + 1j * rng.normal(size=(3, 3, 3, 9, 6))
+    for level in range(3):
+        batch = level_populations(amps, squid, level)
+        alone = [level_populations(amps[..., b:b + 1], squid, level)[0] for b in range(6)]
+        assert batch.tolist() == alone, level

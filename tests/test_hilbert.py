@@ -470,6 +470,58 @@ def test_density_defect_names_the_first_failing_row_with_its_eigenvalue():
         DensityMatrix(mats[3], ("squid1",), BasisSpec(3, 2))
 
 
+def _unit_trace_grams(rng, n, count=24):
+    # stacks C of complex 3 x n matrices, full rank, rank 2 and rank 1, and
+    # fl(C C^H) formed as score_rows forms it; the rank-deficient rows are
+    # scaled by 2 or 0.5i, which is exact, so their true smallest eigenvalue is 0
+    blocks = rng.normal(size=(count, 3, n)) + 1j * rng.normal(size=(count, 3, n))
+    blocks[count // 3:, 2] = 2.0 * blocks[count // 3:, 0]
+    blocks[2 * count // 3:, 1] = 0.5j * blocks[2 * count // 3:, 0]
+    blocks /= np.linalg.norm(blocks.reshape(count, -1), axis=1)[:, None, None]
+    return blocks @ np.conj(blocks).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("n", [18, 27, 81, 297])
+def test_gram_bound_holds_and_clears_the_floor(n, monkeypatch):
+    from clone_sim.hilbert import density_defect
+
+    rho = _unit_trace_grams(np.random.default_rng(n), n)
+    gamma = 8 * (n + 2) * 2.0 ** -53
+    bound = gamma * (np.abs(np.trace(rho, axis1=1, axis2=2)) + 1e-12) / (1 - gamma)
+    assert np.all(np.linalg.eigvalsh(rho)[:, 0] >= -bound)
+    assert np.all(bound <= -FLOOR - 1e-12)
+    seen = _counting_eigvalsh(monkeypatch)
+    assert density_defect(rho, gram_terms=n) is None
+    assert seen == []
+
+
+@pytest.mark.parametrize("terms", [10 ** 15, 2 ** 62])
+@pytest.mark.parametrize("case", range(4))
+def test_gram_screen_that_cannot_clear_falls_back_to_the_full_check(case, terms, monkeypatch):
+    # gamma near 1, or above it, proves nothing: the Gershgorin screen and
+    # eigvalsh decide, passing and failing stacks alike
+    from clone_sim.hilbert import density_defect
+
+    mats = _screen_cases()[case]
+    seen = _counting_eigvalsh(monkeypatch)
+    want = density_defect(mats)
+    calls = list(seen)
+    assert density_defect(mats, gram_terms=terms) == want
+    assert seen == calls * 2
+
+
+def test_gram_screen_runs_after_the_hermiticity_and_trace_checks():
+    from clone_sim.hilbert import density_defect
+
+    rho = _unit_trace_grams(np.random.default_rng(5), 27, count=6)
+    assert density_defect(rho[:0], 27) is None
+    rho[2] *= 1.5
+    assert density_defect(rho, 27) == density_defect(rho)
+    assert density_defect(rho, 27)[0] == 2
+    rho[1, 0, 1] += 1e-9
+    assert density_defect(rho, 27) == (1, "density matrix is not Hermitian within tolerance")
+
+
 # ---------------------------------------------------------- row-norm screen
 
 

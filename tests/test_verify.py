@@ -1,6 +1,7 @@
 """Reference states, clone scoring, and the seeded universality sweep."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,43 @@ def test_score_rows_rejects_an_empty_batch():
 
     with pytest.raises(ValueError, match="batch is empty"):
         score_rows(np.zeros((0, 3, 3, 3, 3), dtype=complex), np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3, 3, 3), (1, 3, 3, 3), (1, 3, 3, 3, 3, 3),
+                                   (1, 3, 3, 3, 1)])
+def test_score_rows_rejects_amplitudes_of_another_shape(shape):
+    # a copy's Gram screen reads its inner length from the shape, so the
+    # shape is checked before any arithmetic
+    from clone_sim import score_rows
+
+    amps = np.zeros(shape, dtype=complex)
+    amps.reshape(-1)[0] = 1.0
+    expected = re.escape(f"amps must have shape (B, 3, 3, 3, fock_cutoff + 1) with "
+                         f"fock_cutoff >= 1, got {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        score_rows(amps, np.ones(1), np.zeros(1))
+
+
+def test_jittered_scoring_runs_no_eigvalsh(monkeypatch):
+    # the Gershgorin screen alone leaves rows for eigvalsh; the Gram bound
+    # clears every copy of a 1,024-row sweep chunk at jitter 0.2
+    from clone_sim import clone_batch, score_rows
+    from clone_sim.hilbert import density_defect
+    from clone_sim.protocol import bloch_amplitudes, draw_slot_factors, jitter_rng
+    from test_hilbert import _counting_eigvalsh
+
+    rows = 1024
+    rng = np.random.default_rng(11)
+    alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
+                                   2.0 * math.pi * rng.random(rows))
+    factors = draw_slot_factors(0.2, (rows, 11), jitter_rng(11))
+    final = clone_batch(alpha, beta, slot_factors=factors, enforce_preconditions=False)
+    seen = _counting_eigvalsh(monkeypatch)
+    score_rows(final, alpha, beta)
+    assert seen == []
+    copies = np.moveaxis(final, 2, 1).reshape(rows, 3, -1)
+    assert density_defect(copies @ np.conj(copies).transpose(0, 2, 1)) is None
+    assert seen and seen[0] > 0
 
 
 @pytest.mark.parametrize("inputs", [2, 4])
