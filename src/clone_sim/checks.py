@@ -8,6 +8,7 @@ and reports the worst deviation it saw.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,13 @@ from .dynamics import (
     CouplingConfig,
     PulseOp,
     PulseVariant,
-    apply_pulse_op,
+    apply_coefficients,
     build_generator,
+    check_two_pulse_domain,
     diagonalize_generator,
     evolve_diagonalized,
+    pulse_coefficients,
+    pulse_kernel,
 )
 from .hilbert import (
     LEVEL_E,
@@ -29,9 +33,11 @@ from .hilbert import (
     KET_G,
     KET_I,
     MINUS_GI,
+    NUM_LEVELS,
     PLUS_GI,
     BasisSpec,
     PureState,
+    check_row_norms,
     inner_product,
     phase_aligned_distance,
 )
@@ -81,6 +87,63 @@ def _amp_dev(a: PureState, b: PureState) -> float:
     return float(np.max(np.abs(a.amplitudes - b.amplitudes)))
 
 
+def _closed_forms_by_squid(
+    ops: list[PulseOp], states: list[PureState], cfg: CouplingConfig
+) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """Yield (squid, rows, amplitudes) once per SQUID, over the ops that target it.
+
+    Row j of the (len(rows), dimension) amplitudes is what
+    ``apply_pulse_op(states[rows[j]], ops[rows[j]], cfg)`` gives, bit for
+    bit: the ops share one variant, the rows of one SQUID run as one batch
+    through the closed-form kernels, and every kernel is elementwise in the
+    rows.  A batch of ``RAMAN`` rows is guarded by ``check_two_pulse_domain``
+    and gets each row's own coefficients, because every op carries its own
+    phase difference.  Each row's norm is then checked by
+    ``check_row_norms``, the batch form of the check a ``PureState`` makes;
+    either check names a failing row by its place in the SQUID's batch.
+    """
+    for squid in sorted({op.squid for op in ops}):
+        rows = [k for k, op in enumerate(ops) if op.squid == squid]
+        amps = np.stack([states[k].tensor() for k in rows], axis=-1)
+        head = ops[rows[0]]
+        if head.variant is PulseVariant.RAMAN:
+            check_two_pulse_domain(amps, squid)
+            fock_cutoff = amps.shape[-2] - 1
+            parts = [pulse_coefficients(ops[k], np.array([ops[k].duration]), fock_cutoff, cfg)
+                     for k in rows]
+            apply_coefficients(amps, head, tuple(np.concatenate(c, axis=-1) for c in zip(*parts)))
+        else:
+            pulse_kernel(amps, head, np.array([ops[k].duration for k in rows]), cfg)
+        check_row_norms(amps)
+        # Contiguous rows, as a PureState holds them: a strided row would
+        # round differently in the BLAS products the checks take.
+        yield squid, rows, np.ascontiguousarray(np.moveaxis(amps, -1, 0)).reshape(len(rows), -1)
+
+
+def _coupling_by_block(op: PulseOp, state: PureState, cfg: CouplingConfig) -> PureState | None:
+    """exp(-i H t) applied to ``state`` for the ``RAMAN`` coupling generator H of ``op``.
+
+    H is built on the whole register by ``build_generator``.  It must equal
+    I (x) h (x) I, with h its 3x3 block on ``op.squid``, entry for entry;
+    otherwise this returns None.  Then exp(-i H t) = I (x) exp(-i h t) (x) I,
+    so h alone is decomposed and its propagator is contracted along the
+    SQUID's axis of the state.
+    """
+    generator = build_generator(op, state.spec, cfg)
+    outer = NUM_LEVELS ** (op.squid - 1)
+    rest = state.spec.dimension // NUM_LEVELS
+    # Row and column indices of H split into (factors before, squid, factors after).
+    split = generator.reshape(outer, NUM_LEVELS, rest // outer, outer, NUM_LEVELS, rest // outer)
+    block = split[0, :, 0, 0, :, 0]
+    identity = np.eye(rest).reshape(outer, 1, rest // outer, outer, 1, rest // outer)
+    if not np.array_equal(split, block[:, None, None, :, None] * identity):
+        return None
+    evals, evecs = diagonalize_generator(block)
+    propagator = evecs @ (np.exp(-1j * evals * op.duration)[:, None] * evecs.conj().T)
+    evolved = np.tensordot(propagator, state.tensor(), axes=(1, op.squid - 1))
+    return PureState(np.moveaxis(evolved, 0, op.squid - 1), state.spec)
+
+
 def check_oracle(
     variant: PulseVariant,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
@@ -89,34 +152,43 @@ def check_oracle(
 ) -> CheckResult:
     """Closed form vs exp(-iHt) built by eigendecomposition, on random states.
 
-    A phase-free generator depends only on its variant and squid, so each
-    is decomposed once per call; the Raman coupling carries the drawn
-    phase difference and is decomposed for every state.
+    The closed forms of each SQUID's states run as one batch.  A phase-free
+    generator depends only on its variant and SQUID, so each is decomposed
+    once per call and applied to one state at a time.  The Raman coupling
+    carries the drawn phase difference: for every state its full generator
+    is built, checked to be the lift of its 3x3 block on the SQUID (a
+    generator that is not fails the check with an infinite deviation), and
+    the block is decomposed and applied along the SQUID's axis; the free
+    factor then applies after it.  Every closed-form row and every exact
+    state passes the norm check of a ``PureState``, as in the single-state
+    route.
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng([seed, list(PulseVariant).index(variant)])
-    phase_free = PulseVariant.FREE_EVOLVE if variant is PulseVariant.RAMAN else variant
-    eigen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    worst = 0.0
+    ops: list[PulseOp] = []
+    states: list[PureState] = []
     for _ in range(n_states):
         squid = int(rng.integers(1, spec.num_squids + 1))
         duration = float(rng.uniform(0.0, 2.0 * math.pi))
         phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
-        op = PulseOp(variant, squid, duration, phi1=phi1, phi2=phi2)
+        ops.append(PulseOp(variant, squid, duration, phi1=phi1, phi2=phi2))
         state = _random_state(rng, spec)
-        if variant is PulseVariant.RAMAN:
-            state = _without_e(state, squid)
-        closed = apply_pulse_op(state, op, cfg)
-        if squid not in eigen:
-            generator = build_generator(PulseOp(phase_free, squid, 0.0), spec, cfg)
-            eigen[squid] = diagonalize_generator(generator)
-        exact = state
-        if variant is PulseVariant.RAMAN:
-            # Exact factorization: the free-phase factor applies after the rotation.
-            coupling = diagonalize_generator(build_generator(op, spec, cfg))
-            exact = evolve_diagonalized(exact, coupling, duration)
-        exact = evolve_diagonalized(exact, eigen[squid], duration)
-        worst = max(worst, _amp_dev(closed, exact))
+        states.append(_without_e(state, squid) if variant is PulseVariant.RAMAN else state)
+    phase_free = PulseVariant.FREE_EVOLVE if variant is PulseVariant.RAMAN else variant
+    deviations = []
+    for squid, rows, closed in _closed_forms_by_squid(ops, states, cfg):
+        eigen = diagonalize_generator(build_generator(PulseOp(phase_free, squid, 0.0), spec, cfg))
+        for k, row in zip(rows, closed):
+            exact = states[k]
+            if variant is PulseVariant.RAMAN:
+                # Exact factorization: the free-phase factor applies after the rotation.
+                exact = _coupling_by_block(ops[k], exact, cfg)
+                if exact is None:  # no exact route: an infinite deviation
+                    deviations.append(math.inf)
+                    continue
+            exact = evolve_diagonalized(exact, eigen, ops[k].duration)
+            deviations.append(float(np.max(np.abs(row - exact.amplitudes))))
+    worst = float(np.max(deviations, initial=0.0))
     name = f"dynamics.{variant.value}.oracle"
     return CheckResult(name, worst, ORACLE_TOL, worst < ORACLE_TOL)
 
@@ -125,8 +197,10 @@ def check_unitarity(cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210) 
     """Inner products between random state pairs survive every primitive."""
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng([seed, 11])
-    worst = 0.0
+    deviations = []
     for variant in PulseVariant:
+        ops: list[PulseOp] = []
+        states: list[PureState] = []
         for _ in range(20):
             squid = int(rng.integers(1, 4))
             op = PulseOp(variant, squid, float(rng.uniform(0.0, 8.0)),
@@ -134,16 +208,24 @@ def check_unitarity(cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210) 
             a, b = _random_state(rng, spec), _random_state(rng, spec)
             if variant is PulseVariant.RAMAN:
                 a, b = _without_e(a, squid), _without_e(b, squid)
-            before = inner_product(a, b)
-            after = inner_product(apply_pulse_op(a, op, cfg), apply_pulse_op(b, op, cfg))
-            worst = max(worst, abs(after - before))
+            ops += [op, op]
+            states += [a, b]
+        for _, rows, after in _closed_forms_by_squid(ops, states, cfg):
+            # A pair's two rows are adjacent: rows[j] is even, rows[j + 1] is next.
+            deviations += [abs(complex(np.vdot(after[j], after[j + 1]))
+                               - inner_product(states[rows[j]], states[rows[j + 1]]))
+                           for j in range(0, len(rows), 2)]
+    worst = float(np.max(deviations))
     return CheckResult("dynamics.unitarity", worst, EXACT_TOL, worst < EXACT_TOL)
 
 
-def _jc_sector_populations(state: PureState, squid: int) -> np.ndarray:
-    """Populations by excitation number n_photons + [level == e] of one SQUID."""
-    arr = np.abs(state.tensor()) ** 2
-    fock = state.spec.fock_cutoff
+def _jc_sector_populations(tensor: np.ndarray, squid: int) -> np.ndarray:
+    """Populations by excitation number n_photons + [level == e] of one SQUID.
+
+    ``tensor`` is one state's amplitudes shaped (3, ..., 3, fock_cutoff + 1).
+    """
+    arr = np.abs(tensor) ** 2
+    fock = tensor.shape[-1] - 1
     pops = np.zeros(fock + 2)
     for level in (LEVEL_G, LEVEL_I, LEVEL_E):
         sl = [slice(None)] * arr.ndim
@@ -159,15 +241,20 @@ def check_jc_sector_conservation(
 ) -> CheckResult:
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng([seed, 12])
-    worst = 0.0
+    ops: list[PulseOp] = []
+    states: list[PureState] = []
     for _ in range(50):
         squid = int(rng.integers(1, 4))
         duration = float(rng.uniform(0.0, 8.0))
-        state = _random_state(rng, spec)
-        op = PulseOp(PulseVariant.JC, squid, duration)
-        before = _jc_sector_populations(state, squid)
-        after = _jc_sector_populations(apply_pulse_op(state, op, cfg), squid)
-        worst = max(worst, float(np.max(np.abs(after - before))))
+        states.append(_random_state(rng, spec))
+        ops.append(PulseOp(PulseVariant.JC, squid, duration))
+    deviations = []
+    for squid, rows, after in _closed_forms_by_squid(ops, states, cfg):
+        deviations += [
+            np.max(np.abs(_jc_sector_populations(row.reshape(spec.factor_dims), squid)
+                          - _jc_sector_populations(states[k].tensor(), squid)))
+            for k, row in zip(rows, after)]
+    worst = float(np.max(deviations))
     return CheckResult("dynamics.jc.sector_conservation", worst, EXACT_TOL, worst < EXACT_TOL)
 
 
@@ -217,27 +304,40 @@ def check_process_tables(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult
     return CheckResult("protocol.process.tables", worst, STEP_TOL, worst < STEP_TOL)
 
 
-def check_step_conformance(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult:
-    """Basis-input traces against the symbolic per-step references, phase-blind."""
-    worst = 0.0
-    for alpha, beta in ((1.0, 0.0), (0.0, 1.0)):
-        q = InputQubit(alpha, beta)
+def _basis_steps(cfg: CouplingConfig) -> list[tuple[PureState, PureState]]:
+    """Every step of the two basis inputs' cloning runs: (traced state, symbolic reference)."""
+    steps = []
+    for q in (InputQubit(1.0, 0.0), InputQubit(0.0, 1.0)):
         _, trace = run_uqcm(q, cfg)
-        for entry in trace.entries:
-            ref = reference_step_state(entry.label, q, entry.state.spec)
-            worst = max(worst, phase_aligned_distance(entry.state, ref))
+        steps += [(entry.state, reference_step_state(entry.label, q, entry.state.spec))
+                  for entry in trace.entries]
+    return steps
+
+
+def check_step_conformance(
+    cfg: CouplingConfig = DEFAULT_COUPLINGS, steps: list[tuple[PureState, PureState]] | None = None
+) -> CheckResult:
+    """Basis-input traces against the symbolic per-step references, phase-blind.
+
+    ``steps`` are the basis runs' steps under ``cfg`` when the caller
+    already has them; without it the runs are made here.
+    """
+    worst = 0.0
+    for state, ref in _basis_steps(cfg) if steps is None else steps:
+        worst = max(worst, phase_aligned_distance(state, ref))
     return CheckResult("protocol.steps.conformance", worst, STEP_TOL, worst < STEP_TOL)
 
 
-def check_basis_run_amplitudes(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult:
-    """For basis inputs the printed signs must come out exactly, not just up to phase."""
+def check_basis_run_amplitudes(
+    cfg: CouplingConfig = DEFAULT_COUPLINGS, steps: list[tuple[PureState, PureState]] | None = None
+) -> CheckResult:
+    """For basis inputs the printed signs must come out exactly, not just up to phase.
+
+    ``steps`` as for ``check_step_conformance``.
+    """
     worst = 0.0
-    for alpha, beta in ((1.0, 0.0), (0.0, 1.0)):
-        q = InputQubit(alpha, beta)
-        _, trace = run_uqcm(q, cfg)
-        for entry in trace.entries:
-            ref = reference_step_state(entry.label, q, entry.state.spec)
-            worst = max(worst, _amp_dev(entry.state, ref))
+    for state, ref in _basis_steps(cfg) if steps is None else steps:
+        worst = max(worst, _amp_dev(state, ref))
     return CheckResult("protocol.steps.basis_amplitudes", worst, STEP_TOL, worst < STEP_TOL)
 
 
@@ -277,13 +377,14 @@ def run_all_checks(
     cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210, n_states: int = 100
 ) -> list[CheckResult]:
     results = [check_oracle(variant, cfg, seed=seed, n_states=n_states) for variant in PulseVariant]
+    steps = _basis_steps(cfg)
     results += [
         check_unitarity(cfg, seed=seed),
         check_jc_sector_conservation(cfg, seed=seed),
         check_cnot_truth_table(cfg),
         check_process_tables(cfg),
-        check_step_conformance(cfg),
-        check_basis_run_amplitudes(cfg),
+        check_step_conformance(cfg, steps),
+        check_basis_run_amplitudes(cfg, steps),
         check_clone_quality(cfg, seed=seed),
         check_run_hygiene(cfg),
     ]

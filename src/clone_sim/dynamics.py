@@ -37,8 +37,11 @@ arithmetic, so a row's result does not depend on the batch size.
 ``pulse_kernel`` is both parts for (B,) durations, and ``apply_pulse_op``
 runs it on one ``PureState`` as a batch of one (a trailing axis of length
 1); each ``apply_*`` is ``apply_pulse_op`` with its variant.
-``build_generator`` assembles each generator from
-Kronecker products with identities on the other factors.
+``build_generator`` assembles each generator as the Kronecker product of
+a one-SQUID matrix with identities on the other factors (one broadcast
+product, entry for entry the nested ``np.kron``).  A generator I (x) h (x) I
+exponentiates to I (x) exp(-i h t) (x) I, so its 3x3 block h alone
+determines the propagator; ``checks`` uses that for the Raman coupling.
 ``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
 generator) and ``evolve_diagonalized`` (once per state and duration).
 """
@@ -372,13 +375,22 @@ def _lift(
 ) -> np.ndarray:
     """Kronecker product of ``mat`` on ``squid`` with identities on the other factors.
 
-    ``cavity``, when given, replaces the identity on the cavity factor.
+    ``cavity``, when given, replaces the identity on the cavity factor.  The
+    product is one broadcast multiply whose factors pair up in the order of
+    ``kron(kron(kron(before, mat), between), cavity)``, so every entry, the
+    sign of each zero included, is the one the nested ``np.kron`` gives.
     """
     before = np.eye(NUM_LEVELS ** (squid - 1))
     between = np.eye(NUM_LEVELS ** (spec.num_squids - squid))
     if cavity is None:
         cavity = np.eye(spec.fock_cutoff + 1)
-    return np.kron(np.kron(np.kron(before, mat), between), cavity)
+    # Factor k spans row axis k and column axis 4 + k; numpy aligns the
+    # shorter index expressions from the right.
+    product = (before[:, None, None, None, :, None, None, None]
+               * mat[:, None, None, None, :, None, None]
+               * between[:, None, None, None, :, None]
+               * cavity[:, None, None, None, :])
+    return product.reshape(spec.dimension, spec.dimension)
 
 
 def build_generator(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig = DEFAULT_COUPLINGS) -> np.ndarray:

@@ -32,6 +32,7 @@ from clone_sim import (
     inner_product,
     partial_trace,
 )
+from clone_sim import dynamics
 from clone_sim.hilbert import LEVEL_E, LEVEL_G, LEVEL_I
 from conftest import random_pure_state
 
@@ -374,6 +375,36 @@ def test_evolve_exact_is_decomposition_then_apply():
         assert np.array_equal(once.amplitudes, reused.amplitudes)
     with pytest.raises(ValueError, match="does not match dimension"):
         evolve_diagonalized(PureState.basis_state(BasisSpec(1, 1), ("g",), 0), eigen, 1.0)
+
+
+def _kron_lift(spec, squid, mat, cavity=None):
+    """``dynamics._lift`` as three nested Kronecker products."""
+    before = np.eye(3 ** (squid - 1))
+    between = np.eye(3 ** (spec.num_squids - squid))
+    if cavity is None:
+        cavity = np.eye(spec.fock_cutoff + 1)
+    return np.kron(np.kron(np.kron(before, mat), between), cavity)
+
+
+def test_lift_is_the_nested_kron_entry_for_entry(monkeypatch):
+    # the signs of zeros too: phases put negative parts on both axes
+    cfg = CouplingConfig(lam=1.7, omega_ge=0.8, omega_ie=1.1, lambda_prime=1.3, omega_gi=35.5)
+    for num_squids in (1, 2, 3):
+        for fock_cutoff in (1, 2, 3):
+            spec = BasisSpec(num_squids, fock_cutoff)
+            for variant in ALL_VARIANTS:
+                for squid in range(1, num_squids + 1):
+                    for phi1 in (0.4, 2.0, 3.9, 5.6):
+                        op = PulseOp(variant, squid, 1.0, phi1=phi1, phi2=0.3)
+                        broadcast = build_generator(op, spec, cfg)
+                        with monkeypatch.context() as patched:
+                            patched.setattr(dynamics, "_lift", _kron_lift)
+                            nested = build_generator(op, spec, cfg)
+                        assert broadcast.dtype == nested.dtype
+                        assert np.array_equal(broadcast, nested)
+                        for part in (np.real, np.imag):
+                            assert np.array_equal(np.signbit(part(broadcast)),
+                                                  np.signbit(part(nested)))
 
 
 # ----------------------------------------------- independent expm cross-check
