@@ -25,7 +25,7 @@ from .dynamics import CouplingConfig
 from .errors import PhysicsError
 from .hilbert import E_LEAK_TOL
 from .protocol import InputQubit, build_uqcm_schedule, jitter_rng, perturbed_schedule, run_uqcm
-from .verify import MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
+from .verify import MAX_FOCK_CUTOFF, MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
 
 ENV_CONFIG = "CLONE_SIM_CONFIG"
 
@@ -135,6 +135,8 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
     fock_cutoff = values["fock_cutoff"]
     if fock_cutoff < 1:
         raise ConfigError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
+    if fock_cutoff > MAX_FOCK_CUTOFF:
+        raise ConfigError(f"fock_cutoff must be <= {MAX_FOCK_CUTOFF}, got {fock_cutoff}")
     tolerance = values["tolerance"]
     if tolerance <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
@@ -300,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--timing-jitter", dest="timing_jitter", type=float,
                          help="fractional slot-duration error, uniform in +-value")
         cmd.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
-                         help="cavity photon cutoff (>= 1)")
+                         help=f"cavity photon cutoff (1 to {MAX_FOCK_CUTOFF})")
         cmd.add_argument("--tolerance", type=float, help="pass/fail gate width")
         if name == "run":
             cmd.add_argument("--trace", help="also write the step trace to this path")

@@ -159,21 +159,37 @@ def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
 def population_screen(amps: np.ndarray, squid: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """(B,) populations of ``level`` summed down the batch-last array at once, and their slack.
 
-    Each value differs from the one ``level_populations`` gives for the row
-    by less than its slack: both sum the same n terms, in other orders and
-    from differently rounded squares, and each lies within (n + 3) units of
-    roundoff of the exact sum, or within a few subnormals of it where the
-    squares underflow.  A guard clears the rows that lie farther than the
-    slack from its threshold and, only if some row is not cleared, reads
-    those rows from ``level_populations``, so its verdict and the
-    population it reports are the ones ``level_populations`` alone gives.
+    A batch of one is reduced by one BLAS dot product of its level view
+    with itself (``np.vdot``), a larger batch by one ``einsum`` down the
+    batch-last array.  Each value differs from the one
+    ``level_populations`` gives for the row by less than its slack.  All
+    three routes add the squares of the same n amplitudes, 2n real parts,
+    in some order: rounded products or fused multiply-adds, over any
+    number of accumulators, each partial sum rounded once.  A sum of
+    non-negative terms formed that way lies within
+    gamma_2n = 2n u / (1 - 2n u) of the exact one, u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
+    plus under 2^-1074 for each product that underflows.
+    ``level_populations`` rounds a modulus and a square per term before
+    its n - 1 additions, so it lies within (n + 4) u of the exact sum,
+    plus under 2^-1074 per term.  Their gap, under (3n + 4) u times the
+    population plus 2n subnormals, lies inside the slack, 8 (n + 3) u
+    times the population plus 4 (n + 3) subnormals.  A guard clears the
+    rows that lie farther than the slack from its threshold and, only if
+    some row is not cleared, reads those rows from ``level_populations``,
+    so its verdict and the population it reports are the ones
+    ``level_populations`` alone gives.
     """
     view = _level(np.ascontiguousarray(amps), squid, level)
+    terms = view.size // view.shape[-1]
+    if view.shape[-1] == 1:
+        # the same slack in float arithmetic, which rounds as numpy's does
+        pop = float(np.vdot(view, view).real)
+        return np.array([pop]), np.array([4 * (terms + 3) * (_EPS * pop + _TINY)])
     parts = view.view(np.float64)
     letters = string.ascii_lowercase[:parts.ndim]
     sums = np.einsum(f"{letters},{letters}->{letters[-1]}", parts, parts)
     pops = sums[0::2] + sums[1::2]
-    terms = view.size // view.shape[-1]
     return pops, 4 * (terms + 3) * (_EPS * pops + _TINY)
 
 

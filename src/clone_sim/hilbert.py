@@ -212,21 +212,45 @@ def check_row_norms(amps: np.ndarray, first_sample: int = 0) -> None:
     """Raise ``NormalizationError`` naming the first row whose norm is off unity by NORM_TOL.
 
     ``amps`` holds one state per index of its last axis; rows are
-    numbered from ``first_sample``.  A screen sums every row down the
-    batch-last array at once.  That order of summation moves a norm by
-    less than one unit of roundoff per term, so only the rows the screen
-    does not clear by that margin are summed again as contiguous runs:
-    the verdict and the norm a failure reports do not depend on the layout.
+    numbered from ``first_sample``.  A screen first squares every row's
+    norm at once: a batch of one is one vector, squared by one BLAS dot
+    product (``np.vdot``), and a larger batch is summed down the batch-last
+    array by one ``einsum``.  Only the rows the screen does not clear are
+    summed again as contiguous runs (``_row_norms``), so the verdict and
+    the norm a failure reports are the ones ``_row_norms`` alone gives, in
+    any layout.
+
+    A row holds M complex amplitudes, 2M real parts.  Both screens and
+    ``_row_norms`` add the 2M squares in some order: rounded products or
+    fused multiply-adds, split over any number of accumulators, each
+    partial sum rounded once.  Every such order leaves a sum of
+    non-negative terms within gamma_2M = 2M u / (1 - 2M u) of the exact
+    one, u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), plus under 2^-1074 for each product
+    that underflows, which is nothing against a sum near 1.  A screened
+    square and the one ``_row_norms`` sums therefore differ by at most
+    2 gamma_2M times the exact one, and the two norms, the square root
+    rounded once more, by less than (2M + 2) u.  The screen clears a row
+    when its square lies strictly inside ((1 - band)^2, (1 + band)^2),
+    band = NORM_TOL - 4 (M + 2) u, which leaves more than that margin, so
+    every cleared row passes; a NaN clears nothing and goes to the
+    contiguous sum.
     """
     rows = amps.shape[-1]
-    parts = np.ascontiguousarray(amps).reshape(-1, rows).view(np.float64)
-    sums = np.einsum("ij,ij->j", parts, parts)
-    squares = sums[0::2] + sums[1::2]
-    band = NORM_TOL - 2 * (len(parts) + 2) * _EPS
-    cleared = ((1.0 - band) ** 2 < squares) & (squares < (1.0 + band) ** 2)
-    if cleared.all():
-        return
-    suspects = np.flatnonzero(~cleared)
+    if rows == 1:
+        band = NORM_TOL - 2 * (amps.size + 2) * _EPS
+        if (1.0 - band) ** 2 < np.vdot(amps, amps).real < (1.0 + band) ** 2:
+            return
+        suspects = np.zeros(1, dtype=np.intp)
+    else:
+        parts = np.ascontiguousarray(amps).reshape(-1, rows).view(np.float64)
+        sums = np.einsum("ij,ij->j", parts, parts)
+        squares = sums[0::2] + sums[1::2]
+        band = NORM_TOL - 2 * (len(parts) + 2) * _EPS
+        cleared = ((1.0 - band) ** 2 < squares) & (squares < (1.0 + band) ** 2)
+        if cleared.all():
+            return
+        suspects = np.flatnonzero(~cleared)
     norms = _row_norms(np.moveaxis(amps[..., suspects], -1, 0))
     ok = np.abs(norms - 1.0) < NORM_TOL
     if not ok.all():

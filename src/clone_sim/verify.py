@@ -23,6 +23,7 @@ stream.  Its ``SweepResult`` keeps one array per CSV column.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ SWEEP_CHUNK = 1024
 # Largest sample count a sweep accepts.  The sweep keeps O(n) columns, so
 # memory runs out far below it; the cap gives a huge n a config error.
 MAX_SWEEP_SAMPLES = 2 ** 32
+# Largest photon cutoff the command line accepts.  Below a cutoff of about
+# 1.2e4 the Gram screen of density_defect proves every scored copy's
+# eigenvalue floor (score_rows); the cap also gives a huge cutoff a config
+# error before any state is allocated.
+MAX_FOCK_CUTOFF = 10_000
 
 _R23 = math.sqrt(2.0 / 3.0)
 _R13 = math.sqrt(1.0 / 3.0)
@@ -316,10 +322,16 @@ class SweepResult:
         }
 
     def to_csv(self) -> str:
-        template = "%d" + ",%.12g" * len(SWEEP_COLUMNS)
-        lines = ["sample," + ",".join(SWEEP_COLUMNS)]
-        lines += [template % ((k,) + values) for k, values in enumerate(self._column_lists())]
-        return "\n".join(lines) + "\n"
+        """Header and one line per sample; each block of up to SWEEP_CHUNK lines is one format."""
+        row = "%d" + ",%.12g" * len(SWEEP_COLUMNS) + "\n"
+        blocks = ["sample," + ",".join(SWEEP_COLUMNS) + "\n"]
+        count = len(self.theta)
+        for start in range(0, count, SWEEP_CHUNK):
+            stop = min(start + SWEEP_CHUNK, count)
+            columns = [range(start, stop)]
+            columns += [getattr(self, name)[start:stop].tolist() for name in SWEEP_COLUMNS]
+            blocks.append(row * (stop - start) % tuple(itertools.chain.from_iterable(zip(*columns))))
+        return "".join(blocks)
 
 
 def universality_sweep(

@@ -277,11 +277,36 @@ def test_console_script_entry_point():
     ("run", "--seed", "-1"),
     ("sweep", "-n", "2", "--seed", "-1"),
     ("sweep", "-n", str(2**32 + 1), "--timing-jitter", "0.05"),
+    ("run", "--fock-cutoff", str(10**11)),
 ])
 def test_non_finite_and_negative_inputs_exit_with_code_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", [("run",), ("trace",), ("sweep", "-n", "2")])
+@pytest.mark.parametrize("cutoff", [10_001, 10**11])
+def test_a_cutoff_above_the_maximum_exits_two_before_any_state_is_built(
+        capsys, monkeypatch, command, cutoff):
+    # 10**11 photons would ask for a 39 TiB state; the bound must stop it first
+    import clone_sim.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built for an out-of-range cutoff")
+
+    for name in ("run_uqcm", "perturbed_schedule", "universality_sweep"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(capsys, *command, "--fock-cutoff", str(cutoff))
+    assert code == 2 and out == ""
+    assert err == f"config error: fock_cutoff must be <= 10000, got {cutoff}\n"
+
+
+def test_the_maximum_cutoff_is_accepted():
+    import clone_sim.cli as cli
+
+    args = cli._build_parser().parse_args(["run", "--fock-cutoff", str(cli.MAX_FOCK_CUTOFF)])
+    assert cli._resolve_settings(args).fock_cutoff == cli.MAX_FOCK_CUTOFF == 10_000
 
 
 @pytest.mark.parametrize("content", ["lambda = inf\n", "omega_gi = nan\n", "delta = inf\n"])

@@ -521,6 +521,7 @@ def test_kernels_take_exactly_one_duration_per_row(variant, durations):
 # ------------------------------------------------------ guard population screen
 
 EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def _rows_at(level, squid, targets, fock_cutoff, seed):
@@ -628,6 +629,34 @@ def test_population_screen_lies_within_its_slack(fock_cutoff, scale):
                 exact = level_populations(amps, squid, level)
                 assert np.all(np.abs(screen - exact) <= slack)
                 assert np.all(slack <= 1e-11 * screen + 1e-300)
+                terms = 9 * (fock_cutoff + 1)
+                for b in range(0, 64, 7):  # a row alone takes the one-dot route
+                    one, one_slack = population_screen(amps[..., b:b + 1], squid, level)
+                    assert one.shape == one_slack.shape == (1,)
+                    assert abs(one[0] - exact[b]) <= one_slack[0]
+                    assert np.array_equal(one_slack, 4 * (terms + 3) * (EPS * one + TINY))
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("squid", [1, 2, 3])
+def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
+    from clone_sim.dynamics import check_two_pulse_domain
+    from clone_sim.protocol import _require_rows_in_g
+
+    amps = np.zeros((3, 3, 3, 3, 3), dtype=complex)  # three rows, all in |ggg, 0>
+    amps[0, 0, 0, 0] = 1.0
+    if fill == 0.0:
+        amps[..., 1] = 0.0
+    else:
+        amps[2, 2, 2, 0, 1] = fill  # every squid's e level
+        amps[0, 0, 0, 1, 1] = fill  # every squid's g level
+    row = amps[..., 1:2].copy()
+    raman = _outcome(check_two_pulse_domain, amps, squid, 1e-10, 4)
+    assert raman == _raman_reference(amps, squid, 1e-10, 4)
+    assert _outcome(check_two_pulse_domain, row, squid, 1e-10, 5) == raman
+    ground = _outcome(_require_rows_in_g, amps, squid, 4)
+    assert ground is not None and ground == _g_reference(amps, squid, 4)
+    assert _outcome(_require_rows_in_g, row, squid, 5) == ground
 
 
 def test_tripped_guards_print_the_level_populations_value():

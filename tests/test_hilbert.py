@@ -545,15 +545,55 @@ def _rows_with_norms(norms, spec=BasisSpec(3, 2)):
     [0.0, 0.0, math.nan, 1e-12],
 ])
 def test_row_norm_screen_gives_the_contiguous_verdict_and_norm(offsets):
+    amps = _rows_with_norms(1.0 + np.array(offsets))
+    assert _norm_outcome(amps, 40) == _contiguous_verdict(amps, 40)
+    for b in range(amps.shape[-1]):  # a row alone takes the one-dot route
+        row = amps[..., b:b + 1].copy()
+        assert _norm_outcome(row, 40 + b) == _contiguous_verdict(row, 40 + b), b
+
+
+def _norm_outcome(amps, first_sample):
     from clone_sim.hilbert import check_row_norms
 
-    amps = _rows_with_norms(1.0 + np.array(offsets))
+    try:
+        check_row_norms(amps, first_sample)
+    except NormalizationError as exc:
+        return str(exc)
+    return None
+
+
+def _contiguous_verdict(amps, first_sample):
+    # the norm rule on the contiguous sums alone, as it read before the screens
     norms = _contiguous_norms(amps)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) < 1e-12))
     if not bad.size:
-        check_row_norms(amps, first_sample=40)
-        return
+        return None
     k = int(bad[0])
-    with pytest.raises(NormalizationError) as info:
-        check_row_norms(amps, first_sample=40)
-    assert str(info.value) == f"sample {40 + k}: state norm is {float(norms[k])!r}"
+    return f"sample {first_sample + k}: state norm is {float(norms[k])!r}"
+
+
+@pytest.mark.parametrize("fock_cutoff", [2, 32])
+def test_row_norm_screen_at_the_tolerance_edge(fock_cutoff):
+    # norms 1 +- (NORM_TOL + k ulp): alone, in a batch and in reverse order
+    eps = float(np.finfo(np.float64).eps)
+    offsets = [sign * (1e-12 + k * eps) for sign in (1.0, -1.0) for k in range(-12, 13)]
+    amps = _rows_with_norms(1.0 + np.array(offsets), BasisSpec(3, fock_cutoff))
+    verdicts = [_contiguous_verdict(amps[..., b:b + 1], 3 + b) for b in range(len(offsets))]
+    assert verdicts.count(None) not in (0, len(verdicts))  # the edge lies inside the range
+    for b, verdict in enumerate(verdicts):
+        assert _norm_outcome(amps[..., b:b + 1].copy(), 3 + b) == verdict, b
+    for batch in (amps, amps[..., ::-1].copy()):
+        assert _norm_outcome(batch, 3) == _contiguous_verdict(batch, 3)
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("fock_cutoff", [2, 32])
+def test_a_non_finite_or_zero_row_fails_alone_as_in_a_batch(fill, fock_cutoff):
+    amps = _rows_with_norms([1.0, 1.0, 1.0], BasisSpec(3, fock_cutoff))
+    if fill == 0.0:
+        amps[..., 1] = 0.0
+    else:
+        amps[1, 0, 2, 1, 1] = fill
+    want = "nan" if math.isnan(fill) else ("0.0" if fill == 0.0 else "inf")
+    assert _norm_outcome(amps, 5) == f"sample 6: state norm is {want}"
+    assert _norm_outcome(amps[..., 1:2].copy(), 6) == f"sample 6: state norm is {want}"

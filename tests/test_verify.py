@@ -22,6 +22,7 @@ from clone_sim import (
     universality_sweep,
 )
 from clone_sim.protocol import STEP_LABELS, StepTrace
+from clone_sim.verify import SWEEP_CHUNK
 from conftest import brute_force_partial_trace
 
 RT6 = math.sqrt(6.0)
@@ -417,3 +418,16 @@ def test_sweep_columns_give_the_rows_the_csv_and_the_summary():
     columns = [odd, odd[::-1], odd, odd[::-1], odd, odd]
     special = SweepResult(*columns, seed=1, n=len(odd))
     assert special.to_csv() == _f_string_csv(special)
+
+
+@pytest.mark.parametrize("count", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, 2 * SWEEP_CHUNK + 5])
+def test_csv_blocks_give_the_per_row_bytes_across_block_edges(count):
+    from clone_sim import SweepResult
+
+    rng = np.random.default_rng((77, count))
+    columns = [rng.normal(size=count) * 10.0 ** rng.integers(-300, 300, size=count)
+               for _ in range(6)]
+    columns[3][::7] = -0.0
+    columns[4][::11] = math.nan
+    result = SweepResult(*columns, seed=0, n=count)
+    assert result.to_csv() == _f_string_csv(result)
