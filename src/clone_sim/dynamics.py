@@ -36,7 +36,9 @@ along a contiguous run of B amplitudes.  The kernels use only elementwise
 arithmetic, so a row's result does not depend on the batch size.
 ``pulse_kernel`` is both parts for (B,) durations, and ``apply_pulse_op``
 runs it on one ``PureState`` as a batch of one (a trailing axis of length
-1); each ``apply_*`` is ``apply_pulse_op`` with its variant.
+1); each ``apply_*`` is ``apply_pulse_op`` with its variant.  The two-pulse
+map is guarded by ``check_two_pulse_domain`` at the one leakage tolerance
+``hilbert.E_LEAK_TOL``, read from ``hilbert``'s one population sum.
 ``build_generator`` assembles each generator as the Kronecker product of
 a one-SQUID matrix with identities on the other factors (one broadcast
 product, entry for entry the nested ``np.kron``).  A generator I (x) h (x) I
@@ -51,7 +53,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +64,13 @@ from .hilbert import (
     LEVEL_G,
     LEVEL_I,
     NUM_LEVELS,
-    _EPS,
     BasisSpec,
     PureState,
     _check_squid,
+    _level,
+    level_populations,
+    population_screen,
 )
-
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -136,61 +137,6 @@ class PulseOp:
             "phi1": self.phi1,
             "phi2": self.phi2,
         }
-
-
-def _level(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
-    """Writable view of every row's amplitudes with ``squid`` in ``level``."""
-    if not 1 <= squid <= amps.ndim - 2:
-        raise ValueError(f"squid index {squid} outside 1..{amps.ndim - 2}")
-    index: list = [slice(None)] * amps.ndim
-    index[squid - 1] = level
-    return amps[tuple(index)]
-
-
-def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
-    """(B,) probability of finding ``squid`` in ``level``, one entry per row."""
-    view = _level(amps, squid, level)
-    # Sum each row as one contiguous run, so the rounding, and with it the
-    # population a guard reports, does not depend on the batch layout.
-    rows = np.ascontiguousarray(np.moveaxis(view, -1, 0)).reshape(amps.shape[-1], -1)
-    return np.sum(np.abs(rows) ** 2, axis=1)
-
-
-def population_screen(amps: np.ndarray, squid: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B,) populations of ``level`` summed down the batch-last array at once, and their slack.
-
-    A batch of one is reduced by one BLAS dot product of its level view
-    with itself (``np.vdot``), a larger batch by one ``einsum`` down the
-    batch-last array.  Each value differs from the one
-    ``level_populations`` gives for the row by less than its slack.  All
-    three routes add the squares of the same n amplitudes, 2n real parts,
-    in some order: rounded products or fused multiply-adds, over any
-    number of accumulators, each partial sum rounded once.  A sum of
-    non-negative terms formed that way lies within
-    gamma_2n = 2n u / (1 - 2n u) of the exact one, u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
-    plus under 2^-1074 for each product that underflows.
-    ``level_populations`` rounds a modulus and a square per term before
-    its n - 1 additions, so it lies within (n + 4) u of the exact sum,
-    plus under 2^-1074 per term.  Their gap, under (3n + 4) u times the
-    population plus 2n subnormals, lies inside the slack, 8 (n + 3) u
-    times the population plus 4 (n + 3) subnormals.  A guard clears the
-    rows that lie farther than the slack from its threshold and, only if
-    some row is not cleared, reads those rows from ``level_populations``,
-    so its verdict and the population it reports are the ones
-    ``level_populations`` alone gives.
-    """
-    view = _level(np.ascontiguousarray(amps), squid, level)
-    terms = view.size // view.shape[-1]
-    if view.shape[-1] == 1:
-        # the same slack in float arithmetic, which rounds as numpy's does
-        pop = float(np.vdot(view, view).real)
-        return np.array([pop]), np.array([4 * (terms + 3) * (_EPS * pop + _TINY)])
-    parts = view.view(np.float64)
-    letters = string.ascii_lowercase[:parts.ndim]
-    sums = np.einsum(f"{letters},{letters}->{letters[-1]}", parts, parts)
-    pops = sums[0::2] + sums[1::2]
-    return pops, 4 * (terms + 3) * (_EPS * pops + _TINY)
 
 
 def pulse_coefficients(
@@ -300,46 +246,39 @@ def pulse_kernel(
     apply_coefficients(amps, op, pulse_coefficients(op, durations, amps.shape[-2] - 1, cfg))
 
 
-def check_two_pulse_domain(
-    amps: np.ndarray, squid: int, e_tol: float = E_LEAK_TOL, first_sample: int = 0
-) -> None:
-    """Raise ``LeakageError`` naming the first row whose ``squid`` holds e population >= e_tol.
+def check_two_pulse_domain(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
+    """Raise ``LeakageError`` naming the first row whose ``squid`` holds e population >= E_LEAK_TOL.
 
     The two-pulse map eliminated the e level, so it is valid only where
     that population is negligible.  Rows are numbered from ``first_sample``.
     """
-    if e_tol == math.inf:
-        return
     screen, slack = population_screen(amps, squid, LEVEL_E)
-    suspects = np.flatnonzero(~(screen + slack < e_tol))
+    suspects = np.flatnonzero(~(screen + slack < E_LEAK_TOL))
     if not suspects.size:
         return
     pops = level_populations(amps, squid, LEVEL_E)[suspects]
-    bad = pops >= e_tol
+    bad = pops >= E_LEAK_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise LeakageError(
             f"sample {first_sample + int(suspects[k])}: squid{squid} e-level population "
-            f"{float(pops[k])} exceeds {e_tol}; two-pulse map undefined outside the g-i subspace"
+            f"{float(pops[k])} exceeds {E_LEAK_TOL}; "
+            f"two-pulse map undefined outside the g-i subspace"
         )
 
 
 def apply_pulse_op(
-    state: PureState,
-    op: PulseOp,
-    cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    e_tol: float = E_LEAK_TOL,
+    state: PureState, op: PulseOp, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
     """``pulse_kernel`` on one state as a batch of one.
 
-    A ``RAMAN`` op is guarded by ``check_two_pulse_domain``; pass
-    ``e_tol=math.inf`` to skip the guard (the e amplitudes are then
-    simply left untouched).
+    A ``RAMAN`` op is guarded by ``check_two_pulse_domain`` first; the raw
+    map, which leaves e amplitudes untouched, is ``pulse_kernel`` itself.
     """
     _check_squid(state.spec, op.squid)
     amps = state.tensor()[..., None].copy()
     if op.variant is PulseVariant.RAMAN:
-        check_two_pulse_domain(amps, op.squid, e_tol)
+        check_two_pulse_domain(amps, op.squid)
     pulse_kernel(amps, op, np.array([op.duration], dtype=np.float64), cfg)
     return PureState(amps.reshape(-1), state.spec)
 
@@ -372,11 +311,9 @@ def apply_raman(
     phi1: float,
     phi2: float,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    e_tol: float = E_LEAK_TOL,
 ) -> PureState:
     """One two-pulse rotation on one state, guarded as ``apply_pulse_op`` guards it."""
-    op = PulseOp(PulseVariant.RAMAN, squid, duration, phi1, phi2)
-    return apply_pulse_op(state, op, cfg, e_tol)
+    return apply_pulse_op(state, PulseOp(PulseVariant.RAMAN, squid, duration, phi1, phi2), cfg)
 
 
 def apply_free_evolution(

@@ -14,16 +14,22 @@ way to rescale.
 
 The batched engine holds B states as one array of shape
 ``spec.factor_dims + (B,)``, batch axis last, row b (index b of that
-axis) being sample b.  ``check_row_norms`` applies the norm rule to every
-row of such an array at once, and ``density_defect`` the density-matrix
-rules to a stack of matrices; for a stack of computed Gram products it
-proves the eigenvalue floor from the product's rounding bound, without
-``eigvalsh``.
+axis) being sample b.  The physics checks are defined here once each.
+``check_row_norms`` applies the norm rule to every row of such an array at
+once.  ``level_populations`` is the one sum of a SQUID level's
+population, per row; ``PureState.level_population`` reads it for a batch
+of one, and ``population_screen`` bounds how far a faster sum may stray
+from it.  The level guards of ``dynamics`` and ``protocol`` read those two
+at the one leakage tolerance, ``E_LEAK_TOL``.  ``density_defect`` applies
+the density-matrix rules to a stack of matrices; for a stack of computed
+Gram products it proves the eigenvalue floor from the product's rounding
+bound, and otherwise asks ``eigvalsh``.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,6 +45,7 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 E_LEAK_TOL = 1e-10
 
 # Level vectors of one SQUID over (g, i, e), and its qubit basis
@@ -164,11 +171,11 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
     def level_population(self, squid: int, level: int | str) -> float:
-        """Total probability of finding the given SQUID in the given level."""
-        _check_squid(self.spec, squid)
-        sl = [slice(None)] * (self.spec.num_squids + 1)
-        sl[squid - 1] = level_code(level)
-        return float(np.sum(np.abs(self.tensor()[tuple(sl)]) ** 2))
+        """Total probability of finding the given SQUID in the given level.
+
+        The value is ``level_populations`` for the state as a batch of one.
+        """
+        return float(level_populations(self.tensor()[..., None], squid, level_code(level))[0])
 
     def photon_tail_population(self, min_photons: int) -> float:
         """Total probability of the cavity holding at least ``min_photons`` photons."""
@@ -259,6 +266,61 @@ def check_row_norms(amps: np.ndarray, first_sample: int = 0) -> None:
                                  f"state norm is {float(norms[k])!r}")
 
 
+def _level(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
+    """Writable view of every row's amplitudes with ``squid`` in ``level``."""
+    if not 1 <= squid <= amps.ndim - 2:
+        raise ValueError(f"squid index {squid} outside 1..{amps.ndim - 2}")
+    index: list = [slice(None)] * amps.ndim
+    index[squid - 1] = level
+    return amps[tuple(index)]
+
+
+def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
+    """(B,) probability of finding ``squid`` in ``level``, one entry per row."""
+    view = _level(amps, squid, level)
+    # Sum each row as one contiguous run, so the rounding, and with it the
+    # population a guard reports, does not depend on the batch layout.
+    rows = np.ascontiguousarray(np.moveaxis(view, -1, 0)).reshape(amps.shape[-1], -1)
+    return np.sum(np.abs(rows) ** 2, axis=1)
+
+
+def population_screen(amps: np.ndarray, squid: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) populations of ``level`` summed down the batch-last array at once, and their slack.
+
+    A batch of one is reduced by one BLAS dot product of its level view
+    with itself (``np.vdot``), a larger batch by one ``einsum`` down the
+    batch-last array.  Each value differs from the one
+    ``level_populations`` gives for the row by less than its slack.  All
+    three routes add the squares of the same n amplitudes, 2n real parts,
+    in some order: rounded products or fused multiply-adds, over any
+    number of accumulators, each partial sum rounded once.  A sum of
+    non-negative terms formed that way lies within
+    gamma_2n = 2n u / (1 - 2n u) of the exact one, u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
+    plus under 2^-1074 for each product that underflows.
+    ``level_populations`` rounds a modulus and a square per term before
+    its n - 1 additions, so it lies within (n + 4) u of the exact sum,
+    plus under 2^-1074 per term.  Their gap, under (3n + 4) u times the
+    population plus 2n subnormals, lies inside the slack, 8 (n + 3) u
+    times the population plus 4 (n + 3) subnormals.  A guard clears the
+    rows that lie farther than the slack from its threshold and, only if
+    some row is not cleared, reads those rows from ``level_populations``,
+    so its verdict and the population it reports are the ones
+    ``level_populations`` alone gives.
+    """
+    view = _level(np.ascontiguousarray(amps), squid, level)
+    terms = view.size // view.shape[-1]
+    if view.shape[-1] == 1:
+        # the same slack in float arithmetic, which rounds as numpy's does
+        pop = float(np.vdot(view, view).real)
+        return np.array([pop]), np.array([4 * (terms + 3) * (_EPS * pop + _TINY)])
+    parts = view.view(np.float64)
+    letters = string.ascii_lowercase[:parts.ndim]
+    sums = np.einsum(f"{letters},{letters}->{letters[-1]}", parts, parts)
+    pops = sums[0::2] + sums[1::2]
+    return pops, 4 * (terms + 3) * (_EPS * pops + _TINY)
+
+
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _check_same_spec(a, b)
@@ -328,28 +390,17 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-def _gershgorin_discs(mats: np.ndarray) -> np.ndarray:
-    """Lower end rho_ii - sum_{j != i} |rho_ij| of each Gershgorin disc, per matrix of a stack.
-
-    Every eigenvalue lies in some disc.  The discs are those of the matrix
-    ``eigvalsh`` reads: the real diagonal and the lower triangle, mirrored.
-    """
-    lower = np.tril(np.abs(mats), -1)
-    radii = np.einsum("...ij->...i", lower + np.swapaxes(lower, -1, -2))
-    return np.diagonal(mats, axis1=-2, axis2=-1).real - radii
-
-
 def density_defect(mats: np.ndarray, gram_terms: int | None = None) -> tuple[int, str] | None:
     """First (row, reason) in a stack of square matrices that is no density matrix.
 
     Checks Hermiticity, unit trace and the eigenvalue floor, in that
-    order; returns None when every matrix passes.  Up to two screens pass
-    a matrix on the floor test without ``eigvalsh``, each only when it
-    clears the floor by 1e-12, far above ``eigvalsh``'s own roundoff; the
-    rest are diagonalised, so the verdict and the eigenvalue a failure
-    reports are ``eigvalsh``'s.
+    order; returns None when every matrix passes.  The floor is proved
+    for the whole stack by the Gram bound below, which clears it by 1e-12,
+    far above ``eigvalsh``'s own roundoff, or else every matrix is
+    diagonalised, so the verdict and the eigenvalue a failure reports are
+    ``eigvalsh``'s.
 
-    Gram screen, only when ``gram_terms`` = n is given: every matrix must
+    Gram bound, only when ``gram_terms`` = n is given: every matrix must
     then be a computed Gram product fl(C C^H) of a complex matrix C with
     rows of length n.  For any summation order, blocking or FMA use in a
     conventional product, each computed entry lies within
@@ -369,10 +420,6 @@ def density_defect(mats: np.ndarray, gram_terms: int | None = None) -> tuple[int
     bound serves the whole stack.  A copy's matrix in the three-SQUID
     register has n = 9 (n_max + 1) and passes for every photon cutoff
     n_max below about 1.2 * 10^4.
-
-    Gershgorin screen, when the Gram screen is not asked for or does not
-    clear the stack: a matrix whose discs all lie 1e-12 above the floor
-    passes.
     """
     skew = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
     trace = np.trace(mats, axis1=-2, axis2=-1)
@@ -389,16 +436,11 @@ def density_defect(mats: np.ndarray, gram_terms: int | None = None) -> tuple[int
         largest = float(np.max(np.abs(trace), initial=0.0))
         if gamma * (largest + NORM_TOL) <= (1.0 - gamma) * (-EIGENVALUE_FLOOR - 1e-12):
             return None
-    cleared = _gershgorin_discs(mats) >= EIGENVALUE_FLOOR + 1e-12
-    if cleared.all():
-        return None
-    unclear = np.flatnonzero(~cleared.all(axis=-1))
-    low = np.linalg.eigvalsh(mats[unclear])[:, 0]
+    low = np.linalg.eigvalsh(mats)[:, 0]
     bad = np.flatnonzero(~(low >= EIGENVALUE_FLOOR))
     if bad.size:
         k = int(bad[0])
-        return int(unclear[k]), (f"density matrix has eigenvalue {float(low[k])} "
-                                 f"below {EIGENVALUE_FLOOR}")
+        return k, f"density matrix has eigenvalue {float(low[k])} below {EIGENVALUE_FLOOR}"
     return None
 
 

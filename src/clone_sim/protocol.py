@@ -55,30 +55,30 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_COUPLINGS,
-    E_LEAK_TOL,
     CouplingConfig,
     PulseOp,
     PulseVariant,
-    _level,
     apply_coefficients,
     apply_free_evolution,
     apply_jc,
     apply_pulse_op,
     apply_raman,
     check_two_pulse_domain,
-    level_populations,
-    population_screen,
     pulse_coefficients,
 )
 from .errors import LeakageError, PhysicsError, PreconditionError
 from .hilbert import (
+    E_LEAK_TOL,
     LEVEL_E,
     LEVEL_G,
     LEVEL_I,
     BasisSpec,
     PureState,
     _check_squid,
+    _level,
     check_row_norms,
+    level_populations,
+    population_screen,
 )
 
 PROCESS_ONE_PHASE = 3.0 * math.pi / 2.0
@@ -243,11 +243,11 @@ class StepTrace:
 
 def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
     screen, slack = population_screen(amps, squid, LEVEL_G)
-    suspects = np.flatnonzero(~(np.abs(screen - 1.0) + slack <= 1e-10))
+    suspects = np.flatnonzero(~(np.abs(screen - 1.0) + slack <= E_LEAK_TOL))
     if not suspects.size:
         return
     pops = level_populations(amps, squid, LEVEL_G)[suspects]
-    bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
+    bad = np.flatnonzero(~(np.abs(pops - 1.0) <= E_LEAK_TOL))
     if bad.size:
         k = int(bad[0])
         raise PreconditionError(f"sample {first_sample + int(suspects[k])}: squid{squid} must "
@@ -309,10 +309,7 @@ def _step1_op(cfg: CouplingConfig) -> PulseOp:
 
 
 def cnot_cavity_control(
-    state: PureState,
-    squid: int,
-    cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    leak_tol: float = E_LEAK_TOL,
+    state: PureState, squid: int, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
     """Full-period cavity exchange: flips |+> <-> |-> of the target iff one photon.
 
@@ -322,10 +319,10 @@ def cnot_cavity_control(
     raises ``LeakageError``.
     """
     tail = state.photon_tail_population(2)
-    if tail > leak_tol:
+    if tail > E_LEAK_TOL:
         raise LeakageError(f"photon population {tail} above one-photon subspace")
     e_pop = state.level_population(squid, LEVEL_E)
-    if e_pop > leak_tol:
+    if e_pop > E_LEAK_TOL:
         raise LeakageError(f"squid{squid} e-level population {e_pop} breaks the controlled flip")
     return apply_jc(state, squid, math.pi / cfg.lam, cfg)
 
@@ -362,33 +359,27 @@ def _process_track(squid: int, dphi: float, cfg: CouplingConfig) -> tuple[PulseO
 
 
 def _run_process(
-    state: PureState, squid: int, dphi: float, cfg: CouplingConfig, e_tol: float
+    state: PureState, squid: int, dphi: float, cfg: CouplingConfig
 ) -> tuple[PureState, float]:
     elapsed = 0.0
     for op in _process_track(squid, dphi, cfg):
-        state = apply_pulse_op(state, op, cfg, e_tol=e_tol)
+        state = apply_pulse_op(state, op, cfg)
         elapsed += op.duration
     return state, elapsed
 
 
 def process_one(
-    state: PureState,
-    squid: int,
-    cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    e_tol: float = E_LEAK_TOL,
+    state: PureState, squid: int, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> tuple[PureState, float]:
     """Basis rotation |+> -> -|i>, |-> -> |g> (drive phase difference 3 pi / 2)."""
-    return _run_process(state, squid, PROCESS_ONE_PHASE, cfg, e_tol)
+    return _run_process(state, squid, PROCESS_ONE_PHASE, cfg)
 
 
 def process_two(
-    state: PureState,
-    squid: int,
-    cfg: CouplingConfig = DEFAULT_COUPLINGS,
-    e_tol: float = E_LEAK_TOL,
+    state: PureState, squid: int, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> tuple[PureState, float]:
     """Basis rotation |g> -> |->, |i> -> -|+> (drive phase difference pi / 2)."""
-    return _run_process(state, squid, PROCESS_TWO_PHASE, cfg, e_tol)
+    return _run_process(state, squid, PROCESS_TWO_PHASE, cfg)
 
 
 @functools.lru_cache(maxsize=8)
@@ -473,7 +464,6 @@ def _walk(
     pulse, ``on_step(step, elapsed)`` after the last slot of each step,
     with the nominal schedule time so far.
     """
-    e_tol = E_LEAK_TOL if enforce_preconditions else math.inf
     fock_cutoff = amps.shape[-2] - 1
     if factors is None:
         nominal = iter(_nominal_coefficients(schedule, cfg, fock_cutoff))
@@ -487,8 +477,8 @@ def _walk(
                 else:
                     coeffs = pulse_coefficients(op, op.duration * factors[:, k], fock_cutoff, cfg)
                 try:
-                    if op.variant is PulseVariant.RAMAN:
-                        check_two_pulse_domain(amps, op.squid, e_tol, first_sample)
+                    if enforce_preconditions and op.variant is PulseVariant.RAMAN:
+                        check_two_pulse_domain(amps, op.squid, first_sample)
                     apply_coefficients(amps, op, coeffs)
                     check_row_norms(amps, first_sample)
                 except PhysicsError as exc:

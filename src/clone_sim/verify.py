@@ -11,8 +11,8 @@ shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs' (alpha, beta) and
 scores every row, both copies in one pass, using only per-row stacked
 matrix products, so a row's score does not depend on the batch size.
 Each copy's reduced matrix is a computed Gram product, so its eigenvalue
-floor follows from the product's rounding bound and sweeps need no
-``eigvalsh``.
+floor follows from the product's rounding bound, and no photon cutoff the
+command line accepts needs ``eigvalsh``.
 ``clone_fidelities`` is the same scoring for one state.
 ``universality_sweep`` clones and scores its samples in chunks of
 ``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
@@ -55,9 +55,9 @@ SWEEP_CHUNK = 1024
 # memory runs out far below it; the cap gives a huge n a config error.
 MAX_SWEEP_SAMPLES = 2 ** 32
 # Largest photon cutoff the command line accepts.  Below a cutoff of about
-# 1.2e4 the Gram screen of density_defect proves every scored copy's
-# eigenvalue floor (score_rows); the cap also gives a huge cutoff a config
-# error before any state is allocated.
+# 1.2e4 the Gram bound of density_defect proves every scored copy's
+# eigenvalue floor (score_rows), so no command runs eigvalsh; the cap also
+# gives a huge cutoff a config error before any state is allocated.
 MAX_FOCK_CUTOFF = 10_000
 
 _R23 = math.sqrt(2.0 / 3.0)
@@ -209,10 +209,10 @@ def score_rows(
     failure raises ``ValueError`` naming sample ``first_sample + row``.
     The matrix is the computed product C C^H of the copy's
     3 x 9 (fock_cutoff + 1) amplitude block C, so ``density_defect``'s
-    Gram screen proves its floor from the product's rounding bound at any
-    cutoff below about 1.2 * 10^4; only above that do the Gershgorin
-    screen and ``eigvalsh`` decide.  The fidelity reads the (g, i) block of the reduced matrix;
-    e population shows up in the leakage field.
+    Gram bound proves its floor at any cutoff below about 1.2 * 10^4;
+    only above that does ``eigvalsh`` decide.  The fidelity reads the
+    (g, i) block of the reduced matrix; e population shows up in the
+    leakage field.
     """
     if amps.ndim != 5 or amps.shape[1:4] != (3, 3, 3) or amps.shape[4] < 2:
         raise ValueError(f"amps must have shape (B, 3, 3, 3, fock_cutoff + 1) with "

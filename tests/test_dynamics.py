@@ -33,7 +33,7 @@ from clone_sim import (
     partial_trace,
 )
 from clone_sim import dynamics
-from clone_sim.hilbert import LEVEL_E, LEVEL_G, LEVEL_I
+from clone_sim.hilbert import E_LEAK_TOL, LEVEL_E, LEVEL_G, LEVEL_I
 from conftest import random_pure_state
 
 CFG = CouplingConfig()
@@ -55,6 +55,13 @@ def single(levels="g", photons=0, fock=2):
 
 def amp(state, levels, photons):
     return state.amplitudes[basis_index(state.spec, levels, photons)]
+
+
+def unguarded(state, op):
+    # the kernel apply_pulse_op runs, on a batch of one, without its Raman guard
+    amps = state.tensor()[..., None].copy()
+    dynamics.pulse_kernel(amps, op, np.array([op.duration]), CFG)
+    return PureState(amps.reshape(-1), state.spec)
 
 
 # --------------------------------------------------------------- validation
@@ -211,7 +218,7 @@ def test_raman_guards_against_e_population():
     with pytest.raises(LeakageError):
         apply_raman(single("e"), 1, 1.0, 0.0, 0.0, CFG)
     # with the guard off the e amplitudes ride along untouched
-    out = apply_raman(single("e"), 1, 1.0, 0.0, 0.0, CFG, e_tol=math.inf)
+    out = unguarded(single("e"), PulseOp(PulseVariant.RAMAN, 1, 1.0))
     assert abs(amp(out, ("e",), 0) - 1.0) < 1e-15
 
 
@@ -233,7 +240,7 @@ def test_primitives_leave_spectator_squids_alone(variant):
     spec = BasisSpec(3, 1)
     psi = random_pure_state((43, ALL_VARIANTS.index(variant)), spec)
     op = PulseOp(variant, 2, 0.9, phi1=0.3, phi2=0.1)
-    out = apply_pulse_op(psi, op, CFG, e_tol=math.inf)
+    out = unguarded(psi, op)
     for spectator in ("squid1", "squid3"):
         before = partial_trace(psi, (spectator,)).entries
         after = partial_trace(out, (spectator,)).entries
@@ -252,8 +259,7 @@ def test_primitives_preserve_inner_products(seed, duration):
     want = inner_product(a, b)
     for variant in ALL_VARIANTS:
         op = PulseOp(variant, 1, duration, phi1=0.7, phi2=0.2)
-        got = inner_product(apply_pulse_op(a, op, CFG, e_tol=math.inf),
-                            apply_pulse_op(b, op, CFG, e_tol=math.inf))
+        got = inner_product(unguarded(a, op), unguarded(b, op))
         assert abs(got - want) < 1e-12
 
 
@@ -422,7 +428,7 @@ def test_closed_forms_match_scipy_expm(variant):
         duration = float(rng.uniform(0.0, 4.0))
         phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=2))
         op = PulseOp(variant, 1, duration, phi1=phi1, phi2=phi2)
-        closed = apply_pulse_op(psi, op, CFG, e_tol=math.inf)
+        closed = unguarded(psi, op)
         unitary = scipy.linalg.expm(-1j * duration * build_generator(op, spec, CFG))
         if variant is PulseVariant.RAMAN:
             free = PulseOp(PulseVariant.FREE_EVOLVE, 1, duration)
@@ -444,7 +450,7 @@ def _apply_by_name(variant, state, duration, phi1, phi2):
     if variant is PulseVariant.DRIVE_IE:
         return apply_drive_ie(state, 1, duration, CFG)
     if variant is PulseVariant.RAMAN:
-        return apply_raman(state, 1, duration, phi1, phi2, CFG, e_tol=math.inf)
+        return apply_raman(state, 1, duration, phi1, phi2, CFG)
     return apply_free_evolution(state, 1, duration, CFG)
 
 
@@ -462,6 +468,10 @@ def test_each_apply_function_matches_expm_and_the_eigh_oracle(variant):
     rng = np.random.default_rng(59)
     for _ in range(4):
         psi = random_pure_state(int(rng.integers(2**31)), spec)
+        if variant is PulseVariant.RAMAN:  # apply_raman's guard wants squid 1 out of |e>
+            amps = psi.tensor().copy()
+            amps[LEVEL_E] = 0.0
+            psi = PureState.from_amplitudes(amps, spec, normalize=True)
         duration = float(rng.uniform(0.0, 4.0))
         phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=2))
         op = PulseOp(variant, 1, duration, phi1=phi1, phi2=phi2)
@@ -490,7 +500,7 @@ def test_kernel_rows_each_follow_their_own_duration(variant):
         row_op = PulseOp(variant, 2, float(durations[k]), phi1=0.4, phi2=1.3)
         want = _expm_unitary(row_op, spec) @ state.amplitudes
         assert np.max(np.abs(amps[..., k].reshape(-1) - want)) < 1e-9
-        single = apply_pulse_op(state, row_op, CFG, e_tol=math.inf)
+        single = unguarded(state, row_op)
         assert np.array_equal(amps[..., k].reshape(-1), single.amplitudes)
 
 
@@ -530,7 +540,7 @@ def _rows_at(level, squid, targets, fock_cutoff, seed):
     The population is set through ``level_populations``, so it lands within
     an ulp or so of each target; a NaN target gives a NaN row.
     """
-    from clone_sim.dynamics import _level, level_populations
+    from clone_sim.hilbert import _level, level_populations
 
     rng = np.random.default_rng(seed)
     shape = (3, 3, 3, fock_cutoff + 1, len(targets))
@@ -548,22 +558,22 @@ def _outcome(guard, *args):
     return None
 
 
-def _raman_reference(amps, squid, e_tol, first_sample):
+def _raman_reference(amps, squid, first_sample):
     # the guard's rule on level_populations alone, as it read before the screen
-    from clone_sim.dynamics import level_populations
+    from clone_sim.hilbert import level_populations
 
     pops = level_populations(amps, squid, LEVEL_E)
-    bad = np.flatnonzero(pops >= e_tol)
+    bad = np.flatnonzero(pops >= E_LEAK_TOL)
     if not bad.size:
         return None
     k = int(bad[0])
     return "LeakageError", (
         f"sample {first_sample + k}: squid{squid} e-level population {float(pops[k])} "
-        f"exceeds {e_tol}; two-pulse map undefined outside the g-i subspace")
+        f"exceeds {E_LEAK_TOL}; two-pulse map undefined outside the g-i subspace")
 
 
 def _g_reference(amps, squid, first_sample):
-    from clone_sim.dynamics import level_populations
+    from clone_sim.hilbert import level_populations
 
     pops = level_populations(amps, squid, LEVEL_G)
     bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
@@ -585,18 +595,17 @@ def _near(threshold):
 def test_raman_guard_screen_agrees_with_level_populations(fock_cutoff, squid):
     from clone_sim.dynamics import check_two_pulse_domain
 
-    e_tol = 1e-10
-    targets = _near(e_tol) + [math.nan, 0.0]
+    targets = _near(E_LEAK_TOL) + [math.nan, 0.0]
     for seed in range(4):
         amps = _rows_at(LEVEL_E, squid, targets, fock_cutoff, (seed, squid))
         for b in range(amps.shape[-1]):
             row = amps[..., b:b + 1].copy()
-            assert (_outcome(check_two_pulse_domain, row, squid, e_tol, b)
-                    == _raman_reference(row, squid, e_tol, b)), (seed, b)
+            assert (_outcome(check_two_pulse_domain, row, squid, b)
+                    == _raman_reference(row, squid, b)), (seed, b)
         # the whole batch, in order and with the threshold rows last
         for batch in (amps, np.concatenate([amps[..., 2:], amps[..., :2]], axis=-1)):
-            assert (_outcome(check_two_pulse_domain, batch, squid, e_tol, 7)
-                    == _raman_reference(batch, squid, e_tol, 7))
+            assert (_outcome(check_two_pulse_domain, batch, squid, 7)
+                    == _raman_reference(batch, squid, 7))
 
 
 @pytest.mark.parametrize("fock_cutoff", [1, 8])
@@ -617,7 +626,7 @@ def test_ground_state_screen_agrees_with_level_populations(fock_cutoff, squid):
 @pytest.mark.parametrize("fock_cutoff", [1, 2, 32])
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-160])
 def test_population_screen_lies_within_its_slack(fock_cutoff, scale):
-    from clone_sim.dynamics import level_populations, population_screen
+    from clone_sim.hilbert import level_populations, population_screen
 
     for seed in range(3):
         rng = np.random.default_rng((seed, fock_cutoff))
@@ -651,9 +660,9 @@ def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
         amps[2, 2, 2, 0, 1] = fill  # every squid's e level
         amps[0, 0, 0, 1, 1] = fill  # every squid's g level
     row = amps[..., 1:2].copy()
-    raman = _outcome(check_two_pulse_domain, amps, squid, 1e-10, 4)
-    assert raman == _raman_reference(amps, squid, 1e-10, 4)
-    assert _outcome(check_two_pulse_domain, row, squid, 1e-10, 5) == raman
+    raman = _outcome(check_two_pulse_domain, amps, squid, 4)
+    assert raman == _raman_reference(amps, squid, 4)
+    assert _outcome(check_two_pulse_domain, row, squid, 5) == raman
     ground = _outcome(_require_rows_in_g, amps, squid, 4)
     assert ground is not None and ground == _g_reference(amps, squid, 4)
     assert _outcome(_require_rows_in_g, row, squid, 5) == ground
@@ -684,7 +693,7 @@ def test_tripped_guards_print_the_level_populations_value():
 def test_level_populations_of_a_row_do_not_depend_on_the_batch(squid):
     # SQUID 1's level view is contiguous, so its rows came out strided in a
     # batch and were summed in another order than a row alone
-    from clone_sim.dynamics import level_populations
+    from clone_sim.hilbert import level_populations
 
     rng = np.random.default_rng(17)
     amps = rng.normal(size=(3, 3, 3, 9, 6)) + 1j * rng.normal(size=(3, 3, 3, 9, 6))

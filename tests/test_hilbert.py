@@ -124,6 +124,30 @@ def test_populations_and_photon_tail():
     assert psi.photon_tail_population(3) == 0.0
 
 
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 32])
+@pytest.mark.parametrize("num_squids", [1, 2, 3])
+def test_level_population_is_the_one_batched_sum(num_squids, fock_cutoff):
+    # PureState reads its populations from level_populations, bit for bit,
+    # on states with exact zeros and with amplitudes 1e-7 times the rest
+    from clone_sim.hilbert import LEVEL_NAMES, level_populations
+
+    spec = BasisSpec(num_squids, fock_cutoff)
+    rng = np.random.default_rng((num_squids, fock_cutoff))
+    raw = rng.normal(size=spec.dimension) + 1j * rng.normal(size=spec.dimension)
+    raw *= np.where(rng.random(spec.dimension) < 0.3, 1e-7, 1.0)
+    raw[rng.random(spec.dimension) < 0.3] = 0.0
+    states = [PureState.from_amplitudes(raw, spec, normalize=True),
+              PureState.basis_state(spec, ("i",) * num_squids, fock_cutoff)]
+    for psi in states:
+        for squid in range(1, num_squids + 1):
+            for level in LEVEL_NAMES:
+                got = psi.level_population(squid, level)
+                batch = psi.tensor()[..., None]
+                assert got == level_populations(batch, squid, level_code(level))[0]
+                plain = np.sum(np.abs(psi.tensor().take(level_code(level), squid - 1)) ** 2)
+                assert abs(got - plain) < 1e-15
+
+
 def test_state_dict_round_trip():
     psi = random_pure_state(7, BasisSpec(3, 2))
     again = PureState.from_dict(json.loads(json.dumps(psi.to_dict())))
@@ -412,8 +436,8 @@ def test_density_screen_gives_the_eigvalsh_verdict(case):
 
 
 def test_density_screen_decides_near_the_floor_both_ways():
-    # a diagonal matrix at floor + 1e-11 is cleared by its discs; one at
-    # floor + 1e-13 is not, and eigvalsh passes it; floor - 1e-13 fails
+    # eigvalsh passes a matrix at floor + 1e-11 or + 1e-13 and fails one at
+    # floor - 1e-13 or - 1e-11, diagonal or not
     from clone_sim.hilbert import density_defect
 
     rng = np.random.default_rng(3)
@@ -435,21 +459,10 @@ def _counting_eigvalsh(monkeypatch):
     return seen
 
 
-def test_density_screen_skips_eigvalsh_when_every_matrix_is_cleared(monkeypatch):
-    from clone_sim.hilbert import density_defect
-
-    rng = np.random.default_rng(12)
-    mats = _stack_with_lowest(rng, rng.uniform(0.1, 0.3, 30), diagonal=True)
-    mats[:, 0, 1] = mats[:, 1, 0] = 0.01  # small couplings keep every disc above the floor
-    seen = _counting_eigvalsh(monkeypatch)
-    assert density_defect(mats) is None
-    assert seen == []
-
-
 def test_density_screen_diagonalises_every_matrix_it_cannot_clear(monkeypatch):
     from clone_sim.hilbert import density_defect
 
-    # no disc bound exceeds the smallest eigenvalue, so none of these clears
+    # with no Gram bound to prove the floor, every matrix goes to eigvalsh
     rng = np.random.default_rng(13)
     mats = _stack_with_lowest(rng, FLOOR + rng.uniform(0.0, 5e-13, 30))
     seen = _counting_eigvalsh(monkeypatch)
@@ -498,8 +511,8 @@ def test_gram_bound_holds_and_clears_the_floor(n, monkeypatch):
 @pytest.mark.parametrize("terms", [10 ** 15, 2 ** 62])
 @pytest.mark.parametrize("case", range(4))
 def test_gram_screen_that_cannot_clear_falls_back_to_the_full_check(case, terms, monkeypatch):
-    # gamma near 1, or above it, proves nothing: the Gershgorin screen and
-    # eigvalsh decide, passing and failing stacks alike
+    # gamma near 1, or above it, proves nothing: eigvalsh decides, passing
+    # and failing stacks alike
     from clone_sim.hilbert import density_defect
 
     mats = _screen_cases()[case]

@@ -347,9 +347,10 @@ def test_score_rows_rejects_amplitudes_of_another_shape(shape):
         score_rows(amps, np.ones(1), np.zeros(1))
 
 
-def test_jittered_scoring_runs_no_eigvalsh(monkeypatch):
-    # the Gershgorin screen alone leaves rows for eigvalsh; the Gram bound
-    # clears every copy of a 1,024-row sweep chunk at jitter 0.2
+@pytest.mark.parametrize("fock_cutoff", [2, 32])
+def test_jittered_scoring_runs_no_eigvalsh(fock_cutoff, monkeypatch):
+    # without the Gram bound every copy goes to eigvalsh; with it, scoring a
+    # 1,024-row sweep chunk at jitter 0.2 diagonalises none
     from clone_sim import clone_batch, score_rows
     from clone_sim.hilbert import density_defect
     from clone_sim.protocol import bloch_amplitudes, draw_slot_factors, jitter_rng
@@ -360,13 +361,28 @@ def test_jittered_scoring_runs_no_eigvalsh(monkeypatch):
     alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
                                    2.0 * math.pi * rng.random(rows))
     factors = draw_slot_factors(0.2, (rows, 11), jitter_rng(11))
-    final = clone_batch(alpha, beta, slot_factors=factors, enforce_preconditions=False)
+    final = clone_batch(alpha, beta, fock_cutoff=fock_cutoff, slot_factors=factors,
+                        enforce_preconditions=False)
     seen = _counting_eigvalsh(monkeypatch)
     score_rows(final, alpha, beta)
     assert seen == []
     copies = np.moveaxis(final, 2, 1).reshape(rows, 3, -1)
     assert density_defect(copies @ np.conj(copies).transpose(0, 2, 1)) is None
-    assert seen and seen[0] > 0
+    assert seen == [rows]
+
+
+def test_gram_screen_clears_the_largest_cli_cutoff(monkeypatch):
+    # a stack the Gram bound does not clear goes to eigvalsh, so the bound
+    # must clear a copy's matrix at every photon cutoff the CLI accepts
+    from clone_sim.hilbert import density_defect
+    from clone_sim.verify import MAX_FOCK_CUTOFF
+    from test_hilbert import _counting_eigvalsh, _unit_trace_grams
+
+    terms = 9 * (MAX_FOCK_CUTOFF + 1)
+    rho = _unit_trace_grams(np.random.default_rng(4), terms, count=3)
+    seen = _counting_eigvalsh(monkeypatch)
+    assert density_defect(rho, gram_terms=terms) is None
+    assert seen == []
 
 
 @pytest.mark.parametrize("inputs", [2, 4])
