@@ -23,9 +23,7 @@ from .hilbert import (
     PureState,
     basis_index,
     basis_tuple,
-    equal_up_to_global_phase,
     fidelity_against_dm,
-    fidelity_pure,
     inner_product,
     level_code,
     partial_trace,
@@ -52,10 +50,8 @@ from .verify import (
     SweepResult,
     SweepRow,
     clone_fidelities,
-    computational_leakage,
     reference_step_state,
     score_rows,
-    step_conformance,
     target_state,
     universality_sweep,
 )

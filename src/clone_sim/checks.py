@@ -373,10 +373,8 @@ def check_run_hygiene(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult:
     return CheckResult("protocol.run_hygiene", worst, EXACT_TOL, worst < EXACT_TOL)
 
 
-def run_all_checks(
-    cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210, n_states: int = 100
-) -> list[CheckResult]:
-    results = [check_oracle(variant, cfg, seed=seed, n_states=n_states) for variant in PulseVariant]
+def run_all_checks(cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210) -> list[CheckResult]:
+    results = [check_oracle(variant, cfg, seed=seed) for variant in PulseVariant]
     steps = _basis_steps(cfg)
     results += [
         check_unitarity(cfg, seed=seed),

@@ -129,15 +129,6 @@ class PulseOp:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "target": self.squid,
-            "duration": self.duration,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-        }
-
 
 def pulse_coefficients(
     op: PulseOp, durations: np.ndarray, fock_cutoff: int, cfg: CouplingConfig = DEFAULT_COUPLINGS

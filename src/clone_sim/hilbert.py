@@ -191,13 +191,6 @@ class PureState:
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PureState":
-        basis = payload["basis"]
-        spec = BasisSpec(int(basis["num_squids"]), int(basis["fock_cutoff"]))
-        amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-        return cls(amps, spec)
-
 
 def _check_squid(spec: BasisSpec, squid: int) -> None:
     if not 1 <= squid <= spec.num_squids:
@@ -327,11 +320,6 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def fidelity_pure(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 between two pure states on the same register."""
-    return abs(inner_product(a, b)) ** 2
-
-
 def phase_aligned_distance(a: PureState, b: PureState) -> float:
     """min over theta of ||a - exp(i theta) b||.
 
@@ -343,13 +331,6 @@ def phase_aligned_distance(a: PureState, b: PureState) -> float:
     # minimizer of ||a - e^{i theta} b||: e^{i theta} = conj(<a|b>)/|<a|b>|
     phase = ip.conjugate() / abs(ip) if abs(ip) > 0.0 else 1.0
     return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
-
-
-def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """Whether min over theta of ||a - exp(i theta) b|| falls below ``tol``."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return phase_aligned_distance(a, b) < tol
 
 
 @dataclass(frozen=True, eq=False)

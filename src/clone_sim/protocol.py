@@ -16,7 +16,7 @@ Step roles, in schedule order:
   step4   eighth-period exchange splits SQUID 2 against the cavity
   step5   quarter-period exchange moves the photon share onto SQUID 3
   step6   i-e drives park the e amplitudes of SQUIDs 2, 3 in |i>
-  step7   two-pulse rotations on all three SQUIDs (plus/minus basis maps)
+  step7   two-pulse rotations: process one on SQUID 1, process two on SQUIDs 2, 3
   step8   i-e drive lifts SQUID 1's |i> into |e>
   step9   quarter-period exchange emits SQUID 1's share into the cavity
   step10  two controlled flips copy the cavity bit onto SQUIDs 2 and 3
@@ -130,10 +130,12 @@ def gi_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Slot:
-    """One schedule slot: parallel tracks of pulses on disjoint SQUIDs."""
+    """One slot of ``step``: parallel tracks of pulses on disjoint SQUIDs.
+
+    The module docstring's "Step roles" table says what each step does.
+    """
 
     step: str
-    description: str
     tracks: tuple[tuple[PulseOp, ...], ...]
 
     def __post_init__(self) -> None:
@@ -157,27 +159,12 @@ class Slot:
         """Length of the longest track."""
         return max(sum(op.duration for op in track) for track in self.tracks)
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "description": self.description,
-            "duration": self.duration,
-            "tracks": [[op.to_dict() for op in track] for track in self.tracks],
-        }
-
 
 @dataclass(frozen=True)
 class Schedule:
     """Ordered slot sequence; an empty schedule is legal and does nothing."""
 
     slots: tuple[Slot, ...]
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(slot.duration for slot in self.slots))
-
-    def to_dict(self) -> dict:
-        return {"slots": [slot.to_dict() for slot in self.slots]}
 
 
 def draw_slot_factors(
@@ -210,7 +197,7 @@ def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator
                   for op in track)
             for track in slot.tracks
         )
-        slots.append(Slot(slot.step, slot.description, tracks))
+        slots.append(Slot(slot.step, tracks))
     return Schedule(tuple(slots))
 
 
@@ -227,9 +214,6 @@ class TraceEntry:
 @dataclass(frozen=True)
 class StepTrace:
     entries: tuple[TraceEntry, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(entry.label for entry in self.entries)
 
     def entry(self, label: str) -> TraceEntry:
         for item in self.entries:
@@ -338,7 +322,9 @@ def _phase_closure_idle(t_pulse: float, cfg: CouplingConfig) -> float:
         raise ValueError(f"no phase closure: omega_gi = {cfg.omega_gi} times the pulse time "
                          f"{t_pulse} overflows")
     periods = math.ceil(phase)
-    return 2.0 * math.pi * periods / cfg.omega_gi - t_pulse
+    # Zero in exact arithmetic when the pulse ends on a closure; rounding can
+    # leave it a few ulps below, which no PulseOp accepts.
+    return max(0.0, 2.0 * math.pi * periods / cfg.omega_gi - t_pulse)
 
 
 def process_times(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> tuple[float, float]:
@@ -402,25 +388,21 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
         return (PulseOp(PulseVariant.DRIVE_IE, squid, ie_quarter),)
 
     slots = (
-        Slot("step1", "drive squid2 toward e", ((_step1_op(cfg),),)),
-        Slot("step2", "load squid2 excitation into the cavity", jc(2, quarter)),
-        Slot("step3", "photon-controlled flip of squid1", jc(1, full)),
-        Slot("step4", "split squid2 against the cavity", jc(2, eighth)),
-        Slot("step5", "move the photon share onto squid3", jc(3, quarter)),
-        Slot("step6", "park e amplitudes of squid2, squid3 in i", (ie(2), ie(3))),
-        Slot(
-            "step7",
-            "basis rotations: squid1 plus/minus readout, squid2, squid3 encode",
-            (
-                _process_track(1, PROCESS_ONE_PHASE, cfg),
-                _process_track(2, PROCESS_TWO_PHASE, cfg),
-                _process_track(3, PROCESS_TWO_PHASE, cfg),
-            ),
-        ),
-        Slot("step8", "lift squid1 i into e", (ie(1),)),
-        Slot("step9", "emit squid1 excitation into the cavity", jc(1, quarter)),
-        Slot("step10", "copy the cavity bit onto squid2", jc(2, full)),
-        Slot("step10", "copy the cavity bit onto squid3", jc(3, full)),
+        Slot("step1", ((_step1_op(cfg),),)),
+        Slot("step2", jc(2, quarter)),
+        Slot("step3", jc(1, full)),
+        Slot("step4", jc(2, eighth)),
+        Slot("step5", jc(3, quarter)),
+        Slot("step6", (ie(2), ie(3))),
+        Slot("step7", (
+            _process_track(1, PROCESS_ONE_PHASE, cfg),
+            _process_track(2, PROCESS_TWO_PHASE, cfg),
+            _process_track(3, PROCESS_TWO_PHASE, cfg),
+        )),
+        Slot("step8", (ie(1),)),
+        Slot("step9", jc(1, quarter)),
+        Slot("step10", jc(2, full)),
+        Slot("step10", jc(3, full)),
     )
     return Schedule(slots)
 

@@ -35,11 +35,9 @@ from .hilbert import KET_G as _G
 from .hilbert import KET_I as _I
 from .hilbert import MINUS_GI as _MINUS
 from .hilbert import PLUS_GI as _PLUS
-from .hilbert import BasisSpec, PureState, density_defect, inner_product
+from .hilbert import BasisSpec, PureState, density_defect
 from .protocol import (
-    STEP_LABELS,
     InputQubit,
-    StepTrace,
     bloch_amplitudes,
     build_uqcm_schedule,
     clone_batch,
@@ -161,14 +159,10 @@ def _target_branches(spec: BasisSpec) -> np.ndarray:
 
 
 def _leakage_rows(amps: np.ndarray) -> np.ndarray:
+    """Each row's population outside levels {g, i} and photon numbers {0, 1}."""
     comp = amps[(slice(None),) + (slice(0, 2),) * (amps.ndim - 1)]
     pops = np.sum((np.abs(comp) ** 2).reshape(len(amps), -1), axis=1)
     return np.maximum(0.0, 1.0 - pops)
-
-
-def computational_leakage(state: PureState) -> float:
-    """Population outside levels {g, i} and photon numbers {0, 1}."""
-    return float(_leakage_rows(state.tensor()[None])[0])
 
 
 REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")
@@ -260,16 +254,6 @@ def clone_fidelities(final: PureState, q: InputQubit) -> CloneReport:
     """Reduce the final state onto each copy and score it against the input."""
     fields = score_rows(final.tensor()[None], np.array([q.alpha]), np.array([q.beta]))
     return CloneReport(**{name: float(values[0]) for name, values in fields.items()})
-
-
-def step_conformance(trace: StepTrace, q: InputQubit) -> list[tuple[str, float]]:
-    """Per-step overlap |<snapshot|reference>| for a run trace of input ``q``."""
-    out = []
-    for label in ("input",) + STEP_LABELS:
-        entry = trace.entry(label)
-        ref = reference_step_state(label, q, entry.state.spec)
-        out.append((label, float(abs(inner_product(entry.state, ref)))))
-    return out
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,21 @@ def test_finite_rates_without_a_finite_schedule_exit_with_code_two(tmp_path, cap
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [
+    "omega_gi = 24\nlambda_prime = 0.3\n",  # the process pulse ends on a closure
+    "omega_gi = 173.33333333333334\n",
+])
+def test_a_pulse_ending_on_a_phase_closure_gets_a_zero_idle(tmp_path, capsys, content):
+    # rounding left the idle at -8.9e-16 and -4.4e-16, which no pulse accepts
+    cfg = tmp_path / "closure.cfg"
+    cfg.write_text(content)
+    code, out, _ = run_cli(capsys, "validate", "--config", str(cfg))
+    assert (code, out) == (0, "13/13 checks passed\n")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert abs(json.loads(out)["fidelity_squid2"] - FIVE_SIXTHS) < 1e-9
+
+
 def test_jittered_runs_keep_the_coefficient_cache_bounded(capsys):
     # every jittered run walks its own perturbed schedule without slot factors
     from clone_sim.protocol import _nominal_coefficients

@@ -85,10 +85,6 @@ def test_pulse_op_validation():
         PulseOp(PulseVariant.JC, 0, 1.0)
     with pytest.raises(ValueError):
         PulseOp(PulseVariant.JC, 1, -0.1)
-    op = PulseOp(PulseVariant.RAMAN, 2, 1.5, phi1=0.25, phi2=0.5)
-    assert op.to_dict() == {
-        "variant": "raman", "target": 2, "duration": 1.5, "phi1": 0.25, "phi2": 0.5,
-    }
 
 
 @pytest.mark.parametrize("duration", [math.nan, math.inf])

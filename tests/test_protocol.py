@@ -21,7 +21,6 @@ from clone_sim import (
     basis_index,
     build_uqcm_schedule,
     cnot_cavity_control,
-    equal_up_to_global_phase,
     execute_schedule,
     phase_aligned_distance,
     prepare_input,
@@ -227,38 +226,32 @@ def op(variant, squid, duration=1.0):
 
 def test_slot_rejects_track_mixing_targets():
     with pytest.raises(ValueError):
-        Slot("s", "bad", ((op(PulseVariant.DRIVE_GE, 1), op(PulseVariant.DRIVE_GE, 2)),))
+        Slot("s", ((op(PulseVariant.DRIVE_GE, 1), op(PulseVariant.DRIVE_GE, 2)),))
 
 
 def test_slot_rejects_duplicate_targets_across_tracks():
     with pytest.raises(ValueError):
-        Slot("s", "bad", ((op(PulseVariant.DRIVE_GE, 1),), (op(PulseVariant.DRIVE_IE, 1),)))
+        Slot("s", ((op(PulseVariant.DRIVE_GE, 1),), (op(PulseVariant.DRIVE_IE, 1),)))
 
 
 def test_slot_rejects_two_cavity_ops():
     with pytest.raises(ValueError):
-        Slot("s", "bad", ((op(PulseVariant.JC, 1),), (op(PulseVariant.JC, 2),)))
+        Slot("s", ((op(PulseVariant.JC, 1),), (op(PulseVariant.JC, 2),)))
 
 
 def test_slot_rejects_empty_tracks_and_short_duration():
     with pytest.raises(ValueError):
-        Slot("s", "bad", ())
+        Slot("s", ())
     with pytest.raises(ValueError):
-        Slot("s", "bad", ((),))
+        Slot("s", ((),))
 
 
 def test_slot_duration_defaults_to_longest_track():
-    slot = Slot("s", "ok", (
+    slot = Slot("s", (
         (op(PulseVariant.RAMAN, 1, 1.0), op(PulseVariant.FREE_EVOLVE, 1, 0.5)),
         (op(PulseVariant.DRIVE_GE, 2, 0.4),),
     ))
     assert slot.duration == 1.5
-
-
-def test_schedule_durations():
-    assert Schedule(()).total_duration == 0.0
-    lone = Schedule((Slot("s", "swap", ((op(PulseVariant.JC, 1, math.pi),),)),))
-    assert abs(lone.total_duration - math.pi) < 1e-15
 
 
 def test_uqcm_schedule_structure():
@@ -285,14 +278,8 @@ def test_uqcm_schedule_total_duration_frozen():
         + pi / 2 + pi / 2                            # lift and emit
         + 2 * pi                                     # two controlled flips
     )
-    assert abs(build_uqcm_schedule(CFG).total_duration - expected) < 1e-12
-
-
-def test_schedule_to_dict_shape():
-    payload = build_uqcm_schedule(CFG).to_dict()
-    assert len(payload["slots"]) == 11
-    first = payload["slots"][0]["tracks"][0][0]
-    assert first["variant"] == "drive_ge" and first["target"] == 2
+    _, trace = run_uqcm(InputQubit(1.0, 0.0), CFG)
+    assert abs(trace.entries[-1].t_elapsed - expected) < 1e-12
 
 
 # --------------------------------------------------------------- execution
@@ -310,8 +297,8 @@ def test_execute_schedule_observer_sees_every_op():
 
 def test_execute_schedule_prefixes_errors_with_step_label():
     bad = Schedule((
-        Slot("lift", "push g into e", ((op(PulseVariant.DRIVE_GE, 1, math.pi / 2),),)),
-        Slot("rotate", "two-pulse on loaded e", ((op(PulseVariant.RAMAN, 1, 1.0),),)),
+        Slot("lift", ((op(PulseVariant.DRIVE_GE, 1, math.pi / 2),),)),
+        Slot("rotate", ((op(PulseVariant.RAMAN, 1, 1.0),),)),
     ))
     start = fresh(BasisSpec(3, 2))
     with pytest.raises(LeakageError, match="^rotate: "):
@@ -321,11 +308,11 @@ def test_execute_schedule_prefixes_errors_with_step_label():
 def test_trace_snapshots_per_step_with_increasing_clock():
     q = InputQubit(1.0, 0.0)
     _, trace = run_uqcm(q, CFG)
-    assert trace.labels() == ("input",) + STEP_LABELS
+    assert tuple(e.label for e in trace.entries) == ("input",) + STEP_LABELS
     times = [entry.t_elapsed for entry in trace.entries]
     assert times == sorted(times)
     assert times[0] == 0.0
-    assert abs(times[-1] - build_uqcm_schedule(CFG).total_duration) < 1e-12
+    assert abs(times[-1] - sum(slot.duration for slot in build_uqcm_schedule(CFG).slots)) < 1e-12
     for entry in trace.entries:
         assert abs(entry.state.norm() - 1.0) < 1e-12
 
@@ -337,13 +324,13 @@ def test_trace_lookup_and_json_round_trip():
     with pytest.raises(ValueError):
         trace.entry("step99")
     payload = trace.to_dict()
-    assert [item["label"] for item in payload] == list(trace.labels())
+    assert [item["label"] for item in payload] == [e.label for e in trace.entries]
 
 
 def test_run_uqcm_hits_target_for_basis_inputs():
     for q in (InputQubit(1.0, 0.0), InputQubit(0.0, 1.0)):
         final, _ = run_uqcm(q, CFG)
-        assert equal_up_to_global_phase(final, target_state(q, final.spec), tol=1e-10)
+        assert phase_aligned_distance(final, target_state(q, final.spec)) < 1e-10
 
 
 def test_run_uqcm_is_linear_in_the_input():

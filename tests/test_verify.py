@@ -13,11 +13,11 @@ from clone_sim import (
     PureState,
     basis_index,
     clone_fidelities,
-    computational_leakage,
+    inner_product,
     partial_trace,
     reference_step_state,
     run_uqcm,
-    step_conformance,
+    score_rows,
     target_state,
     universality_sweep,
 )
@@ -109,9 +109,14 @@ def test_reduced_copy_matches_brute_force_partial_trace():
 
 def test_computational_leakage_flags_the_right_populations():
     spec = BasisSpec(3, 2)
-    assert computational_leakage(PureState.basis_state(spec, ("g", "i", "g"), 1)) == 0.0
-    assert abs(computational_leakage(PureState.basis_state(spec, ("g", "e", "g"), 0)) - 1.0) < 1e-15
-    assert abs(computational_leakage(PureState.basis_state(spec, ("g", "g", "g"), 2)) - 1.0) < 1e-15
+    states = [PureState.basis_state(spec, ("g", "i", "g"), 1),
+              PureState.basis_state(spec, ("g", "e", "g"), 0),
+              PureState.basis_state(spec, ("g", "g", "g"), 2)]
+    amps = np.stack([state.tensor() for state in states])
+    leakage = score_rows(amps, np.ones(3), np.zeros(3))["leakage"]
+    assert leakage[0] == 0.0
+    assert abs(leakage[1] - 1.0) < 1e-15
+    assert abs(leakage[2] - 1.0) < 1e-15
 
 
 def test_clone_report_rejects_out_of_range_fields():
@@ -127,18 +132,18 @@ def test_clone_report_rejects_out_of_range_fields():
 def test_step_conformance_reports_unit_overlaps():
     for q in (InputQubit(1.0, 0.0), InputQubit(0.0, 1.0)):
         _, trace = run_uqcm(q)
-        rows = step_conformance(trace, q)
-        assert [label for label, _ in rows] == ["input"] + list(STEP_LABELS)
-        for _, overlap in rows:
-            assert overlap > 1.0 - 1e-10
+        assert [e.label for e in trace.entries] == ["input"] + list(STEP_LABELS)
+        for entry in trace.entries:
+            ref = reference_step_state(entry.label, q, entry.state.spec)
+            assert abs(inner_product(entry.state, ref)) > 1.0 - 1e-10
 
 
 def test_step_conformance_requires_complete_traces():
     q = InputQubit(1.0, 0.0)
     _, trace = run_uqcm(q)
     truncated = StepTrace(trace.entries[:4])
-    with pytest.raises(ValueError):
-        step_conformance(truncated, q)
+    with pytest.raises(ValueError, match="no entry labelled 'step4'"):
+        truncated.entry("step4")
 
 
 # -------------------------------------------------------------------- sweep
@@ -249,7 +254,7 @@ def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch):
 def test_batched_scores_match_the_independent_route():
     # random final states with no e population on the copies, so the
     # guarded fidelity_against_dm route applies; photon 2 gives leakage
-    from clone_sim import fidelity_against_dm, inner_product, score_rows
+    from clone_sim import fidelity_against_dm
     from clone_sim.protocol import bloch_amplitudes
 
     spec = BasisSpec(3, 2)
