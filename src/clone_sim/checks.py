@@ -314,29 +314,18 @@ def _basis_steps(cfg: CouplingConfig) -> list[tuple[PureState, PureState]]:
     return steps
 
 
-def check_step_conformance(
-    cfg: CouplingConfig = DEFAULT_COUPLINGS, steps: list[tuple[PureState, PureState]] | None = None
-) -> CheckResult:
-    """Basis-input traces against the symbolic per-step references, phase-blind.
-
-    ``steps`` are the basis runs' steps under ``cfg`` when the caller
-    already has them; without it the runs are made here.
-    """
+def check_step_conformance(steps: list[tuple[PureState, PureState]]) -> CheckResult:
+    """The basis runs' ``_basis_steps`` against their symbolic references, phase-blind."""
     worst = 0.0
-    for state, ref in _basis_steps(cfg) if steps is None else steps:
+    for state, ref in steps:
         worst = max(worst, phase_aligned_distance(state, ref))
     return CheckResult("protocol.steps.conformance", worst, STEP_TOL, worst < STEP_TOL)
 
 
-def check_basis_run_amplitudes(
-    cfg: CouplingConfig = DEFAULT_COUPLINGS, steps: list[tuple[PureState, PureState]] | None = None
-) -> CheckResult:
-    """For basis inputs the printed signs must come out exactly, not just up to phase.
-
-    ``steps`` as for ``check_step_conformance``.
-    """
+def check_basis_run_amplitudes(steps: list[tuple[PureState, PureState]]) -> CheckResult:
+    """The basis runs' ``_basis_steps`` must match the printed signs exactly, not up to phase."""
     worst = 0.0
-    for state, ref in _basis_steps(cfg) if steps is None else steps:
+    for state, ref in steps:
         worst = max(worst, _amp_dev(state, ref))
     return CheckResult("protocol.steps.basis_amplitudes", worst, STEP_TOL, worst < STEP_TOL)
 
@@ -381,8 +370,8 @@ def run_all_checks(cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210) -
         check_jc_sector_conservation(cfg, seed=seed),
         check_cnot_truth_table(cfg),
         check_process_tables(cfg),
-        check_step_conformance(cfg, steps),
-        check_basis_run_amplitudes(cfg, steps),
+        check_step_conformance(steps),
+        check_basis_run_amplitudes(steps),
         check_clone_quality(cfg, seed=seed),
         check_run_hygiene(cfg),
     ]

@@ -94,7 +94,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -200,6 +200,15 @@ def _sig12(obj):
     return obj
 
 
+def _write_json(path: str, payload) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(_sig12(payload), handle)
+            handle.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _execute(settings: Settings):
     """Clone the input once; with timing jitter, under sample 0's perturbed schedule."""
     schedule = None
@@ -216,9 +225,7 @@ def cmd_run(settings: Settings) -> int:
     final, trace = _execute(settings)
     report = clone_fidelities(final, settings.q)
     if settings.trace_path:
-        with open(settings.trace_path, "w", encoding="utf-8") as handle:
-            json.dump(_sig12(trace.to_dict()), handle)
-            handle.write("\n")
+        _write_json(settings.trace_path, trace.to_dict())
     five_sixths = 5.0 / 6.0
     gates_ok = (
         abs(report.fidelity_squid2 - five_sixths) <= settings.tolerance
@@ -256,11 +263,9 @@ def cmd_sweep(settings: Settings) -> int:
         settings.num_samples, settings.seed, settings.cfg,
         fock_cutoff=settings.fock_cutoff, timing_jitter=settings.timing_jitter,
     )
-    sys.stdout.write(result.to_csv())
     if settings.summary_path:
-        with open(settings.summary_path, "w", encoding="utf-8") as handle:
-            json.dump(_sig12(result.summary()), handle)
-            handle.write("\n")
+        _write_json(settings.summary_path, result.summary())
+    sys.stdout.write(result.to_csv())
     return 0
 
 
@@ -319,12 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        settings = _resolve_settings(args)
+        return args.handler(_resolve_settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.handler(settings)
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

@@ -41,6 +41,15 @@ without slot factors reads every pulse's coefficients from a table built
 once per schedule, coupling config and photon cutoff
 (``_nominal_coefficients``); a walk with slot factors builds them per
 call, with the same arithmetic.
+
+``_walk`` is the only code here that applies a pulse.  The single-state
+operations are pulse data too: ``process_one``, ``process_two``,
+``cnot_cavity_control`` and ``prepare_input(mode="pulsed")`` each walk
+their track as a one-slot schedule labelled "process_one", "process_two",
+"cnot" or "input", so their errors carry that label.  A two-pulse
+rotation followed by the idle that closes the |i> phase is built in one
+place, ``_raman_track``, for the processes, step 7 and the pulsed
+preparation alike.
 """
 
 from __future__ import annotations
@@ -59,10 +68,6 @@ from .dynamics import (
     PulseOp,
     PulseVariant,
     apply_coefficients,
-    apply_free_evolution,
-    apply_jc,
-    apply_pulse_op,
-    apply_raman,
     check_two_pulse_domain,
     pulse_coefficients,
 )
@@ -74,7 +79,6 @@ from .hilbert import (
     LEVEL_I,
     BasisSpec,
     PureState,
-    _check_squid,
     _level,
     check_row_norms,
     level_populations,
@@ -260,7 +264,6 @@ def prepare_input(
     the next phase closure; the result then matches the ideal state up
     to a global phase.
     """
-    _check_squid(state.spec, squid)
     _require_rows_in_g(state.tensor()[..., None], squid)
     target = q.gi_vector()
     if mode == "ideal":
@@ -276,8 +279,7 @@ def prepare_input(
             dphi = -cmath.phase(b_i / (1j * abs(a_i)))
         else:
             dphi = 0.0
-        state = apply_raman(state, squid, t_pulse, dphi, 0.0, cfg)
-        return apply_free_evolution(state, squid, _phase_closure_idle(t_pulse, cfg), cfg)
+        return _run_track(state, "input", _raman_track(squid, t_pulse, dphi, cfg), cfg)[0]
     raise ValueError(f"unknown preparation mode {mode!r}")
 
 
@@ -308,7 +310,7 @@ def cnot_cavity_control(
     e_pop = state.level_population(squid, LEVEL_E)
     if e_pop > E_LEAK_TOL:
         raise LeakageError(f"squid{squid} e-level population {e_pop} breaks the controlled flip")
-    return apply_jc(state, squid, math.pi / cfg.lam, cfg)
+    return _run_track(state, "cnot", (PulseOp(PulseVariant.JC, squid, math.pi / cfg.lam),), cfg)[0]
 
 
 def _phase_closure_idle(t_pulse: float, cfg: CouplingConfig) -> float:
@@ -336,36 +338,32 @@ def process_times(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> tuple[float, float
     return t_pulse, _phase_closure_idle(t_pulse, cfg)
 
 
-def _process_track(squid: int, dphi: float, cfg: CouplingConfig) -> tuple[PulseOp, ...]:
-    t_pulse, t_idle = process_times(cfg)
+def _raman_track(
+    squid: int, t_pulse: float, dphi: float, cfg: CouplingConfig
+) -> tuple[PulseOp, ...]:
+    """A two-pulse rotation of ``t_pulse`` and then the idle that closes the |i> phase."""
     return (
         PulseOp(PulseVariant.RAMAN, squid, t_pulse, phi1=dphi, phi2=0.0),
-        PulseOp(PulseVariant.FREE_EVOLVE, squid, t_idle),
+        PulseOp(PulseVariant.FREE_EVOLVE, squid, _phase_closure_idle(t_pulse, cfg)),
     )
 
 
-def _run_process(
-    state: PureState, squid: int, dphi: float, cfg: CouplingConfig
-) -> tuple[PureState, float]:
-    elapsed = 0.0
-    for op in _process_track(squid, dphi, cfg):
-        state = apply_pulse_op(state, op, cfg)
-        elapsed += op.duration
-    return state, elapsed
+def _process_track(squid: int, dphi: float, cfg: CouplingConfig) -> tuple[PulseOp, ...]:
+    return _raman_track(squid, process_times(cfg)[0], dphi, cfg)
 
 
 def process_one(
     state: PureState, squid: int, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> tuple[PureState, float]:
     """Basis rotation |+> -> -|i>, |-> -> |g> (drive phase difference 3 pi / 2)."""
-    return _run_process(state, squid, PROCESS_ONE_PHASE, cfg)
+    return _run_track(state, "process_one", _process_track(squid, PROCESS_ONE_PHASE, cfg), cfg)
 
 
 def process_two(
     state: PureState, squid: int, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> tuple[PureState, float]:
     """Basis rotation |g> -> |->, |i> -> -|+> (drive phase difference pi / 2)."""
-    return _run_process(state, squid, PROCESS_TWO_PHASE, cfg)
+    return _run_track(state, "process_two", _process_track(squid, PROCESS_TWO_PHASE, cfg), cfg)
 
 
 @functools.lru_cache(maxsize=8)
@@ -503,6 +501,14 @@ def execute_schedule(
     return final, StepTrace(tuple(entries))
 
 
+def _run_track(
+    state: PureState, label: str, track: tuple[PulseOp, ...], cfg: CouplingConfig
+) -> tuple[PureState, float]:
+    """Walk ``track`` as a one-slot schedule labelled ``label``: (final state, its duration)."""
+    final, trace = execute_schedule(state, Schedule((Slot(label, (track,)),)), cfg)
+    return final, trace.entries[-1].t_elapsed
+
+
 def run_uqcm(
     q: InputQubit,
     cfg: CouplingConfig = DEFAULT_COUPLINGS,
@@ -577,7 +583,6 @@ def clone_batch(
                              f"and >= 0, got {factors[k].tolist()}")
     amps = np.zeros(spec.factor_dims + (rows,), dtype=np.complex128)
     amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
-    _require_rows_in_g(amps, 1, first_sample)
     _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
     _walk(amps, schedule, factors, cfg, enforce_preconditions, first_sample)
     return np.ascontiguousarray(np.moveaxis(amps, -1, 0))

@@ -292,5 +292,6 @@ def test_all_checks_run_the_basis_inputs_once(monkeypatch):
     results = {r.name: r for r in checks.run_all_checks(CFG)}
     # two basis runs shared by two checks, five random inputs for clone quality
     assert len(calls) == 7 and calls[:2] == [(1.0, 0.0), (0.0, 1.0)]
-    assert results["protocol.steps.conformance"] == checks.check_step_conformance(CFG)
-    assert results["protocol.steps.basis_amplitudes"] == checks.check_basis_run_amplitudes(CFG)
+    steps = checks._basis_steps(CFG)
+    assert results["protocol.steps.conformance"] == checks.check_step_conformance(steps)
+    assert results["protocol.steps.basis_amplitudes"] == checks.check_basis_run_amplitudes(steps)

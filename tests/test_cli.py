@@ -233,6 +233,19 @@ def test_missing_config_file_exits_with_code_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("run", "--trace", "{tmp}/missing/t.json"),                # no such directory
+    ("run", "--trace", "{tmp}"),                               # a directory
+    ("sweep", "-n", "2", "--summary", "{tmp}/missing/s.json"),
+    ("run", "--config", "{tmp}/binary.cfg"),                   # not UTF-8
+])
+def test_unwritable_outputs_and_undecodable_configs_exit_with_code_two(tmp_path, capsys, argv):
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("run", "--theta", "0.1", "--alpha", "1", "--beta", "0"),  # two input styles
     ("run", "--alpha", "1"),                                   # beta missing
     ("run", "--alpha", "0", "--beta", "0"),                    # zero vector

@@ -217,6 +217,53 @@ def test_process_rejects_e_population():
         process_one(excited, 1, CFG)
 
 
+@pytest.mark.parametrize("process, label", [(process_one, "process_one"),
+                                            (process_two, "process_two")])
+def test_a_process_error_carries_its_slot_label(process, label):
+    excited = PureState.basis_state(BasisSpec(1, 1), ("e",), 0)
+    with pytest.raises(LeakageError, match=f"^{label}: sample 0: squid1 e-level population"):
+        process(excited, 1, CFG)
+
+
+def test_protocol_operations_apply_their_pulses_only_through_the_walk(monkeypatch):
+    from clone_sim import dynamics
+
+    calls = []
+    original = dynamics.pulse_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "pulse_kernel", counting)
+    q = InputQubit.from_bloch(1.1, 2.3)
+    process_one(gi_state(1.0, 0.0), 1, CFG)
+    process_two(gi_state(1.0, 0.0), 1, CFG)
+    cnot_cavity_control(embedded_pm(1.0, 1), 1, CFG)
+    prepare_input(fresh(), 1, q, CFG, mode="pulsed")
+    run_uqcm(q, CFG)
+    assert calls == []
+    dynamics.apply_pulse_op(fresh(), PulseOp(PulseVariant.FREE_EVOLVE, 1, 1.0), CFG)
+    assert len(calls) == 1  # the counter sees the single-pulse route
+
+
+@pytest.mark.parametrize("omega_gi", [20.0, 1e5, 1e7])
+def test_process_one_is_a_walk_of_the_schedules_step7_track(omega_gi):
+    cfg = CouplingConfig(omega_gi=omega_gi)
+    step7 = next(slot for slot in build_uqcm_schedule(cfg).slots if slot.step == "step7")
+    track = next(track for track in step7.tracks if track[0].squid == 1)
+    rng = np.random.default_rng(71)
+    spec = BasisSpec(3, 2)
+    amps = (rng.standard_normal(spec.dimension)
+            + 1j * rng.standard_normal(spec.dimension)).reshape(spec.factor_dims)
+    amps[2] = 0.0  # squid 1 leaves e empty, as the two-pulse map needs
+    state = PureState.from_amplitudes(amps.reshape(-1), spec, normalize=True)
+    walked, trace = execute_schedule(state, Schedule((Slot("step7", (track,)),)), cfg)
+    out, took = process_one(state, 1, cfg)
+    assert np.array_equal(out.amplitudes, walked.amplitudes)
+    assert took == trace.entries[-1].t_elapsed
+
+
 # ------------------------------------------------------- slots and schedule
 
 

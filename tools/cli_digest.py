@@ -1,0 +1,67 @@
+"""python tools/cli_digest.py SRC: one line per fixed CLI case, run in-process on SRC's clone_sim.
+
+A line gives the case's exit code (or the exception that escaped ``main``)
+and sha256 digests of its stdout, stderr and each file it wrote.  Diff the
+output for two checkouts to see whether a change moved any byte a command emits.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+CONFIGS = {"gi1e7.cfg": b"omega_gi = 1e7\n", "closure.cfg": b"omega_gi = 24\nlambda_prime = 0.3\n",
+           "overflow.cfg": b"omega_gi = 1e308\n", "binary.cfg": b"\xff\xfe"}
+CASES = [
+    "trace --alpha 1 --beta 0", "trace --alpha 0 --beta 1", "trace --theta 1.1 --phi 2.3",
+    "trace --theta 2.0 --phi 0.4", "trace --theta 0.7 --phi 5.0 --fock-cutoff 8",
+    "trace --theta 0.9 --timing-jitter 0.05", "trace --theta 0.9 --timing-jitter 0.3 --seed 3",
+    "run --theta 1.3 --fock-cutoff 1", "run --theta 1.3 --phi 0.2 --fock-cutoff 32",
+    "run --theta 0.8 --timing-jitter 0.05 --seed 11", "run --theta 2.5 --trace out/t.json",
+    "sweep -n 300", "sweep -n 300 --timing-jitter 0.2 --fock-cutoff 8 --seed 4",
+    "sweep -n 1100 --timing-jitter 0.05 --seed 9 --summary out/s.json",
+    "validate --verbose", "validate --verbose --seed 7",
+    "validate --verbose --config gi1e7.cfg", "validate --verbose --config closure.cfg",
+    "run --config overflow.cfg",
+    "run --trace missing/t.json", "run --trace out", "sweep -n 2 --summary missing/s.json",
+    "run --config binary.cfg",
+]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main() -> None:
+    sys.path.insert(0, os.path.join(os.path.abspath(sys.argv[1]), "src"))
+    os.environ.pop("CLONE_SIM_CONFIG", None)
+    from clone_sim.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, data in CONFIGS.items():
+            with open(name, "wb") as handle:
+                handle.write(data)
+        for case in CASES:
+            os.mkdir("out")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = str(cli_main(case.split()))
+                except Exception as exc:  # what the console script would print a traceback for
+                    code = type(exc).__name__
+            files = ""
+            for name in sorted(os.listdir("out")):
+                path = os.path.join("out", name)
+                with open(path, "rb") as handle:
+                    files += f" {name}={digest(handle.read())}"
+                os.remove(path)
+            os.rmdir("out")
+            print(f"{case} | exit={code} out={digest(out.getvalue().encode())} "
+                  f"err={digest(err.getvalue().encode())}{files}")
+
+
+if __name__ == "__main__":
+    main()
