@@ -14,11 +14,15 @@ dphi = phi1 - phi2 reads
   |i>  ->  i exp(+i dphi) sin(L' t)|g> + exp(-i w_gi t) cos(L' t)|i>
 
 which factors exactly as free_evolution(t) applied after the plain
-rotation exp(+i L' t M), M = exp(i dphi)|g><i| + h.c.  The factored form
-is what ``build_generator`` exposes: the Raman generator is the coupling
-factor -L'M, and composing its exponential with the free-evolution
-generator's exponential reproduces the map above.  No single
-time-independent Hermitian generator can, because the map is not a
+rotation exp(+i L' t M), M = exp(i dphi)|g><i| + h.c.  It is the
+adiabatic limit of the Lambda system driven by both pulses at a common
+detuning Delta from |e>, and it assumes equal Rabi rates Omega on the two
+legs: then L' = Omega^2 / Delta and g and i share one ac-Stark phase,
+which the map drops (unequal rates would add a relative g-i phase).
+The factored form is what ``build_generator`` exposes: the Raman
+generator is the coupling factor -L'M, and composing its exponential with
+the free-evolution generator's exponential reproduces the map above.  No
+single time-independent Hermitian generator can, because the map is not a
 one-parameter group in t.
 
 Each map is one kernel that acts in place on a batch: a complex array of
@@ -45,7 +49,9 @@ product, entry for entry the nested ``np.kron``).  A generator I (x) h (x) I
 exponentiates to I (x) exp(-i h t) (x) I, so its 3x3 block h alone
 determines the propagator; ``checks`` uses that for the Raman coupling.
 ``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
-generator) and ``evolve_diagonalized`` (once per state and duration).
+generator) and the row kernel ``evolve_rows``, which applies the
+decomposition to a (B, dimension) stack of states, row b for its own
+duration; ``evolve_diagonalized`` is that kernel for one state.
 """
 
 from __future__ import annotations
@@ -389,14 +395,29 @@ def diagonalize_generator(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.linalg.eigh(ham)
 
 
+def evolve_rows(
+    rows: np.ndarray, eigen: tuple[np.ndarray, np.ndarray], durations: np.ndarray
+) -> np.ndarray:
+    """Apply exp(-i * H * durations[b]) to row b of the (B, dimension) ``rows``.
+
+    ``eigen`` is H's ``diagonalize_generator`` output.  Each product is a
+    stacked matmul with a trailing axis of 1, which numpy runs as one
+    matrix-vector product per row, so a row's result does not depend on B.
+    """
+    evals, evecs = eigen
+    _check_generator_shape(evecs.shape, rows.shape[-1])
+    phases = np.exp(-1j * evals[None, :] * np.asarray(durations, dtype=np.float64)[:, None])
+    return (evecs @ (phases * (evecs.conj().T @ rows[..., None])[..., 0])[..., None])[..., 0]
+
+
 def evolve_diagonalized(
     state: PureState, eigen: tuple[np.ndarray, np.ndarray], duration: float
 ) -> PureState:
-    """Apply exp(-i * H * duration) given H's ``diagonalize_generator`` output."""
-    evals, evecs = eigen
-    _check_generator_shape(evecs.shape, state.spec.dimension)
-    phases = np.exp(-1j * evals * duration)
-    amps = evecs @ (phases * (evecs.conj().T @ state.amplitudes))
+    """Apply exp(-i * H * duration) given H's ``diagonalize_generator`` output.
+
+    ``evolve_rows`` on the state as a batch of one.
+    """
+    amps = evolve_rows(state.amplitudes[None], eigen, np.array([duration]))[0]
     return PureState(amps, state.spec)
 
 

@@ -202,6 +202,19 @@ def _check_same_spec(a: PureState, b: PureState) -> None:
         raise ValueError(f"basis mismatch: {a.spec} vs {b.spec}")
 
 
+def _kron_product(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Flat Kronecker product of one amplitude vector per factor, first factor slowest.
+
+    One broadcast product whose factors multiply in the order of the nested
+    ``np.kron(np.kron(a, b), c)``, so every entry, the sign of each zero
+    included, is the one the nested ``np.kron`` gives.
+    """
+    product = vectors[0]
+    for vector in vectors[1:]:
+        product = product[..., None] * vector
+    return product.reshape(-1)
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Norms of a (B, ...) stack, each row summed as one contiguous run."""
     parts = np.ascontiguousarray(rows).reshape(len(rows), -1).view(np.float64)

@@ -35,7 +35,7 @@ from .hilbert import KET_G as _G
 from .hilbert import KET_I as _I
 from .hilbert import MINUS_GI as _MINUS
 from .hilbert import PLUS_GI as _PLUS
-from .hilbert import BasisSpec, PureState, density_defect
+from .hilbert import BasisSpec, PureState, _kron_product, density_defect
 from .protocol import (
     InputQubit,
     bloch_amplitudes,
@@ -75,7 +75,7 @@ def _assemble(spec: BasisSpec, terms) -> PureState:
         raise ValueError(f"references are defined for 3 SQUIDs, got {spec.num_squids}")
     vec = np.zeros(spec.dimension, dtype=np.complex128)
     for coeff, s1, s2, s3, cav in terms:
-        vec += coeff * np.kron(np.kron(np.kron(s1, s2), s3), cav)
+        vec += coeff * _kron_product((s1, s2, s3, cav))
     return PureState(vec, spec)
 
 

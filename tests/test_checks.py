@@ -201,8 +201,11 @@ def test_block_route_matches_the_full_raman_generator():
                      phi1=phi1, phi2=phi2)
         state = checks._without_e(checks._random_state(rng, spec), squid)
         free = build_generator(PulseOp(PulseVariant.FREE_EVOLVE, squid, 0.0), spec, CFG)
-        block = evolve_diagonalized(checks._coupling_by_block(op, state, CFG),
-                                    diagonalize_generator(free), op.duration)
+        propagator = checks._coupling_by_block(op, spec, CFG)
+        rotated = np.moveaxis(np.tensordot(propagator, state.tensor(), axes=(1, squid - 1)),
+                              0, squid - 1)
+        block = evolve_diagonalized(PureState(rotated, spec), diagonalize_generator(free),
+                                    op.duration)
         full = evolve_exact(evolve_exact(state, build_generator(op, spec, CFG), op.duration),
                             free, op.duration)
         assert np.max(np.abs(block.amplitudes - full.amplitudes)) < 1e-14

@@ -264,6 +264,53 @@ def test_unknown_flag_is_a_usage_error():
     assert info.value.code == 2
 
 
+# Each flag: (its dest, the words after it, the value it parses to).
+FLAGS = {
+    "--config": ("config", ["sim.cfg"], "sim.cfg"), "--theta": ("theta", ["0.5"], 0.5),
+    "--phi": ("phi", ["1.5"], 1.5), "--alpha": ("alpha", ["1"], "1"),
+    "--beta": ("beta", ["0"], "0"), "--seed": ("seed", ["7"], 7),
+    "--timing-jitter": ("timing_jitter", ["0.05"], 0.05),
+    "--fock-cutoff": ("fock_cutoff", ["3"], 3), "--tolerance": ("tolerance", ["1e-6"], 1e-6),
+    "--trace": ("trace", ["t.json"], "t.json"), "-n": ("num_samples", ["4"], 4),
+    "--summary": ("summary", ["s.json"], "s.json"), "--verbose": ("verbose", [], True),
+}
+INPUT_FLAGS = {"--theta", "--phi", "--alpha", "--beta"}
+# The flags each command reads; every other flag is one it would ignore.
+READS = {
+    "run": set(FLAGS) - {"-n", "--summary", "--verbose"},
+    "trace": {"--config", "--seed", "--timing-jitter", "--fock-cutoff"} | INPUT_FLAGS,
+    "sweep": {"--config", "--seed", "--timing-jitter", "--fock-cutoff", "-n", "--summary"},
+    "validate": {"--config", "--seed", "--verbose"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READS for flag in sorted(set(FLAGS) - READS[command])])
+def test_a_flag_the_command_ignores_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, *FLAGS[flag][1]])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READS for flag in sorted(READS[command])])
+def test_every_flag_a_command_reads_still_parses(command, flag):
+    import clone_sim.cli as cli
+
+    dest, words, value = FLAGS[flag]
+    assert getattr(cli._build_parser().parse_args([command, flag, *words]), dest) == value
+
+
+def test_validate_rejects_the_flags_it_used_to_ignore(capsys):
+    # it ran at cutoff 2, without jitter and with fixed tolerances whatever these said
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--fock-cutoff", "8", "--timing-jitter", "0.5", "--theta", "1",
+              "--tolerance", "5"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_console_script_entry_point():
     # the child imports the same clone_sim as this process, with or without PYTHONPATH
     src = os.path.dirname(os.path.dirname(clone_sim.__file__))

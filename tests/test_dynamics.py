@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +211,103 @@ def test_raman_zero_duration_is_identity():
     assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-15
 
 
+LAMBDA_SPEC = BasisSpec(1, 1)
+
+
+def _lambda_system(ratio, phi1, phi2, rates=(1.0, 1.0)):
+    """Decomposed Lambda Hamiltonian of one SQUID with detuning Delta = ratio.
+
+    H = Delta |e><e| + Omega1 e^{i phi1} |g><e| + Omega2 e^{i phi2} |i><e| + h.c.
+    on a one-SQUID register, the cavity idle.
+    """
+    ham = np.zeros((3, 3), dtype=complex)
+    ham[LEVEL_E, LEVEL_E] = ratio
+    ham[LEVEL_G, LEVEL_E] = rates[0] * np.exp(1j * phi1)
+    ham[LEVEL_I, LEVEL_E] = rates[1] * np.exp(1j * phi2)
+    ham += np.triu(ham, 1).conj().T
+    return diagonalize_generator(np.kron(ham, np.eye(2)))
+
+
+def _gi_block(eigen, duration):
+    """The g-i block of exp(-i H duration): column j is where |g> (j = 0) or |i> (j = 1) goes."""
+    columns = [evolve_diagonalized(PureState.basis_state(LAMBDA_SPEC, (level,), 0), eigen,
+                                   duration) for level in ("g", "i")]
+    gi = [basis_index(LAMBDA_SPEC, (level,), 0) for level in ("g", "i")]
+    return np.array([[column.amplitudes[k] for column in columns] for k in gi])
+
+
+def _raman_rotation(op, cfg):
+    """``op``'s RAMAN map on (g, i) without its free factor, from ``pulse_coefficients``."""
+    c, up, down, _ = dynamics.pulse_coefficients(op, np.array([op.duration]), 1, cfg)
+    return np.array([[c[0], up[0]], [down[0], c[0]]])
+
+
+def _raman_deviation(ratio, phi1=2.2, phi2=0.5):
+    """Worst distance of the Lambda g-i block from the RAMAN rotation at lambda' = Omega^2 / Delta.
+
+    Omega = 1; the common ac-Stark phase e^{i Omega^2 t / Delta} is removed.
+    """
+    cfg = CouplingConfig(lambda_prime=1.0 / ratio)
+    eigen = _lambda_system(ratio, phi1, phi2)
+    worst = 0.0
+    for angle in (0.4, 1.1, 2.5):  # lambda' t
+        duration = angle * ratio
+        rotation = _raman_rotation(PulseOp(PulseVariant.RAMAN, 1, duration, phi1=phi1,
+                                           phi2=phi2), cfg)
+        block = _gi_block(eigen, duration) * np.exp(-1j * duration / ratio)
+        worst = max(worst, float(np.max(np.abs(block - rotation))))
+    return worst
+
+
+def _peak_e_population(ratio):
+    """Largest e population of |g> over the first two periods of the fast e oscillation."""
+    times = np.linspace(0.0, 4.0 * math.pi / ratio, 401)
+    ground = PureState.basis_state(LAMBDA_SPEC, ("g",), 0).amplitudes
+    rows = dynamics.evolve_rows(np.tile(ground, (len(times), 1)), _lambda_system(ratio, 2.2, 0.5),
+                                times)
+    return float(np.max(np.abs(rows[:, basis_index(LAMBDA_SPEC, ("e",), 0)]) ** 2))
+
+
+def test_raman_map_is_the_adiabatic_limit_of_the_lambda_system():
+    # Eliminating e from the Lambda system gives the two-pulse rotation at
+    # lambda' = Omega^2 / Delta; what it neglects falls as (Omega / Delta)^2.
+    ratios = (10.0, 100.0, 1000.0)
+    deviations = [_raman_deviation(ratio) for ratio in ratios]
+    assert deviations[-1] < 1e-5
+    for coarse, fine in zip(deviations, deviations[1:]):
+        assert coarse > 50.0 * fine
+    scaled = [_peak_e_population(ratio) * ratio ** 2 for ratio in ratios]
+    assert max(scaled) < 1.1 * min(scaled)
+
+
+def test_a_flipped_raman_phase_difference_leaves_the_lambda_limit(monkeypatch):
+    original = dynamics.pulse_coefficients
+
+    def flipped(op, durations, fock_cutoff, cfg=CFG):
+        return original(replace(op, phi1=op.phi2, phi2=op.phi1), durations, fock_cutoff, cfg)
+
+    monkeypatch.setattr(dynamics, "pulse_coefficients", flipped)
+    assert _raman_deviation(1000.0) > 0.1
+
+
+def test_unequal_rabi_rates_add_the_relative_stark_phase_the_raman_map_omits():
+    # The g and i Stark shifts Omega1^2 / Delta and Omega2^2 / Delta differ, so
+    # g and i gather the relative phase (Omega1^2 - Omega2^2) t / Delta.
+    ratio, rates, phi1, phi2 = 1000.0, (1.0, 0.8), 2.2, 0.5
+    # lambda' t = 1.1 at the two-photon rate lambda' = Omega1 Omega2 / Delta
+    duration = 1.1 * ratio / (rates[0] * rates[1])
+    block = _gi_block(_lambda_system(ratio, phi1, phi2, rates), duration)
+    coupling = rates[0] * rates[1] * np.exp(1j * (phi1 - phi2))
+    effective = -np.array([[rates[0] ** 2, coupling],
+                           [np.conj(coupling), rates[1] ** 2]]) / ratio
+    assert np.max(np.abs(block - scipy.linalg.expm(-1j * effective * duration))) < 1e-4
+    cfg = CouplingConfig(lambda_prime=rates[0] * rates[1] / ratio)
+    rotation = _raman_rotation(PulseOp(PulseVariant.RAMAN, 1, duration, phi1=phi1, phi2=phi2),
+                               cfg)
+    mean_stark = np.exp(-0.5j * (rates[0] ** 2 + rates[1] ** 2) * duration / ratio)
+    assert np.max(np.abs(block * mean_stark - rotation)) > 0.1
+
+
 def test_raman_guards_against_e_population():
     with pytest.raises(LeakageError):
         apply_raman(single("e"), 1, 1.0, 0.0, 0.0, CFG)
@@ -377,6 +475,28 @@ def test_evolve_exact_is_decomposition_then_apply():
         assert np.array_equal(once.amplitudes, reused.amplitudes)
     with pytest.raises(ValueError, match="does not match dimension"):
         evolve_diagonalized(PureState.basis_state(BasisSpec(1, 1), ("g",), 0), eigen, 1.0)
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 4])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_evolve_rows_equals_the_per_state_route_bit_for_bit(variant, fock_cutoff):
+    # one matrix-vector product per row: a row's bits do not depend on the batch size
+    spec = BasisSpec(3, fock_cutoff)
+    rng = np.random.default_rng([fock_cutoff, ALL_VARIANTS.index(variant)])
+    for squid in (1, 2, 3):
+        eigen = diagonalize_generator(build_generator(
+            PulseOp(variant, squid, 0.0, phi1=0.7, phi2=2.1), spec, CFG))
+        evals, evecs = eigen
+        for rows in (1, 2, 7, 64):
+            states = [random_pure_state(int(rng.integers(2**32)), spec) for _ in range(rows)]
+            durations = rng.uniform(0.0, 8.0, rows)
+            batch = dynamics.evolve_rows(np.stack([psi.amplitudes for psi in states]), eigen,
+                                         durations)
+            assert batch.shape == (rows, spec.dimension)
+            for psi, t, row in zip(states, durations, batch):
+                one = evecs @ (np.exp(-1j * evals * float(t)) * (evecs.conj().T @ psi.amplitudes))
+                assert np.array_equal(row, one)
+                assert np.array_equal(row, evolve_diagonalized(psi, eigen, float(t)).amplitudes)
 
 
 def _kron_lift(spec, squid, mat, cavity=None):

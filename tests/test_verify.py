@@ -72,6 +72,33 @@ def test_reference_step_state_rejects_unknown_label():
         reference_step_state("step11", InputQubit(1.0, 0.0))
 
 
+def _nested_kron(vectors):
+    """``hilbert._kron_product`` as nested Kronecker products."""
+    product = vectors[0]
+    for vector in vectors[1:]:
+        product = np.kron(product, vector)
+    return product
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 5])
+def test_references_are_the_nested_kron_entry_for_entry(monkeypatch, fock_cutoff):
+    # the signs of zeros too: complex amplitudes and minus signs meet zero entries
+    from clone_sim import verify
+
+    spec = BasisSpec(3, fock_cutoff)
+    inputs = [InputQubit(1.0, 0.0), InputQubit(0.0, 1.0), InputQubit.from_bloch(1.1, 2.3),
+              InputQubit.from_bloch(2.6, 4.4), InputQubit(-0.6, 0.8j)]
+    for label in ("input",) + STEP_LABELS:
+        for q in inputs:
+            broadcast = reference_step_state(label, q, spec).amplitudes
+            with monkeypatch.context() as patched:
+                patched.setattr(verify, "_kron_product", _nested_kron)
+                nested = reference_step_state(label, q, spec).amplitudes
+            assert np.array_equal(broadcast, nested)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(broadcast)), np.signbit(part(nested)))
+
+
 # ------------------------------------------------------------- clone scoring
 
 

@@ -13,7 +13,9 @@ import sys
 import tempfile
 
 CONFIGS = {"gi1e7.cfg": b"omega_gi = 1e7\n", "closure.cfg": b"omega_gi = 24\nlambda_prime = 0.3\n",
-           "overflow.cfg": b"omega_gi = 1e308\n", "binary.cfg": b"\xff\xfe"}
+           "overflow.cfg": b"omega_gi = 1e308\n", "binary.cfg": b"\xff\xfe",
+           "gi1e5.cfg": b"omega_gi = 1e5\n",
+           "rates.cfg": b"lambda = 1.7\nomega_ge = 0.8\nlambda_prime = 1.3\nomega_gi = 35.5\n"}
 CASES = [
     "trace --alpha 1 --beta 0", "trace --alpha 0 --beta 1", "trace --theta 1.1 --phi 2.3",
     "trace --theta 2.0 --phi 0.4", "trace --theta 0.7 --phi 5.0 --fock-cutoff 8",
@@ -27,6 +29,9 @@ CASES = [
     "run --config overflow.cfg",
     "run --trace missing/t.json", "run --trace out", "sweep -n 2 --summary missing/s.json",
     "run --config binary.cfg",
+    "validate --verbose --seed 77", "validate --verbose --config rates.cfg",
+    "validate --verbose --config gi1e5.cfg",
+    "validate --fock-cutoff 8", "sweep -n 2 --theta 1",
 ]
 
 
@@ -50,6 +55,8 @@ def main() -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = str(cli_main(case.split()))
+                except SystemExit as exc:  # argparse's usage error
+                    code = str(exc.code)
                 except Exception as exc:  # what the console script would print a traceback for
                     code = type(exc).__name__
             files = ""
