@@ -284,37 +284,6 @@ def cmd_validate(settings: Settings) -> int:
     return 0 if not failures else 1
 
 
-# Every flag as (names, add_argument options), keyed by its dest.
-_FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
-    "config": (("--config",), {"help": f"key = value config file (default ${ENV_CONFIG})"}),
-    "theta": (("--theta",), {"type": float, "help": "Bloch polar angle of the input"}),
-    "phi": (("--phi",), {"type": float, "help": "Bloch azimuth of the input"}),
-    "alpha": (("--alpha",), {"help": "plus-component amplitude as 're' or 're,im'"}),
-    "beta": (("--beta",), {"help": "minus-component amplitude as 're' or 're,im'"}),
-    "seed": (("--seed",), {"type": int, "help": "PRNG seed (sampling and jitter)"}),
-    "timing_jitter": (("--timing-jitter",), {
-        "type": float, "help": "fractional slot-duration error, uniform in +-value"}),
-    "fock_cutoff": (("--fock-cutoff",), {
-        "type": int, "help": f"cavity photon cutoff (1 to {MAX_FOCK_CUTOFF})"}),
-    "tolerance": (("--tolerance",), {"type": float, "help": "pass/fail gate width"}),
-    "trace": (("--trace",), {"help": "also write the step trace to this path"}),
-    "num_samples": (("-n", "--num-samples"), {
-        "type": int, "help": "number of sampled inputs (default 100)"}),
-    "summary": (("--summary",), {"help": "write a JSON summary to this path"}),
-    "verbose": (("--verbose",), {"action": "store_true",
-                                 "help": "print every check, not only failures"}),
-}
-# The flags each command reads.  A flag a command would ignore is not
-# offered there, so passing it is a usage error (exit 2), not a silent no-op.
-_INPUT_FLAGS = ("theta", "phi", "alpha", "beta")
-_COMMAND_FLAGS = {
-    "run": ("config", *_INPUT_FLAGS, "seed", "timing_jitter", "fock_cutoff", "tolerance", "trace"),
-    "sweep": ("config", "seed", "timing_jitter", "fock_cutoff", "num_samples", "summary"),
-    "trace": ("config", *_INPUT_FLAGS, "seed", "timing_jitter", "fock_cutoff"),
-    "validate": ("config", "seed", "verbose"),
-}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -331,9 +300,30 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (handler, help_text) in handlers.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        for flag in _COMMAND_FLAGS[name]:
-            names, options = _FLAGS[flag]
-            cmd.add_argument(*names, dest=flag, **options)
+        # A command offers only the flags it reads, so passing one it would
+        # ignore is a usage error (exit 2), not a silent no-op.
+        cmd.add_argument("--config", help=f"key = value config file (default ${ENV_CONFIG})")
+        if name in ("run", "trace"):
+            cmd.add_argument("--theta", type=float, help="Bloch polar angle of the input")
+            cmd.add_argument("--phi", type=float, help="Bloch azimuth of the input")
+            cmd.add_argument("--alpha", help="plus-component amplitude as 're' or 're,im'")
+            cmd.add_argument("--beta", help="minus-component amplitude as 're' or 're,im'")
+        cmd.add_argument("--seed", type=int, help="PRNG seed (sampling and jitter)")
+        if name != "validate":
+            cmd.add_argument("--timing-jitter", dest="timing_jitter", type=float,
+                             help="fractional slot-duration error, uniform in +-value")
+            cmd.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
+                             help=f"cavity photon cutoff (1 to {MAX_FOCK_CUTOFF})")
+        if name == "run":
+            cmd.add_argument("--tolerance", type=float, help="pass/fail gate width")
+            cmd.add_argument("--trace", help="also write the step trace to this path")
+        if name == "sweep":
+            cmd.add_argument("-n", "--num-samples", dest="num_samples", type=int,
+                             help="number of sampled inputs (default 100)")
+            cmd.add_argument("--summary", help="write a JSON summary to this path")
+        if name == "validate":
+            cmd.add_argument("--verbose", action="store_true",
+                             help="print every check, not only failures")
     return parser
 
 

@@ -290,7 +290,9 @@ def test_a_flag_the_command_ignores_is_a_usage_error(capsys, command, flag):
     with pytest.raises(SystemExit) as info:
         main([command, flag, *FLAGS[flag][1]])
     assert info.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -300,15 +302,6 @@ def test_every_flag_a_command_reads_still_parses(command, flag):
 
     dest, words, value = FLAGS[flag]
     assert getattr(cli._build_parser().parse_args([command, flag, *words]), dest) == value
-
-
-def test_validate_rejects_the_flags_it_used_to_ignore(capsys):
-    # it ran at cutoff 2, without jitter and with fixed tolerances whatever these said
-    with pytest.raises(SystemExit) as info:
-        main(["validate", "--fock-cutoff", "8", "--timing-jitter", "0.5", "--theta", "1",
-              "--tolerance", "5"])
-    assert info.value.code == 2
-    assert capsys.readouterr().out == ""
 
 
 def test_console_script_entry_point():

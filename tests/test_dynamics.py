@@ -214,16 +214,16 @@ def test_raman_zero_duration_is_identity():
 LAMBDA_SPEC = BasisSpec(1, 1)
 
 
-def _lambda_system(ratio, phi1, phi2, rates=(1.0, 1.0)):
+def _lambda_system(ratio, phi1, phi2):
     """Decomposed Lambda Hamiltonian of one SQUID with detuning Delta = ratio.
 
-    H = Delta |e><e| + Omega1 e^{i phi1} |g><e| + Omega2 e^{i phi2} |i><e| + h.c.
-    on a one-SQUID register, the cavity idle.
+    H = Delta |e><e| + Omega (e^{i phi1} |g><e| + e^{i phi2} |i><e| + h.c.) with
+    Omega = 1, on a one-SQUID register, the cavity idle.
     """
     ham = np.zeros((3, 3), dtype=complex)
     ham[LEVEL_E, LEVEL_E] = ratio
-    ham[LEVEL_G, LEVEL_E] = rates[0] * np.exp(1j * phi1)
-    ham[LEVEL_I, LEVEL_E] = rates[1] * np.exp(1j * phi2)
+    ham[LEVEL_G, LEVEL_E] = np.exp(1j * phi1)
+    ham[LEVEL_I, LEVEL_E] = np.exp(1j * phi2)
     ham += np.triu(ham, 1).conj().T
     return diagonalize_generator(np.kron(ham, np.eye(2)))
 
@@ -288,24 +288,6 @@ def test_a_flipped_raman_phase_difference_leaves_the_lambda_limit(monkeypatch):
 
     monkeypatch.setattr(dynamics, "pulse_coefficients", flipped)
     assert _raman_deviation(1000.0) > 0.1
-
-
-def test_unequal_rabi_rates_add_the_relative_stark_phase_the_raman_map_omits():
-    # The g and i Stark shifts Omega1^2 / Delta and Omega2^2 / Delta differ, so
-    # g and i gather the relative phase (Omega1^2 - Omega2^2) t / Delta.
-    ratio, rates, phi1, phi2 = 1000.0, (1.0, 0.8), 2.2, 0.5
-    # lambda' t = 1.1 at the two-photon rate lambda' = Omega1 Omega2 / Delta
-    duration = 1.1 * ratio / (rates[0] * rates[1])
-    block = _gi_block(_lambda_system(ratio, phi1, phi2, rates), duration)
-    coupling = rates[0] * rates[1] * np.exp(1j * (phi1 - phi2))
-    effective = -np.array([[rates[0] ** 2, coupling],
-                           [np.conj(coupling), rates[1] ** 2]]) / ratio
-    assert np.max(np.abs(block - scipy.linalg.expm(-1j * effective * duration))) < 1e-4
-    cfg = CouplingConfig(lambda_prime=rates[0] * rates[1] / ratio)
-    rotation = _raman_rotation(PulseOp(PulseVariant.RAMAN, 1, duration, phi1=phi1, phi2=phi2),
-                               cfg)
-    mean_stark = np.exp(-0.5j * (rates[0] ** 2 + rates[1] ** 2) * duration / ratio)
-    assert np.max(np.abs(block * mean_stark - rotation)) > 0.1
 
 
 def test_raman_guards_against_e_population():

@@ -428,14 +428,15 @@ def test_score_rows_rejects_inputs_that_do_not_match_the_rows(inputs):
 
 
 def test_score_rows_builds_its_reference_vectors_once_per_register(monkeypatch):
-    from clone_sim import clone_batch, score_rows
+    from clone_sim import clone_batch, score_rows, verify
 
     alpha, beta = np.ones(2, dtype=complex), np.zeros(2, dtype=complex)
     final = clone_batch(alpha, beta, fock_cutoff=5)
     first = score_rows(final, alpha, beta)
     calls = []
-    kron = np.kron
-    monkeypatch.setattr(np, "kron", lambda *args: calls.append(args) or kron(*args))
+    product = verify._kron_product
+    monkeypatch.setattr(verify, "_kron_product",
+                        lambda vectors: calls.append(vectors) or product(vectors))
     again = score_rows(final, alpha, beta)
     assert calls == []
     for name, values in first.items():
