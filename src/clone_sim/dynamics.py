@@ -42,7 +42,10 @@ arithmetic, so a row's result does not depend on the batch size.
 runs it on one ``PureState`` as a batch of one (a trailing axis of length
 1); each ``apply_*`` is ``apply_pulse_op`` with its variant.  The two-pulse
 map is guarded by ``check_two_pulse_domain`` at the one leakage tolerance
-``hilbert.E_LEAK_TOL``, read from ``hilbert``'s one population sum.
+``hilbert.E_LEAK_TOL``, read from ``hilbert``'s one population sum: a
+row it lets through holds e population below E_LEAK_TOL on the pulse's
+SQUID, so the e component that the map leaves untouched, and does not
+model, has norm below sqrt(E_LEAK_TOL) = 1e-5.
 ``build_generator`` assembles each generator as the Kronecker product of
 a one-SQUID matrix with identities on the other factors (one broadcast
 product, entry for entry the nested ``np.kron``).  A generator I (x) h (x) I

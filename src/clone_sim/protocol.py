@@ -30,17 +30,33 @@ one sample's factors to a ``Schedule``; a batch carries them as a
 (B, n_slots) array drawn in one call.
 
 Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
-clones B inputs at once in an array of shape (3, 3, 3, fock_cutoff + 1, B),
-batch axis last, pulse j of slot k in row b lasting its nominal duration
-times ``slot_factors[b, k]``, and returns the rows batch axis first;
-``run_uqcm``/``execute_schedule`` run one state as a batch of one, every
-pulse at the schedule's own duration.  Both apply the schedule through one
+clones B inputs at once in an array of shape (3, 3, 3, m + 1, B), batch
+axis last, pulse j of slot k in row b lasting its nominal duration times
+``slot_factors[b, k]``, and returns the rows batch axis first;
+``run_uqcm`` runs one input as a batch of one, every pulse at the
+schedule's own duration, and ``execute_schedule`` runs any start state
+that way at its own cutoff.  All three apply the schedule through one
 walk, ``_walk``, which checks every row before and after each pulse, so a
 row's result and its checks do not depend on the batch it ran in.  A walk
 without slot factors reads every pulse's coefficients from a table built
 once per schedule, coupling config and photon cutoff
 (``_nominal_coefficients``); a walk with slot factors builds them per
 call, with the same arithmetic.
+
+A clone walks on its proven photon support.  The cavity exchange
+conserves #e + n and the other pulses leave n alone, so from an empty
+cavity a schedule can only reach so many photons: ``_photon_reach`` walks
+the basis states each pulse couples, reading only the pulses' (variant,
+SQUID) in walk order, and finds 2 for the cloning schedule whatever its
+durations.  ``clone_batch`` and ``run_uqcm`` share one prepare-and-walk
+route, ``_clone_rows``, which walks at m = min(fock_cutoff, reach) with
+every guard and norm check, and pad the result back to the caller's
+cutoff with +0.  Cutoff 2 is therefore exact and any larger cutoff gives
+the same amplitudes padded with zeros (a zero amplitude may differ in
+sign only); cutoff 1 truncates the photon-2 population that timing
+errors put into the cavity.  A trace entry keeps a read-only copy of the
+walked amplitudes and builds its padded ``PureState`` only when read;
+the row it copies has passed the walk's norm check.
 
 ``_walk`` is the only code here that applies a pulse.  The single-state
 operations are pulse data too: ``process_one``, ``process_two``,
@@ -205,11 +221,23 @@ def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator
     return Schedule(tuple(slots))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceEntry:
+    """One snapshot of a walk: a read-only copy of the walked amplitudes.
+
+    ``block`` is shaped (3, ..., 3, m + 1), m the photon cutoff the walk ran
+    at, at most ``spec.fock_cutoff``.  ``state`` pads it with +0 amplitudes
+    to ``spec`` on first read and keeps that ``PureState``.
+    """
+
     label: str
     t_elapsed: float
-    state: PureState
+    block: np.ndarray
+    spec: BasisSpec
+
+    @functools.cached_property
+    def state(self) -> PureState:
+        return PureState(_padded(self.block, self.spec.fock_cutoff).reshape(-1), self.spec)
 
     def to_dict(self) -> dict:
         return {"label": self.label, "t_elapsed": self.t_elapsed, "state": self.state.to_dict()}
@@ -229,7 +257,7 @@ class StepTrace:
         return [entry.to_dict() for entry in self.entries]
 
 
-def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
+def _require_rows_in_g(amps: np.ndarray, squid: int) -> None:
     screen, slack = population_screen(amps, squid, LEVEL_G)
     suspects = np.flatnonzero(~(np.abs(screen - 1.0) + slack <= E_LEAK_TOL))
     if not suspects.size:
@@ -238,7 +266,7 @@ def _require_rows_in_g(amps: np.ndarray, squid: int, first_sample: int = 0) -> N
     bad = np.flatnonzero(~(np.abs(pops - 1.0) <= E_LEAK_TOL))
     if bad.size:
         k = int(bad[0])
-        raise PreconditionError(f"sample {first_sample + int(suspects[k])}: squid{squid} must "
+        raise PreconditionError(f"sample {int(suspects[k])}: squid{squid} must "
                                 f"start in |g> (population {float(pops[k])})")
 
 
@@ -421,6 +449,52 @@ def _nominal_coefficients(
     )
 
 
+# The couplings of each pulse variant as the support walk reads them:
+# (a, b, s) couples |a, n + s> with |b, n> on the pulse's SQUID, for every
+# n >= 0.  Free evolution is diagonal and couples nothing.
+_COUPLED_LEVELS = {
+    PulseVariant.JC: (LEVEL_G, LEVEL_E, 1),
+    PulseVariant.DRIVE_GE: (LEVEL_G, LEVEL_E, 0),
+    PulseVariant.DRIVE_IE: (LEVEL_I, LEVEL_E, 0),
+    PulseVariant.RAMAN: (LEVEL_G, LEVEL_I, 0),
+}
+
+
+@functools.lru_cache(maxsize=32)
+def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
+    """Largest photon number a three-SQUID clone can reach under the pulses of ``pattern``.
+
+    ``pattern`` lists each pulse's (variant, SQUID) in walk order; the
+    walk reads nothing else, so every timing of a schedule shares one
+    result.  It starts from SQUID 1 in g or i, SQUIDs 2 and 3 in g and an
+    empty cavity, and after each pulse adds the partners of every reached
+    basis state under that pulse's couplings (``_COUPLED_LEVELS``).  A
+    pulse only mixes a basis state with its partners, so amplitude that
+    starts inside the reached set stays inside it, whatever the pulse
+    durations, at any photon cutoff.  Walking at a cutoff m no smaller
+    than the reach therefore gives the amplitudes of any larger cutoff on
+    n <= m and exact zeros above: the one state the cutoff-m exchange
+    treats differently, |e, m> (no partner |g, m + 1>), is never reached
+    on a SQUID before an exchange pulse on it, or |g, m + 1> would be.
+    Only the sign of a zero amplitude can differ, where the larger
+    cutoff's zero tail enters it.
+    """
+    reached = {(level, LEVEL_G, LEVEL_G, 0) for level in (LEVEL_G, LEVEL_I)}
+    for variant, squid in pattern:
+        if variant not in _COUPLED_LEVELS:
+            continue
+        a, b, shift = _COUPLED_LEVELS[variant]
+        partners = set()
+        for state in reached:
+            level, photons = state[squid - 1], state[-1]
+            if level == a and photons >= shift:
+                partners.add(state[:squid - 1] + (b,) + state[squid:-1] + (photons - shift,))
+            elif level == b:
+                partners.add(state[:squid - 1] + (a,) + state[squid:-1] + (photons + shift,))
+        reached |= partners
+    return max(state[-1] for state in reached)
+
+
 def _walk(
     amps: np.ndarray,
     schedule: Schedule,
@@ -429,7 +503,7 @@ def _walk(
     enforce_preconditions: bool,
     first_sample: int = 0,
     on_pulse: Callable[[str, PulseOp], None] | None = None,
-    on_step: Callable[[str, float], None] | None = None,
+    on_step: Callable[[str, float, np.ndarray], None] | None = None,
 ) -> None:
     """Apply ``schedule`` in place to the batch-last rows ``amps``.
 
@@ -441,8 +515,8 @@ def _walk(
     kernel and the row-norm check; a tripped check raises its ``PhysicsError``
     type, prefixed with the step label and naming the row as sample
     ``first_sample + row``.  ``on_pulse(step, op)`` runs after every
-    pulse, ``on_step(step, elapsed)`` after the last slot of each step,
-    with the nominal schedule time so far.
+    pulse, ``on_step(step, elapsed, amps)`` after the last slot of each
+    step, with the nominal schedule time so far.
     """
     fock_cutoff = amps.shape[-2] - 1
     if factors is None:
@@ -468,7 +542,7 @@ def _walk(
         if on_step is not None:
             elapsed += slot.duration
             if k + 1 == len(slots) or slots[k + 1].step != slot.step:
-                on_step(slot.step, elapsed)
+                on_step(slot.step, elapsed, amps)
 
 
 def execute_schedule(
@@ -483,7 +557,8 @@ def execute_schedule(
     ``observer`` is called after every primitive pulse.  With
     ``enforce_preconditions`` off, the two-pulse leakage guard is
     skipped, which perturbed (timing-jittered) schedules need.  The
-    state runs through the batched kernels as a batch of one.
+    state runs through the batched kernels as a batch of one, at its own
+    photon cutoff.
     """
     spec = state.spec
     amps = state.tensor()[..., None].copy()
@@ -492,13 +567,23 @@ def execute_schedule(
     def observe(step: str, op: PulseOp) -> None:
         observer(step, op, PureState(amps.reshape(-1), spec))
 
-    def snapshot(step: str, elapsed: float) -> None:
-        entries.append(TraceEntry(step, elapsed, PureState(amps.reshape(-1), spec)))
-
     _walk(amps, schedule, None, cfg, enforce_preconditions,
-          on_pulse=None if observer is None else observe, on_step=snapshot)
+          on_pulse=None if observer is None else observe, on_step=_recorder(entries, spec))
     final = entries[-1].state if entries else state
     return final, StepTrace(tuple(entries))
+
+
+def _recorder(
+    entries: list[TraceEntry], spec: BasisSpec
+) -> Callable[[str, float, np.ndarray], None]:
+    """An ``on_step`` that appends a read-only copy of the walked batch of one to ``entries``."""
+
+    def record(step: str, elapsed: float, amps: np.ndarray) -> None:
+        block = amps[..., 0].copy()
+        block.flags.writeable = False
+        entries.append(TraceEntry(step, elapsed, block, spec))
+
+    return record
 
 
 def _run_track(
@@ -507,6 +592,44 @@ def _run_track(
     """Walk ``track`` as a one-slot schedule labelled ``label``: (final state, its duration)."""
     final, trace = execute_schedule(state, Schedule((Slot(label, (track,)),)), cfg)
     return final, trace.entries[-1].t_elapsed
+
+
+def _clone_rows(
+    gi: np.ndarray,
+    spec: BasisSpec,
+    schedule: Schedule,
+    factors: np.ndarray | None,
+    cfg: CouplingConfig,
+    enforce_preconditions: bool,
+    first_sample: int = 0,
+    on_step: Callable[[str, float, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """Prepare one clone per (g, i) pair of ``gi`` (B, 2) and walk ``schedule`` on them all.
+
+    The rows run batch axis last at the photon cutoff
+    min(spec.fock_cutoff, schedule's ``_photon_reach``), where they hold
+    the amplitudes a walk at ``spec``'s cutoff gives, up to the sign of a
+    zero; the caller pads them back.
+    ``on_step`` sees the prepared rows as step "input" at time 0 and then
+    runs as ``_walk`` runs it.
+    """
+    pattern = tuple((op.variant, op.squid)
+                    for slot in schedule.slots for track in slot.tracks for op in track)
+    walked = min(spec.fock_cutoff, _photon_reach(pattern))
+    amps = np.zeros(spec.factor_dims[:-1] + (walked + 1, len(gi)), dtype=np.complex128)
+    amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
+    _inject_rows(amps, 1, gi)
+    if on_step is not None:
+        on_step("input", 0.0, amps)
+    _walk(amps, schedule, factors, cfg, enforce_preconditions, first_sample, on_step=on_step)
+    return amps
+
+
+def _padded(amps: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """A contiguous copy of ``amps``, its photon (last) axis padded with +0 to fock_cutoff + 1."""
+    out = np.zeros(amps.shape[:-1] + (fock_cutoff + 1,), dtype=np.complex128)
+    out[..., :amps.shape[-1]] = amps
+    return out
 
 
 def run_uqcm(
@@ -519,20 +642,20 @@ def run_uqcm(
     """Clone ``q``: prepare SQUID 1, run the schedule, return (final, trace).
 
     The trace starts with the prepared state under the label "input"
-    followed by one snapshot per step.  The default cutoff of two
-    photons is one more than the protocol ever uses, so any truncation
-    artifact would show up as photon-2 population instead of being
-    silently projected away.
+    followed by one snapshot per step; the final state is the last
+    entry's.  The default cutoff of two photons is exact: the cloning
+    schedule never reaches a third photon (``_photon_reach``), whatever
+    its pulse durations, so every larger cutoff gives the same state
+    padded with zeros, while a cutoff of one truncates the photon-2
+    population that timing errors put into the cavity.
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
-    state = PureState.basis_state(spec, (LEVEL_G, LEVEL_G, LEVEL_G), 0)
-    state = prepare_input(state, 1, q, cfg)
     if schedule is None:
         schedule = build_uqcm_schedule(cfg)
-    final, trace = execute_schedule(state, schedule, cfg,
-                                    enforce_preconditions=enforce_preconditions)
-    entries = (TraceEntry("input", 0.0, state),) + trace.entries
-    return final, StepTrace(entries)
+    entries: list[TraceEntry] = []
+    _clone_rows(q.gi_vector()[None], spec, schedule, None, cfg, enforce_preconditions,
+                on_step=_recorder(entries, spec))
+    return entries[-1].state, StepTrace(tuple(entries))
 
 
 def clone_batch(
@@ -546,10 +669,9 @@ def clone_batch(
 ) -> np.ndarray:
     """Clone B inputs alpha[b]|+> + beta[b]|-> at once; return the final amplitudes.
 
-    The result has shape (B, 3, 3, 3, fock_cutoff + 1); the rows run
-    batch axis last and come back through one transpose.  Every row runs
-    the cloning schedule; ``slot_factors``, an array of shape
-    (B, n_slots), scales each pulse of slot k in row b by
+    The result has shape (B, 3, 3, 3, fock_cutoff + 1), batch axis
+    first.  Every row runs the cloning schedule; ``slot_factors``, an
+    array of shape (B, n_slots), scales each pulse of slot k in row b by
     ``slot_factors[b, k]`` (default: every pulse at its nominal duration).
     Each row is prepared in the ideal mode and checked exactly as
     ``run_uqcm`` checks a single run; errors name the row as sample
@@ -568,9 +690,8 @@ def clone_batch(
         raise ValueError(f"sample {first_sample + int(bad[0])}: |alpha|^2 + |beta|^2 = "
                          f"{float(total[bad[0]])}, must be 1")
     spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
-    rows = len(alpha)
     schedule = build_uqcm_schedule(cfg)
-    shape = (rows, len(schedule.slots))
+    shape = (len(alpha), len(schedule.slots))
     factors = None
     if slot_factors is not None:
         factors = np.asarray(slot_factors, dtype=np.float64)
@@ -581,8 +702,6 @@ def clone_batch(
             k = int(bad[0])
             raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
                              f"and >= 0, got {factors[k].tolist()}")
-    amps = np.zeros(spec.factor_dims + (rows,), dtype=np.complex128)
-    amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
-    _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
-    _walk(amps, schedule, factors, cfg, enforce_preconditions, first_sample)
-    return np.ascontiguousarray(np.moveaxis(amps, -1, 0))
+    amps = _clone_rows(gi_amplitudes(alpha, beta), spec, schedule, factors, cfg,
+                       enforce_preconditions, first_sample)
+    return _padded(np.moveaxis(amps, -1, 0), fock_cutoff)

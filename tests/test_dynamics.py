@@ -716,9 +716,9 @@ def test_ground_state_screen_agrees_with_level_populations(fock_cutoff, squid):
         amps = _rows_at(LEVEL_G, squid, targets, fock_cutoff, (seed, squid, 1))
         for b in range(amps.shape[-1]):
             row = amps[..., b:b + 1].copy()
-            assert (_outcome(_require_rows_in_g, row, squid, b)
-                    == _g_reference(row, squid, b)), (seed, b)
-        assert _outcome(_require_rows_in_g, amps, squid, 3) == _g_reference(amps, squid, 3)
+            assert (_outcome(_require_rows_in_g, row, squid)
+                    == _g_reference(row, squid, 0)), (seed, b)
+        assert _outcome(_require_rows_in_g, amps, squid) == _g_reference(amps, squid, 0)
 
 
 @pytest.mark.parametrize("fock_cutoff", [1, 2, 32])
@@ -761,9 +761,10 @@ def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
     raman = _outcome(check_two_pulse_domain, amps, squid, 4)
     assert raman == _raman_reference(amps, squid, 4)
     assert _outcome(check_two_pulse_domain, row, squid, 5) == raman
-    ground = _outcome(_require_rows_in_g, amps, squid, 4)
-    assert ground is not None and ground == _g_reference(amps, squid, 4)
-    assert _outcome(_require_rows_in_g, row, squid, 5) == ground
+    ground = _outcome(_require_rows_in_g, amps, squid)
+    assert ground is not None and ground == _g_reference(amps, squid, 0)
+    alone = _outcome(_require_rows_in_g, row, squid)  # row 1 of the batch is row 0 alone
+    assert alone == (ground[0], ground[1].replace("sample 1:", "sample 0:", 1))
 
 
 def test_tripped_guards_print_the_level_populations_value():
@@ -780,10 +781,10 @@ def test_tripped_guards_print_the_level_populations_value():
                                "two-pulse map undefined outside the g-i subspace")
     amps[0, 2, 0, 0, 3], amps[0, 1, 0, 0, 3] = 0.0, 0.5  # now a quarter in |i>
     check_two_pulse_domain(amps, 2, first_sample=10)
-    _require_rows_in_g(amps, 1, first_sample=10)
+    _require_rows_in_g(amps, 1)
     with pytest.raises(PreconditionError) as info:
-        _require_rows_in_g(amps, 2, first_sample=10)
-    assert str(info.value) == ("sample 13: squid2 must start in |g> "
+        _require_rows_in_g(amps, 2)
+    assert str(info.value) == ("sample 3: squid2 must start in |g> "
                                "(population 0.7499999999999999)")
 
 

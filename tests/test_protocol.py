@@ -559,3 +559,129 @@ def test_phase_closure_overflow_names_the_rate_and_the_pulse_time():
         process_times(CouplingConfig(omega_gi=1e308))
     with pytest.raises(ValueError, match=r"omega_gi = 20\.0 .* pulse time inf"):
         build_uqcm_schedule(CouplingConfig(lambda_prime=1e-310))
+
+
+# ------------------------------------------------------ proven photon support
+
+
+def _pattern(schedule):
+    return tuple((op.variant, op.squid)
+                 for slot in schedule.slots for track in slot.tracks for op in track)
+
+
+@pytest.mark.parametrize("pattern, reach", [
+    ((), 0),
+    (((PulseVariant.JC, 1), (PulseVariant.JC, 2)), 0),  # |g, 0> is dark
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)), 1),
+    (((PulseVariant.DRIVE_IE, 1), (PulseVariant.JC, 1)), 1),  # the input's |i> part
+    (((PulseVariant.RAMAN, 3), (PulseVariant.DRIVE_GE, 3), (PulseVariant.JC, 3)), 1),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, 2),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.FREE_EVOLVE, 2), (PulseVariant.JC, 3)), 0),
+    (((PulseVariant.JC, 2), (PulseVariant.DRIVE_GE, 2)), 0),  # order matters
+])
+def test_photon_reach_follows_each_pulse_in_walk_order(pattern, reach):
+    from clone_sim.protocol import _photon_reach
+
+    assert _photon_reach(pattern) == reach
+
+
+def _support_defects(fock_cutoff, rows=1000, seed=2024):
+    """What fails of the support walk's promise on ``rows`` jittered clones at ``fock_cutoff``.
+
+    The reached set comes from each pulse's ``build_generator`` nonzero
+    pattern, not from ``_photon_reach``'s coupling table.  Every row runs
+    its own slot factors, with jitter up to 0.99, through a full-cutoff
+    ``_walk``.
+    """
+    from clone_sim import build_generator, clone_batch
+    from clone_sim.protocol import (_inject_rows, _photon_reach, _walk, bloch_amplitudes,
+                                    gi_amplitudes)
+
+    schedule = build_uqcm_schedule(CFG)
+    spec = BasisSpec(3, fock_cutoff)
+    reached = np.zeros(spec.dimension, dtype=bool)
+    for level in ("g", "i"):
+        reached[basis_index(spec, (level, "g", "g"), 0)] = True
+    couples = {}
+    for slot in schedule.slots:
+        for track in slot.tracks:
+            for pulse in track:
+                key = (pulse.variant, pulse.squid)
+                if key not in couples:
+                    couples[key] = build_generator(pulse, spec, CFG) != 0
+                reached |= couples[key] @ reached
+    reached = reached.reshape(spec.factor_dims)
+
+    rng = np.random.default_rng((seed, fock_cutoff))
+    alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
+                                   2.0 * math.pi * rng.random(rows))
+    jitter = rng.uniform(0.0, 0.99, (rows, 1))
+    factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, (rows, len(schedule.slots)))
+    amps = np.zeros(spec.factor_dims + (rows,), dtype=complex)
+    amps[0, 0, 0, 0] = 1.0
+    _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
+    _walk(amps, schedule, factors, CFG, False)
+    full = np.moveaxis(amps, -1, 0)
+
+    reach = _photon_reach(_pattern(schedule))
+    photons = np.nonzero(reached)[-1]
+    defects = []
+    if int(photons.max()) != reach:
+        defects.append(f"generator walk reaches {int(photons.max())} photons, not {reach}")
+    if np.any(full[:, ~reached] != 0.0):
+        defects.append("amplitude outside the reached set")
+    walked = clone_batch(alpha, beta, CFG, fock_cutoff, factors, False)
+    if not np.array_equal(walked[..., :reach + 1], full[..., :reach + 1]):
+        defects.append("n <= reach block differs from the full-cutoff walk")
+    if np.any(walked[..., reach + 1:] != 0.0):
+        defects.append("padding is not zero")
+    if not np.any(full[..., reach] != 0.0):
+        defects.append(f"no row reaches {reach} photons")
+    return defects
+
+
+@pytest.mark.parametrize("fock_cutoff", [3, 8, 32])
+def test_clones_stay_on_the_proven_photon_support(fock_cutoff):
+    # equality up to the sign of zero: a zero the full-cutoff walk reaches
+    # through the n > reach tail may carry the other sign
+    assert _support_defects(fock_cutoff) == []
+
+
+def test_a_reach_one_too_low_breaks_the_support_check(monkeypatch):
+    from clone_sim import protocol
+
+    original = protocol._photon_reach
+    monkeypatch.setattr(protocol, "_photon_reach", lambda pattern: original(pattern) - 1)
+    defects = _support_defects(8)
+    assert "n <= reach block differs from the full-cutoff walk" in defects
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.5])
+def test_run_uqcm_builds_snapshots_only_when_they_are_read(monkeypatch, jitter):
+    from clone_sim.protocol import jitter_rng, perturbed_schedule
+
+    q = InputQubit.from_bloch(1.3, 0.2)
+    schedule = build_uqcm_schedule(CFG)
+    if jitter:
+        schedule = perturbed_schedule(schedule, jitter, jitter_rng(4))
+    built = []
+    post_init = PureState.__post_init__
+
+    def counting(self):
+        built.append(self.spec)
+        post_init(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    final, trace = run_uqcm(q, CFG, 32, schedule, enforce_preconditions=not jitter)
+    assert len(built) <= 1
+    assert trace.entries[-1].state is final
+    monkeypatch.undo()
+
+    spec = BasisSpec(3, 32)
+    start = prepare_input(PureState.basis_state(spec, ("g", "g", "g"), 0), 1, q, CFG)
+    _, full = execute_schedule(start, schedule, CFG, enforce_preconditions=not jitter)
+    assert [(e.label, e.t_elapsed) for e in trace.entries] == (
+        [("input", 0.0)] + [(e.label, e.t_elapsed) for e in full.entries])
+    for entry, state in zip(trace.entries, [start] + [e.state for e in full.entries]):
+        assert entry.state.spec == spec
+        assert np.array_equal(entry.state.amplitudes, state.amplitudes), entry.label

@@ -252,7 +252,7 @@ def _jitter_factory(fraction, seed=606):
     return schedule
 
 
-@pytest.mark.parametrize("fock_cutoff", [2, 8])
+@pytest.mark.parametrize("fock_cutoff", [2, 8, 32])
 @pytest.mark.parametrize("jitter", [0.0, 0.05, 0.2])
 def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
     # each row of one 300-row batch against the same sample cloned alone
