@@ -3,6 +3,14 @@
 Each check pits an independent route against the closed-form one (matrix
 exponentials vs trig formulas, symbolic references vs simulated traces)
 and reports the worst deviation it saw.
+
+The oracle, unitarity and JC-sector checks draw their random states as
+amplitude rows, not as ``PureState``s.  ``normalized_row`` rescales each
+draw exactly as ``PureState.from_amplitudes(..., normalize=True)`` does,
+and each check stacks its rows once and checks every row's norm with
+``check_row_norms`` before any kernel runs.  ``run_all_checks`` runs the
+five oracles with one decomposition of each phase-free generator, once
+per SQUID per run; a lone ``check_oracle`` call decomposes its own.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .hilbert import (
     PureState,
     _kron_product,
     check_row_norms,
-    inner_product,
+    normalized_row,
     phase_aligned_distance,
 )
 from .protocol import (
@@ -71,17 +79,31 @@ class CheckResult:
         return f"{status} {self.name} max_dev={self.max_deviation:.3e} tol={self.tolerance:.0e}"
 
 
-def _random_state(rng: np.random.Generator, spec: BasisSpec) -> PureState:
+def _random_state(rng: np.random.Generator, spec: BasisSpec) -> np.ndarray:
+    """A random amplitude row, bit for bit the one
+    ``PureState.from_amplitudes(z, spec, normalize=True)`` would hold."""
     z = rng.standard_normal(spec.dimension) + 1j * rng.standard_normal(spec.dimension)
-    return PureState.from_amplitudes(z, spec, normalize=True)
+    return normalized_row(z)
 
 
-def _without_e(state: PureState, squid: int) -> PureState:
-    arr = state.tensor().copy()
+def _without_e(row: np.ndarray, squid: int, spec: BasisSpec) -> np.ndarray:
+    """``row`` with the e level of ``squid`` emptied, renormalized as ``_random_state`` is."""
+    arr = row.reshape(spec.factor_dims).copy()
     sl = [slice(None)] * arr.ndim
     sl[squid - 1] = LEVEL_E
     arr[tuple(sl)] = 0.0
-    return PureState.from_amplitudes(arr.reshape(-1), state.spec, normalize=True)
+    return normalized_row(arr.reshape(-1))
+
+
+def _checked_stack(rows: list[np.ndarray]) -> np.ndarray:
+    """The drawn rows as one (len(rows), dimension) stack, each row's norm checked.
+
+    ``check_row_norms`` is the batch form of the check a ``PureState`` makes,
+    and names a failing row by its place in ``rows``.
+    """
+    drawn = np.stack(rows)
+    check_row_norms(drawn.T)
+    return drawn
 
 
 def _amp_dev(a: PureState, b: PureState) -> float:
@@ -89,15 +111,16 @@ def _amp_dev(a: PureState, b: PureState) -> float:
 
 
 def _closed_forms_by_squid(
-    ops: list[PulseOp], states: list[PureState], cfg: CouplingConfig
+    ops: list[PulseOp], drawn: np.ndarray, spec: BasisSpec, cfg: CouplingConfig
 ) -> Iterator[tuple[int, list[int], np.ndarray]]:
     """Yield (squid, rows, amplitudes) once per SQUID, over the ops that target it.
 
-    Row j of the (len(rows), dimension) amplitudes is what
-    ``apply_pulse_op(states[rows[j]], ops[rows[j]], cfg)`` gives, bit for
-    bit: the ops share one variant, the rows of one SQUID run as one batch
-    through the closed-form kernels, and every kernel is elementwise in the
-    rows.  A batch of ``RAMAN`` rows is guarded by ``check_two_pulse_domain``
+    ``drawn`` holds one amplitude row over ``spec`` per op.  Row j of the
+    (len(rows), dimension) amplitudes is what
+    ``apply_pulse_op(PureState(drawn[rows[j]], spec), ops[rows[j]], cfg)``
+    gives, bit for bit: the ops share one variant, the rows of one SQUID
+    run as one batch through the closed-form kernels, and every kernel is
+    elementwise in the rows.  A batch of ``RAMAN`` rows is guarded by ``check_two_pulse_domain``
     and gets each row's own coefficients, because every op carries its own
     phase difference.  Each row's norm is then checked by
     ``check_row_norms``, the batch form of the check a ``PureState`` makes;
@@ -105,7 +128,7 @@ def _closed_forms_by_squid(
     """
     for squid in sorted({op.squid for op in ops}):
         rows = [k for k, op in enumerate(ops) if op.squid == squid]
-        amps = np.stack([states[k].tensor() for k in rows], axis=-1)
+        amps = np.stack([drawn[k].reshape(spec.factor_dims) for k in rows], axis=-1)
         head = ops[rows[0]]
         if head.variant is PulseVariant.RAMAN:
             check_two_pulse_domain(amps, squid)
@@ -159,111 +182,165 @@ def check_oracle(
 ) -> CheckResult:
     """Closed form vs exp(-iHt) built by eigendecomposition, on random states.
 
-    Both sides of each SQUID's states run as one batch.  A phase-free
-    generator depends only on its variant and SQUID, so each is decomposed
-    once per call and applied to the SQUID's stack of states by one
-    ``evolve_rows``.  The Raman coupling carries the drawn phase difference:
-    for every state its full generator is built, checked to be the lift of
-    its 3x3 block on the SQUID (a generator that is not fails the check
-    with an infinite deviation), and the block is decomposed; the stack of
-    block propagators is applied along the SQUID's axis by one stacked
-    product, and the free factor then applies after it.  Every closed-form
-    row and every exact row passes the norm check of ``check_row_norms``,
-    the batch form of the check a ``PureState`` makes.
+    The states are drawn as amplitude rows and stacked once, and every row
+    passes the norm check of ``check_row_norms``, the batch form of the
+    check a ``PureState`` makes, before any kernel runs.  Both sides of
+    each SQUID's rows run as one batch.  A phase-free generator depends
+    only on its variant and SQUID, so each is decomposed once per call and
+    applied to the SQUID's stack of rows by one ``evolve_rows``.  The Raman
+    coupling carries the drawn phase difference: for every state its full
+    generator is built, checked to be the lift of its 3x3 block on the
+    SQUID (a generator that is not fails the check with an infinite
+    deviation), and the block is decomposed; the stack of block
+    propagators is applied along the SQUID's axis by one stacked product,
+    and the free factor then applies after it.  Every closed-form row and
+    every exact row passes ``check_row_norms`` too.
+    """
+    return _oracle_results((variant,), cfg, seed, n_states)[0]
+
+
+def _phase_free(variant: PulseVariant) -> PulseVariant:
+    """The variant whose generator the oracle of ``variant`` decomposes once per SQUID."""
+    return PulseVariant.FREE_EVOLVE if variant is PulseVariant.RAMAN else variant
+
+
+def _oracle_results(
+    variants: tuple[PulseVariant, ...], cfg: CouplingConfig, seed: int, n_states: int
+) -> list[CheckResult]:
+    """``check_oracle`` of each variant in turn, with one decomposition per
+    phase-free generator over them all.
+
+    The Raman oracle's free factor is the ``FREE_EVOLVE`` generator of its
+    SQUID, so the two oracles share its decomposition.  Each variant draws
+    from its own generator, as a lone ``check_oracle`` call does.  A
+    decomposition is kept only while a variant still to come can use it.
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
-    rng = np.random.default_rng([seed, list(PulseVariant).index(variant)])
-    ops: list[PulseOp] = []
-    states: list[PureState] = []
-    for _ in range(n_states):
-        squid = int(rng.integers(1, spec.num_squids + 1))
-        duration = float(rng.uniform(0.0, 2.0 * math.pi))
-        phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
-        ops.append(PulseOp(variant, squid, duration, phi1=phi1, phi2=phi2))
-        state = _random_state(rng, spec)
-        states.append(_without_e(state, squid) if variant is PulseVariant.RAMAN else state)
-    phase_free = PulseVariant.FREE_EVOLVE if variant is PulseVariant.RAMAN else variant
-    deviations = []
-    for squid, rows, closed in _closed_forms_by_squid(ops, states, cfg):
-        eigen = diagonalize_generator(build_generator(PulseOp(phase_free, squid, 0.0), spec, cfg))
-        exact = np.stack([states[k].amplitudes for k in rows])
-        lifted = np.ones(len(rows), dtype=bool)
-        if variant is PulseVariant.RAMAN:
-            # Exact factorization: the free-phase factor applies after the rotation.
-            blocks = [_coupling_by_block(ops[k], spec, cfg) for k in rows]
-            lifted = np.array([block is not None for block in blocks])
-            # A row with no exact route gets the identity and an infinite deviation.
-            exact = _along_squid(np.stack([np.eye(NUM_LEVELS) if block is None else block
-                                           for block in blocks]), exact, squid, spec)
-        exact = evolve_rows(exact, eigen, np.array([ops[k].duration for k in rows]))
-        check_row_norms(exact.T)
-        deviations += np.where(lifted, np.max(np.abs(closed - exact), axis=1), math.inf).tolist()
-    worst = float(np.max(deviations, initial=0.0))
-    name = f"dynamics.{variant.value}.oracle"
-    return CheckResult(name, worst, ORACLE_TOL, worst < ORACLE_TOL)
+    eigens: dict[tuple[PulseVariant, int], tuple[np.ndarray, np.ndarray]] = {}
+    results = []
+    for at, variant in enumerate(variants):
+        ahead = {_phase_free(v) for v in variants[at:]}
+        eigens = {key: eigen for key, eigen in eigens.items() if key[0] in ahead}
+        phase_free = _phase_free(variant)
+        rng = np.random.default_rng([seed, list(PulseVariant).index(variant)])
+        ops: list[PulseOp] = []
+        rows: list[np.ndarray] = []
+        for _ in range(n_states):
+            squid = int(rng.integers(1, spec.num_squids + 1))
+            duration = float(rng.uniform(0.0, 2.0 * math.pi))
+            phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
+            ops.append(PulseOp(variant, squid, duration, phi1=phi1, phi2=phi2))
+            row = _random_state(rng, spec)
+            rows.append(_without_e(row, squid, spec) if variant is PulseVariant.RAMAN else row)
+        drawn = _checked_stack(rows)
+        deviations = []
+        for squid, picks, closed in _closed_forms_by_squid(ops, drawn, spec, cfg):
+            if (phase_free, squid) not in eigens:
+                eigens[phase_free, squid] = diagonalize_generator(
+                    build_generator(PulseOp(phase_free, squid, 0.0), spec, cfg))
+            exact = drawn[picks]
+            lifted = np.ones(len(picks), dtype=bool)
+            if variant is PulseVariant.RAMAN:
+                # Exact factorization: the free-phase factor applies after the rotation.
+                blocks = [_coupling_by_block(ops[k], spec, cfg) for k in picks]
+                lifted = np.array([block is not None for block in blocks])
+                # A row with no exact route gets the identity and an infinite deviation.
+                exact = _along_squid(np.stack([np.eye(NUM_LEVELS) if block is None else block
+                                               for block in blocks]), exact, squid, spec)
+            exact = evolve_rows(exact, eigens[phase_free, squid],
+                                np.array([ops[k].duration for k in picks]))
+            check_row_norms(exact.T)
+            deviations += np.where(lifted, np.max(np.abs(closed - exact), axis=1),
+                                   math.inf).tolist()
+        worst = float(np.max(deviations, initial=0.0))
+        results.append(CheckResult(f"dynamics.{variant.value}.oracle", worst, ORACLE_TOL,
+                                   worst < ORACLE_TOL))
+    return results
 
 
 def check_unitarity(cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210) -> CheckResult:
-    """Inner products between random state pairs survive every primitive."""
+    """Inner products between random state pairs survive every primitive.
+
+    The pairs of all five variants are drawn as amplitude rows, stacked
+    once and norm-checked by ``check_row_norms`` before any kernel runs.
+    A pair's product before the pulse is ``np.vdot`` of its two rows, what
+    ``inner_product`` computes for two states.
+    """
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng([seed, 11])
-    deviations = []
+    per_variant = 40  # 20 pairs
+    ops: list[PulseOp] = []
+    rows: list[np.ndarray] = []
     for variant in PulseVariant:
-        ops: list[PulseOp] = []
-        states: list[PureState] = []
-        for _ in range(20):
+        for _ in range(per_variant // 2):
             squid = int(rng.integers(1, 4))
             op = PulseOp(variant, squid, float(rng.uniform(0.0, 8.0)),
                          phi1=float(rng.uniform(0, 2 * math.pi)))
             a, b = _random_state(rng, spec), _random_state(rng, spec)
             if variant is PulseVariant.RAMAN:
-                a, b = _without_e(a, squid), _without_e(b, squid)
+                a, b = _without_e(a, squid, spec), _without_e(b, squid, spec)
             ops += [op, op]
-            states += [a, b]
-        for _, rows, after in _closed_forms_by_squid(ops, states, cfg):
-            # A pair's two rows are adjacent: rows[j] is even, rows[j + 1] is next.
+            rows += [a, b]
+    drawn = _checked_stack(rows)
+    deviations = []
+    for first in range(0, len(ops), per_variant):
+        # A pair's two rows are adjacent: picks[j] is even, picks[j + 1] is next.
+        batch = drawn[first:first + per_variant]
+        for _, picks, after in _closed_forms_by_squid(ops[first:first + per_variant], batch,
+                                                      spec, cfg):
             deviations += [abs(complex(np.vdot(after[j], after[j + 1]))
-                               - inner_product(states[rows[j]], states[rows[j + 1]]))
-                           for j in range(0, len(rows), 2)]
+                               - complex(np.vdot(batch[picks[j]], batch[picks[j + 1]])))
+                           for j in range(0, len(picks), 2)]
     worst = float(np.max(deviations))
     return CheckResult("dynamics.unitarity", worst, EXACT_TOL, worst < EXACT_TOL)
 
 
-def _jc_sector_populations(tensor: np.ndarray, squid: int) -> np.ndarray:
-    """Populations by excitation number n_photons + [level == e] of one SQUID.
+def _jc_sector_populations(tensors: np.ndarray, squid: int) -> np.ndarray:
+    """Populations by excitation number n_photons + [level == e] of one SQUID, per row.
 
-    ``tensor`` is one state's amplitudes shaped (3, ..., 3, fock_cutoff + 1).
+    ``tensors`` holds B states' amplitudes shaped (B, 3, ..., 3, fock_cutoff + 1);
+    row b of the (B, fock_cutoff + 2) result is state b's populations.  Each
+    level's photon populations are summed down the other factors in their
+    order, and the levels are added into the sectors in the order g, i, e,
+    so a row's sums do not depend on B.
     """
-    arr = np.abs(tensor) ** 2
-    fock = tensor.shape[-1] - 1
-    pops = np.zeros(fock + 2)
+    arr = np.abs(tensors) ** 2
+    fock = tensors.shape[-1] - 1
+    pops = np.zeros((len(tensors), fock + 2))
     for level in (LEVEL_G, LEVEL_I, LEVEL_E):
         sl = [slice(None)] * arr.ndim
-        sl[squid - 1] = level
-        by_photon = arr[tuple(sl)].reshape(-1, fock + 1).sum(axis=0)
-        for n in range(fock + 1):
-            pops[n + (1 if level == LEVEL_E else 0)] += by_photon[n]
+        sl[squid] = level
+        by_photon = arr[tuple(sl)].reshape(len(tensors), -1, fock + 1).sum(axis=1)
+        shift = 1 if level == LEVEL_E else 0
+        pops[:, shift:shift + fock + 1] += by_photon
     return pops
 
 
 def check_jc_sector_conservation(
     cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210
 ) -> CheckResult:
+    """Cavity exchange keeps every excitation sector's population, random states.
+
+    The states are drawn as amplitude rows, stacked once and norm-checked by
+    ``check_row_norms`` before any kernel runs; each SQUID's sectors are
+    summed over its whole stack at once, before and after.
+    """
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng([seed, 12])
     ops: list[PulseOp] = []
-    states: list[PureState] = []
+    rows: list[np.ndarray] = []
     for _ in range(50):
         squid = int(rng.integers(1, 4))
         duration = float(rng.uniform(0.0, 8.0))
-        states.append(_random_state(rng, spec))
+        rows.append(_random_state(rng, spec))
         ops.append(PulseOp(PulseVariant.JC, squid, duration))
+    drawn = _checked_stack(rows)
     deviations = []
-    for squid, rows, after in _closed_forms_by_squid(ops, states, cfg):
-        deviations += [
-            np.max(np.abs(_jc_sector_populations(row.reshape(spec.factor_dims), squid)
-                          - _jc_sector_populations(states[k].tensor(), squid)))
-            for k, row in zip(rows, after)]
+    for squid, picks, after in _closed_forms_by_squid(ops, drawn, spec, cfg):
+        shape = (len(picks),) + spec.factor_dims
+        before = _jc_sector_populations(drawn[picks].reshape(shape), squid)
+        deviations += np.max(np.abs(_jc_sector_populations(after.reshape(shape), squid)
+                                    - before), axis=1).tolist()
     worst = float(np.max(deviations))
     return CheckResult("dynamics.jc.sector_conservation", worst, EXACT_TOL, worst < EXACT_TOL)
 
@@ -370,7 +447,7 @@ def check_run_hygiene(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> CheckResult:
 
 
 def run_all_checks(cfg: CouplingConfig = DEFAULT_COUPLINGS, seed: int = 20210) -> list[CheckResult]:
-    results = [check_oracle(variant, cfg, seed=seed) for variant in PulseVariant]
+    results = _oracle_results(tuple(PulseVariant), cfg, seed, n_states=100)
     steps = _basis_steps(cfg)
     results += [
         check_unitarity(cfg, seed=seed),

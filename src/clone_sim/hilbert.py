@@ -9,8 +9,8 @@ slowest axis and the cavity photon number is the fastest, so
 
 State vectors are immutable once constructed.  Operations never
 renormalize silently; a drifted norm raises ``NormalizationError`` and
-``PureState.from_amplitudes(..., normalize=True)`` is the one explicit
-way to rescale.
+``normalized_row`` is the one explicit way to rescale, for a bare row or
+through ``PureState.from_amplitudes(..., normalize=True)``.
 
 The batched engine holds B states as one array of shape
 ``spec.factor_dims + (B,)``, batch axis last, row b (index b of that
@@ -150,12 +150,7 @@ class PureState:
     ) -> "PureState":
         amps = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes)
         amps = amps.astype(np.complex128).reshape(-1)
-        if normalize:
-            nrm = float(np.linalg.norm(amps))
-            if nrm == 0.0:
-                raise ValueError("cannot normalize a zero vector")
-            amps = amps / nrm
-        return cls(amps, spec)
+        return cls(normalized_row(amps) if normalize else amps, spec)
 
     @classmethod
     def basis_state(cls, spec: BasisSpec, levels: Sequence[int | str], photons: int) -> "PureState":
@@ -213,6 +208,19 @@ def _kron_product(vectors: Sequence[np.ndarray]) -> np.ndarray:
     for vector in vectors[1:]:
         product = product[..., None] * vector
     return product.reshape(-1)
+
+
+def normalized_row(amps: np.ndarray) -> np.ndarray:
+    """``amps / ||amps||`` as a new array: the one rescaling, which
+    ``PureState.from_amplitudes(..., normalize=True)`` applies.
+
+    Nothing checks the result; a NaN or infinite norm passes through, for
+    ``check_row_norms`` or ``PureState`` to reject.
+    """
+    nrm = float(np.linalg.norm(amps))
+    if nrm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return amps / nrm
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""The validate checks: the per-state route's verdicts from batched closed forms and
-fewer decompositions, and closed-form mutations that each fail their oracle."""
+"""The validate checks: the per-state route's verdicts from drawn rows, batched closed
+forms and fewer decompositions, and closed-form mutations that each fail their oracle."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from clone_sim import (
 )
 from clone_sim import checks, dynamics
 from clone_sim.checks import ORACLE_TOL, CheckResult, check_oracle
-from clone_sim.hilbert import LEVEL_E
+from clone_sim.hilbert import LEVEL_E, LEVEL_G, LEVEL_I
 
 CFG = CouplingConfig()
 N_STATES = 30
@@ -122,19 +123,21 @@ def test_oracle_decomposes_each_phase_free_generator_once_per_call(variant, deco
 def test_batched_closed_forms_equal_apply_pulse_op_bit_for_bit(variant):
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng(41)
-    ops, states = [], []
+    ops, rows = [], []
     for _ in range(24):
         squid = int(rng.integers(1, 4))
         phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
         ops.append(PulseOp(variant, squid, float(rng.uniform(0.0, 8.0)), phi1=phi1, phi2=phi2))
-        state = checks._random_state(rng, spec)
-        states.append(checks._without_e(state, squid) if variant is PulseVariant.RAMAN else state)
+        row = checks._random_state(rng, spec)
+        rows.append(checks._without_e(row, squid, spec) if variant is PulseVariant.RAMAN else row)
+    drawn = np.stack(rows)
     seen = []
-    for squid, rows, amps in checks._closed_forms_by_squid(ops, states, CFG):
-        assert {ops[k].squid for k in rows} == {squid}
-        seen += rows
-        for k, row in zip(rows, amps):
-            assert np.array_equal(row, apply_pulse_op(states[k], ops[k], CFG).amplitudes)
+    for squid, picks, amps in checks._closed_forms_by_squid(ops, drawn, spec, CFG):
+        assert {ops[k].squid for k in picks} == {squid}
+        seen += picks
+        for k, row in zip(picks, amps):
+            state = PureState(drawn[k], spec)
+            assert np.array_equal(row, apply_pulse_op(state, ops[k], CFG).amplitudes)
     assert sorted(seen) == list(range(len(ops)))
 
 
@@ -142,12 +145,12 @@ def test_batched_raman_rows_are_guarded_as_apply_pulse_op_guards_one():
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng(43)
     ops = [PulseOp(PulseVariant.RAMAN, 2, 1.0, phi1=0.5) for _ in range(4)]
-    states = [checks._without_e(checks._random_state(rng, spec), 2) for _ in range(3)]
-    states.insert(2, checks._random_state(rng, spec))  # carries e population on SQUID 2
+    rows = [checks._without_e(checks._random_state(rng, spec), 2, spec) for _ in range(3)]
+    rows.insert(2, checks._random_state(rng, spec))  # carries e population on SQUID 2
     with pytest.raises(LeakageError):
-        apply_pulse_op(states[2], ops[2], CFG)
+        apply_pulse_op(PureState(rows[2], spec), ops[2], CFG)
     with pytest.raises(LeakageError, match="sample 2: squid2"):
-        list(checks._closed_forms_by_squid(ops, states, CFG))
+        list(checks._closed_forms_by_squid(ops, np.stack(rows), spec, CFG))
 
 
 def per_state_unitarity(cfg, seed):
@@ -162,7 +165,8 @@ def per_state_unitarity(cfg, seed):
                          phi1=float(rng.uniform(0, 2 * math.pi)))
             a, b = checks._random_state(rng, spec), checks._random_state(rng, spec)
             if variant is PulseVariant.RAMAN:
-                a, b = checks._without_e(a, squid), checks._without_e(b, squid)
+                a, b = checks._without_e(a, squid, spec), checks._without_e(b, squid, spec)
+            a, b = PureState(a, spec), PureState(b, spec)
             after = inner_product(apply_pulse_op(a, op, cfg), apply_pulse_op(b, op, cfg))
             worst = max(worst, abs(after - inner_product(a, b)))
     return worst
@@ -176,9 +180,9 @@ def per_state_jc_sectors(cfg, seed):
     for _ in range(50):
         squid = int(rng.integers(1, 4))
         op = PulseOp(PulseVariant.JC, squid, float(rng.uniform(0.0, 8.0)))
-        state = checks._random_state(rng, spec)
-        before = checks._jc_sector_populations(state.tensor(), squid)
-        after = checks._jc_sector_populations(apply_pulse_op(state, op, cfg).tensor(), squid)
+        state = PureState(checks._random_state(rng, spec), spec)
+        before = jc_sectors_of_one(state.tensor(), squid)
+        after = jc_sectors_of_one(apply_pulse_op(state, op, cfg).tensor(), squid)
         worst = max(worst, float(np.max(np.abs(after - before))))
     return worst
 
@@ -199,7 +203,7 @@ def test_block_route_matches_the_full_raman_generator():
         phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
         op = PulseOp(PulseVariant.RAMAN, squid, float(rng.uniform(0.0, 2.0 * math.pi)),
                      phi1=phi1, phi2=phi2)
-        state = checks._without_e(checks._random_state(rng, spec), squid)
+        state = PureState(checks._without_e(checks._random_state(rng, spec), squid, spec), spec)
         free = build_generator(PulseOp(PulseVariant.FREE_EVOLVE, squid, 0.0), spec, CFG)
         propagator = checks._coupling_by_block(op, spec, CFG)
         rotated = np.moveaxis(np.tensordot(propagator, state.tensor(), axes=(1, squid - 1)),
@@ -209,6 +213,133 @@ def test_block_route_matches_the_full_raman_generator():
         full = evolve_exact(evolve_exact(state, build_generator(op, spec, CFG), op.duration),
                             free, op.duration)
         assert np.max(np.abs(block.amplitudes - full.amplitudes)) < 1e-14
+
+
+# ------------------------------------------- drawn rows and shared decompositions
+
+
+def e_free_state(state, squid):
+    """The e level of ``squid`` emptied and the state renormalized, as a PureState."""
+    arr = state.tensor().copy()
+    index = [slice(None)] * arr.ndim
+    index[squid - 1] = LEVEL_E
+    arr[tuple(index)] = 0.0
+    return PureState.from_amplitudes(arr.reshape(-1), state.spec, normalize=True)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20210])
+def test_drawn_rows_equal_the_pure_state_route_bit_for_bit(seed):
+    spec = BasisSpec(num_squids=3, fock_cutoff=2)
+    rows_rng, states_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(30):
+        squid = k % 3 + 1
+        row = checks._random_state(rows_rng, spec)
+        z = (states_rng.standard_normal(spec.dimension)
+             + 1j * states_rng.standard_normal(spec.dimension))
+        state = PureState.from_amplitudes(z, spec, normalize=True)
+        assert row.shape == (spec.dimension,) and row.dtype == np.complex128
+        assert row.tobytes() == state.amplitudes.tobytes()
+        e_free = checks._without_e(row, squid, spec)
+        assert e_free.tobytes() == e_free_state(state, squid).amplitudes.tobytes()
+        assert row.tobytes() == state.amplitudes.tobytes()  # the draw is left as it was
+
+
+OTHER_RATES = CouplingConfig(lam=1.7, omega_ge=0.8, lambda_prime=1.3, omega_gi=35.5)
+
+
+def standalone_checks(cfg, seed):
+    """run_all_checks' results, each from its own check call."""
+    steps = checks._basis_steps(cfg)
+    return [check_oracle(variant, cfg, seed=seed) for variant in PulseVariant] + [
+        checks.check_unitarity(cfg, seed=seed),
+        checks.check_jc_sector_conservation(cfg, seed=seed),
+        checks.check_cnot_truth_table(cfg),
+        checks.check_process_tables(cfg),
+        checks.check_step_conformance(steps),
+        checks.check_basis_run_amplitudes(steps),
+        checks.check_clone_quality(cfg, seed=seed),
+        checks.check_run_hygiene(cfg),
+    ]
+
+
+@pytest.mark.parametrize("cfg", [CFG, OTHER_RATES, CouplingConfig(omega_gi=1e5)],
+                         ids=["default", "other_rates", "gi1e5"])
+@pytest.mark.parametrize("seed", [20210, 3, 77])
+def test_run_all_checks_equals_each_standalone_check(cfg, seed):
+    # == compares every max_deviation bit for bit
+    assert checks.run_all_checks(cfg, seed=seed) == standalone_checks(cfg, seed)
+
+
+def test_one_run_decomposes_each_full_generator_once(monkeypatch):
+    generators = []
+    original = checks.diagonalize_generator
+
+    def recording(generator):
+        generators.append(np.array(generator))
+        return original(generator)
+
+    monkeypatch.setattr(checks, "diagonalize_generator", recording)
+    checks.run_all_checks(CFG)
+    full = [g.tobytes() for g in generators if g.shape == (81, 81)]
+    # the phase-free generators of four variants on three SQUIDs; the Raman
+    # oracle's free factor is the free-evolution oracle's generator
+    assert len(full) == 12 and len(set(full)) == 12
+
+
+def jc_sectors_of_one(tensor, squid):
+    """One state's sector populations, level by level and photon by photon."""
+    arr = np.abs(tensor) ** 2
+    fock = tensor.shape[-1] - 1
+    pops = np.zeros(fock + 2)
+    for level in (LEVEL_G, LEVEL_I, LEVEL_E):
+        index = [slice(None)] * arr.ndim
+        index[squid - 1] = level
+        by_photon = arr[tuple(index)].reshape(-1, fock + 1).sum(axis=0)
+        for n in range(fock + 1):
+            pops[n + (1 if level == LEVEL_E else 0)] += by_photon[n]
+    return pops
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 3])
+@pytest.mark.parametrize("squid", [1, 2, 3])
+def test_batched_jc_sectors_equal_the_per_state_sums_bit_for_bit(fock_cutoff, squid):
+    spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
+    rng = np.random.default_rng([fock_cutoff, squid])
+    rows = [checks._random_state(rng, spec) for _ in range(17)]
+    batched = checks._jc_sector_populations(np.stack(rows).reshape((17,) + spec.factor_dims),
+                                            squid)
+    expected = np.stack([jc_sectors_of_one(row.reshape(spec.factor_dims), squid) for row in rows])
+    assert batched.tobytes() == expected.tobytes()
+
+
+RANDOM_STATE_CHECKS = {
+    **{variant.value: functools.partial(check_oracle, variant, CFG, n_states=N_STATES)
+       for variant in PulseVariant},
+    "unitarity": functools.partial(checks.check_unitarity, CFG),
+    "jc_sectors": functools.partial(checks.check_jc_sector_conservation, CFG),
+}
+
+
+@pytest.mark.parametrize("check", RANDOM_STATE_CHECKS.values(), ids=RANDOM_STATE_CHECKS.keys())
+def test_a_nan_draw_is_named_by_its_row_before_any_kernel(check, monkeypatch):
+    original = checks._random_state
+    draws = []
+
+    def poisoned(rng, spec):
+        draws.append(1)
+        row = original(rng, spec)
+        return row * math.nan if len(draws) == 8 else row
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran on an unchecked row")
+
+    monkeypatch.setattr(checks, "_random_state", poisoned)
+    monkeypatch.setattr(checks, "pulse_kernel", no_kernel)
+    monkeypatch.setattr(checks, "apply_coefficients", no_kernel)
+    # emptying the e level of a NaN row divides zeros by a NaN norm
+    with np.errstate(invalid="ignore"), pytest.raises(NormalizationError,
+                                                      match=r"^sample 7: state norm is nan$"):
+        check()
 
 
 # ------------------------------------------------ mutations fail their oracle

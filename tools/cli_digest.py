@@ -36,6 +36,7 @@ CASES = [
     "sweep -n 300 --fock-cutoff 32 --timing-jitter 0.2 --seed 4",
     "run --theta 1.3 --phi 0.2 --fock-cutoff 10000",
     "run --theta 2.5 --fock-cutoff 8 --trace out/t.json",
+    "validate --verbose --seed 0", "validate --verbose --seed 12345",
 ]
 
 
