@@ -13,7 +13,6 @@ from .dynamics import (
     apply_raman,
     build_generator,
     diagonalize_generator,
-    evolve_diagonalized,
     evolve_exact,
 )
 from .errors import LeakageError, NormalizationError, PhysicsError, PreconditionError

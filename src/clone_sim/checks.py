@@ -26,13 +26,11 @@ from .dynamics import (
     CouplingConfig,
     PulseOp,
     PulseVariant,
-    apply_coefficients,
     build_generator,
-    check_two_pulse_domain,
     diagonalize_generator,
     evolve_rows,
     pulse_coefficients,
-    pulse_kernel,
+    run_pulse,
 )
 from .hilbert import (
     LEVEL_E,
@@ -119,26 +117,28 @@ def _closed_forms_by_squid(
     (len(rows), dimension) amplitudes is what
     ``apply_pulse_op(PureState(drawn[rows[j]], spec), ops[rows[j]], cfg)``
     gives, bit for bit: the ops share one variant, the rows of one SQUID
-    run as one batch through the closed-form kernels, and every kernel is
-    elementwise in the rows.  A batch of ``RAMAN`` rows is guarded by ``check_two_pulse_domain``
-    and gets each row's own coefficients, because every op carries its own
-    phase difference.  Each row's norm is then checked by
-    ``check_row_norms``, the batch form of the check a ``PureState`` makes;
-    either check names a failing row by its place in the SQUID's batch.
+    run as one batch through ``run_pulse``, the checked apply that
+    ``apply_pulse_op`` runs on its batch of one, and every kernel is
+    elementwise in the rows.  A batch of ``RAMAN`` rows gets each row's
+    own coefficients, because every op carries its own phase difference;
+    any other batch gets one set for its (B,) durations.  ``run_pulse``
+    guards a ``RAMAN`` batch by ``check_two_pulse_domain`` and checks every
+    row's norm by ``check_row_norms``, the batch form of the check a
+    ``PureState`` makes; either check names a failing row by its place in
+    the SQUID's batch.
     """
     for squid in sorted({op.squid for op in ops}):
         rows = [k for k, op in enumerate(ops) if op.squid == squid]
         amps = np.stack([drawn[k].reshape(spec.factor_dims) for k in rows], axis=-1)
         head = ops[rows[0]]
         if head.variant is PulseVariant.RAMAN:
-            check_two_pulse_domain(amps, squid)
-            fock_cutoff = amps.shape[-2] - 1
-            parts = [pulse_coefficients(ops[k], np.array([ops[k].duration]), fock_cutoff, cfg)
-                     for k in rows]
-            apply_coefficients(amps, head, tuple(np.concatenate(c, axis=-1) for c in zip(*parts)))
+            parts = [pulse_coefficients(ops[k], np.array([ops[k].duration]), spec.fock_cutoff,
+                                        cfg) for k in rows]
+            coeffs = tuple(np.concatenate(c, axis=-1) for c in zip(*parts))
         else:
-            pulse_kernel(amps, head, np.array([ops[k].duration for k in rows]), cfg)
-        check_row_norms(amps)
+            coeffs = pulse_coefficients(head, np.array([ops[k].duration for k in rows]),
+                                        spec.fock_cutoff, cfg)
+        run_pulse(amps, head, coeffs)
         # Contiguous rows, as a PureState holds them: a strided row would
         # round differently in the BLAS products the checks take.
         yield squid, rows, np.ascontiguousarray(np.moveaxis(amps, -1, 0)).reshape(len(rows), -1)

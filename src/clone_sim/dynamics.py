@@ -30,31 +30,40 @@ shape ``(3, ..., 3, fock_cutoff + 1, B)`` holding one register state per
 index of its last axis (a "row"), with a ``(B,)`` array of durations, so
 every row may carry its own pulse length.  A kernel is two parts:
 ``pulse_coefficients`` turns the durations into read-only coefficient
-arrays (cos and i sin of the rotation angles, the two-pulse couplings, the
-|i> phase), and ``apply_coefficients`` applies them to the level views
-with one of three in-place routines (a 2x2 rotation, the two-pulse map, an
-|i> phase).  Coefficients built from a (1,) duration broadcast over every
-row, so a caller that runs one pulse many times at one duration can build
-them once.  With the batch axis last, each per-row coefficient broadcasts
-along a contiguous run of B amplitudes.  The kernels use only elementwise
+arrays, the entries of the map's 2x2 matrix (cos and -i sin of the
+rotation angles, the two-pulse couplings) and the |i> phase, and
+``apply_coefficients`` applies them to the level views.  One table,
+``COUPLED_LEVELS``, says which pair of levels each pulse mixes and by how
+many photons; one routine, ``_mix``, mixes that pair, and the two-pulse
+map and free evolution then put the |i> phase on with ``_phase``.  The
+photon-support proof in ``protocol`` reads the same table.  Coefficients
+built from a (1,) duration broadcast over every row, so a caller that
+runs one pulse many times at one duration can build them once.  With
+the batch axis last, each per-row coefficient broadcasts along a
+contiguous run of B amplitudes.  The kernels use only elementwise
 arithmetic, so a row's result does not depend on the batch size.
-``pulse_kernel`` is both parts for (B,) durations, and ``apply_pulse_op``
-runs it on one ``PureState`` as a batch of one (a trailing axis of length
-1); each ``apply_*`` is ``apply_pulse_op`` with its variant.  The two-pulse
-map is guarded by ``check_two_pulse_domain`` at the one leakage tolerance
+
+``run_pulse`` is what every pulse application runs: the two-pulse
+guard, the kernel and the row-norm check.  ``protocol``'s walk, the
+``checks`` oracles and ``apply_pulse_op`` (one ``PureState`` as a batch
+of one, a trailing axis of length 1) all call it; each ``apply_*`` is
+``apply_pulse_op`` with its variant.  The two-pulse map is guarded by
+``check_two_pulse_domain`` at the one leakage tolerance
 ``hilbert.E_LEAK_TOL``, read from ``hilbert``'s one population sum: a
 row it lets through holds e population below E_LEAK_TOL on the pulse's
 SQUID, so the e component that the map leaves untouched, and does not
 model, has norm below sqrt(E_LEAK_TOL) = 1e-5.
 ``build_generator`` assembles each generator as the Kronecker product of
 a one-SQUID matrix with identities on the other factors (one broadcast
-product, entry for entry the nested ``np.kron``).  A generator I (x) h (x) I
-exponentiates to I (x) exp(-i h t) (x) I, so its 3x3 block h alone
-determines the propagator; ``checks`` uses that for the Raman coupling.
+product, entry for entry the nested ``np.kron``); it states its
+couplings on its own, not from ``COUPLED_LEVELS``, so it stays an
+independent oracle.  A generator I (x) h (x) I exponentiates to
+I (x) exp(-i h t) (x) I, so its 3x3 block h alone determines the
+propagator; ``checks`` uses that for the Raman coupling.
 ``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
 generator) and the row kernel ``evolve_rows``, which applies the
 decomposition to a (B, dimension) stack of states, row b for its own
-duration; ``evolve_diagonalized`` is that kernel for one state.
+duration.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ from .hilbert import (
     PureState,
     _check_squid,
     _level,
+    check_row_norms,
     level_populations,
     population_screen,
 )
@@ -119,6 +129,17 @@ class PulseVariant(str, enum.Enum):
     FREE_EVOLVE = "free_evolve"
 
 
+# The levels each coupling pulse mixes: (a, b, s) couples |a, n + s> with
+# |b, n> on the pulse's SQUID, for every n >= 0.  Free evolution is
+# diagonal and couples nothing.
+COUPLED_LEVELS = {
+    PulseVariant.JC: (LEVEL_G, LEVEL_E, 1),
+    PulseVariant.DRIVE_GE: (LEVEL_G, LEVEL_E, 0),
+    PulseVariant.DRIVE_IE: (LEVEL_I, LEVEL_E, 0),
+    PulseVariant.RAMAN: (LEVEL_G, LEVEL_I, 0),
+}
+
+
 @dataclass(frozen=True)
 class PulseOp:
     """One primitive pulse on one SQUID (plus the cavity for ``JC``)."""
@@ -144,15 +165,17 @@ def pulse_coefficients(
 ) -> tuple[np.ndarray, ...]:
     """Read-only coefficients of ``op``'s map, row b lasting ``durations[b]``.
 
-    A rotation (``JC``, ``DRIVE_GE``, ``DRIVE_IE``) gets (cos, i sin) of
-    its angle, with shape (fock_cutoff, B) for ``JC``, whose photon
-    sectors rotate at lam * sqrt(n+1); ``RAMAN`` gets (cos, up, down,
-    free), where up and down are i exp(+-i dphi) sin and free is the
-    |i> phase; ``FREE_EVOLVE`` gets (free,).  cos is cast to complex,
-    which is what numpy does with it in every product it enters, so the
-    arrays give the same bits as the real values would.  Any array that
-    broadcasts against the rows may stand in for ``durations``: a (1,)
-    array serves every row with one duration.
+    The coefficients are the entries of the map's 2x2 matrix on the pair
+    of levels ``COUPLED_LEVELS`` names, (c, ab, ba) for [[c, ab], [ba, c]]:
+    a rotation (``JC``, ``DRIVE_GE``, ``DRIVE_IE``) gets (cos, m, m) of its
+    angle, m = -i sin one array in both slots, with shape (fock_cutoff, B)
+    for ``JC``, whose photon sectors rotate at lam * sqrt(n+1); ``RAMAN``
+    gets (cos, up, down, free), where up and down are i exp(+-i dphi) sin
+    and free is the |i> phase; ``FREE_EVOLVE`` gets (free,).  cos is cast
+    to complex, which is what numpy does with it in every product it
+    enters, so the arrays give the same bits as the real values would.
+    Any array that broadcasts against the rows may stand in for
+    ``durations``: a (1,) array serves every row with one duration.
     """
     t = np.asarray(durations, dtype=np.float64)
     if op.variant is PulseVariant.JC:
@@ -177,73 +200,46 @@ def pulse_coefficients(
     return coeffs
 
 
-def _rotation(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.cos(theta).astype(np.complex128), 1j * np.sin(theta)
+def _rotation(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    m = -1j * np.sin(theta)
+    return np.cos(theta).astype(np.complex128), m, m
 
 
 def _free_phase(t: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
     return np.exp(-1j * cfg.omega_gi * t)
 
 
-def _rotate(a: np.ndarray, b: np.ndarray, c: np.ndarray, i_s: np.ndarray) -> None:
-    # |a> -> cos|a> - i sin|b>, |b> -> cos|b> - i sin|a>, in place.
+def _mix(a: np.ndarray, b: np.ndarray, c: np.ndarray, ab: np.ndarray, ba: np.ndarray) -> None:
+    # a -> c a + ab b, b -> ba a + c b, in place.
     a_old = a.copy()
-    a[...] = c * a_old - i_s * b
-    b[...] = c * b - i_s * a_old
-
-
-def _raman(
-    g: np.ndarray, i: np.ndarray, c: np.ndarray, up: np.ndarray, down: np.ndarray, free: np.ndarray
-) -> None:
-    # The two-pulse map of the module docstring, in place.
-    g_old = g.copy()
-    g[...] = c * g_old + up * i
-    i[...] = free * (down * g_old + c * i)
+    a[...] = c * a_old + ab * b
+    b[...] = ba * a_old + c * b
 
 
 def _phase(i: np.ndarray, free: np.ndarray) -> None:
-    i[...] = free * i
+    np.multiply(free, i, out=i)
 
 
 def apply_coefficients(amps: np.ndarray, op: PulseOp, coeffs: tuple[np.ndarray, ...]) -> None:
     """Apply ``op``'s map in place to every row of ``amps``, given its ``pulse_coefficients``.
 
-    Cavity exchange rotates each excitation sector {|g, n+1>, |e, n>} by
-    its own angle; |i, n> and |g, 0> are dark, and |e, fock_cutoff> has no
+    The raw kernel, with no guard and no norm check (``run_pulse`` adds
+    both).  A coupling pulse mixes the pair of level views that
+    ``COUPLED_LEVELS`` names by its first three coefficients (``_mix``);
+    ``RAMAN`` and ``FREE_EVOLVE`` then put the free phase on |i>.  Cavity
+    exchange thus rotates each excitation sector {|g, n+1>, |e, n>} by its
+    own angle; |i, n> and |g, 0> are dark, and |e, fock_cutoff> has no
     partner within the truncated space and stays put.  The two-pulse map
-    leaves e amplitudes untouched; callers that need it to be valid run
-    ``check_two_pulse_domain`` first.
+    leaves e amplitudes untouched.
     """
-    squid = op.squid
-    if op.variant is PulseVariant.JC:
-        _rotate(_level(amps, squid, LEVEL_G)[..., 1:, :],
-                _level(amps, squid, LEVEL_E)[..., :-1, :], *coeffs)
-    elif op.variant is PulseVariant.DRIVE_GE:
-        _rotate(_level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_E), *coeffs)
-    elif op.variant is PulseVariant.DRIVE_IE:
-        _rotate(_level(amps, squid, LEVEL_I), _level(amps, squid, LEVEL_E), *coeffs)
-    elif op.variant is PulseVariant.RAMAN:
-        _raman(_level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_I), *coeffs)
-    elif op.variant is PulseVariant.FREE_EVOLVE:
-        _phase(_level(amps, squid, LEVEL_I), *coeffs)
-    else:
-        raise ValueError(f"unknown pulse variant {op.variant!r}")
-
-
-def pulse_kernel(
-    amps: np.ndarray, op: PulseOp, durations: np.ndarray, cfg: CouplingConfig = DEFAULT_COUPLINGS
-) -> None:
-    """Apply ``op`` to every row of ``amps`` in place, row b lasting ``durations[b]``.
-
-    ``op.duration`` is ignored; the per-row durations replace it, one per
-    row: a ``durations`` of any shape but (B,) raises ``ValueError``.  The
-    kernel is ``pulse_coefficients`` followed by ``apply_coefficients``.
-    """
-    durations = np.asarray(durations, dtype=np.float64)
-    if durations.shape != amps.shape[-1:]:
-        raise ValueError(f"durations has shape {durations.shape}, expected {amps.shape[-1:]} "
-                         f"(one per row of the batch)")
-    apply_coefficients(amps, op, pulse_coefficients(op, durations, amps.shape[-2] - 1, cfg))
+    if op.variant in COUPLED_LEVELS:
+        a, b, shift = COUPLED_LEVELS[op.variant]
+        a_view, b_view = _level(amps, op.squid, a), _level(amps, op.squid, b)
+        if shift:
+            a_view, b_view = a_view[..., shift:, :], b_view[..., :-shift, :]
+        _mix(a_view, b_view, *coeffs[:3])
+    if op.variant is PulseVariant.RAMAN or op.variant is PulseVariant.FREE_EVOLVE:
+        _phase(_level(amps, op.squid, LEVEL_I), coeffs[-1])
 
 
 def check_two_pulse_domain(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
@@ -267,19 +263,38 @@ def check_two_pulse_domain(amps: np.ndarray, squid: int, first_sample: int = 0) 
         )
 
 
+def run_pulse(
+    amps: np.ndarray,
+    op: PulseOp,
+    coeffs: tuple[np.ndarray, ...],
+    first_sample: int = 0,
+    guarded: bool = True,
+) -> None:
+    """Apply ``op`` in place to every row of ``amps`` with the checks every pulse gets.
+
+    A ``RAMAN`` op is first guarded by ``check_two_pulse_domain`` (skipped
+    with ``guarded`` off); ``apply_coefficients`` then applies ``coeffs``,
+    and ``check_row_norms`` checks every row after it.  Either check
+    names a failing row as sample ``first_sample + row``.
+    """
+    if guarded and op.variant is PulseVariant.RAMAN:
+        check_two_pulse_domain(amps, op.squid, first_sample)
+    apply_coefficients(amps, op, coeffs)
+    check_row_norms(amps, first_sample)
+
+
 def apply_pulse_op(
     state: PureState, op: PulseOp, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """``pulse_kernel`` on one state as a batch of one.
+    """``run_pulse`` on one state as a batch of one, at ``op.duration``.
 
-    A ``RAMAN`` op is guarded by ``check_two_pulse_domain`` first; the raw
-    map, which leaves e amplitudes untouched, is ``pulse_kernel`` itself.
+    A ``RAMAN`` op is guarded by ``check_two_pulse_domain``; the raw map,
+    which leaves e amplitudes untouched, is ``apply_coefficients``.  A
+    SQUID outside the register raises ``ValueError`` from the level views.
     """
-    _check_squid(state.spec, op.squid)
     amps = state.tensor()[..., None].copy()
-    if op.variant is PulseVariant.RAMAN:
-        check_two_pulse_domain(amps, op.squid)
-    pulse_kernel(amps, op, np.array([op.duration], dtype=np.float64), cfg)
+    coeffs = pulse_coefficients(op, np.array([op.duration]), state.spec.fock_cutoff, cfg)
+    run_pulse(amps, op, coeffs)
     return PureState(amps.reshape(-1), state.spec)
 
 
@@ -413,18 +428,13 @@ def evolve_rows(
     return (evecs @ (phases * (evecs.conj().T @ rows[..., None])[..., 0])[..., None])[..., 0]
 
 
-def evolve_diagonalized(
-    state: PureState, eigen: tuple[np.ndarray, np.ndarray], duration: float
-) -> PureState:
-    """Apply exp(-i * H * duration) given H's ``diagonalize_generator`` output.
-
-    ``evolve_rows`` on the state as a batch of one.
-    """
-    amps = evolve_rows(state.amplitudes[None], eigen, np.array([duration]))[0]
-    return PureState(amps, state.spec)
-
-
 def evolve_exact(state: PureState, generator: np.ndarray, duration: float) -> PureState:
-    """Apply exp(-i * generator * duration) via Hermitian eigendecomposition."""
+    """Apply exp(-i * generator * duration) via Hermitian eigendecomposition.
+
+    ``diagonalize_generator`` and then ``evolve_rows`` on the state as a
+    batch of one.
+    """
     _check_generator_shape(np.shape(generator), state.spec.dimension)
-    return evolve_diagonalized(state, diagonalize_generator(generator), duration)
+    amps = evolve_rows(state.amplitudes[None], diagonalize_generator(generator),
+                       np.array([duration]))[0]
+    return PureState(amps, state.spec)

@@ -36,22 +36,24 @@ axis last, pulse j of slot k in row b lasting its nominal duration times
 ``run_uqcm`` runs one input as a batch of one, every pulse at the
 schedule's own duration, and ``execute_schedule`` runs any start state
 that way at its own cutoff.  All three apply the schedule through one
-walk, ``_walk``, which checks every row before and after each pulse, so a
-row's result and its checks do not depend on the batch it ran in.  A walk
-without slot factors reads every pulse's coefficients from a table built
-once per schedule, coupling config and photon cutoff
-(``_nominal_coefficients``); a walk with slot factors builds them per
-call, with the same arithmetic.
+walk, ``_walk``, which runs every pulse through ``dynamics.run_pulse``,
+the two-pulse guard, kernel and row-norm check that every pulse
+application shares, so a row's result and its checks do not depend on
+the batch it ran in.  A walk without slot factors reads every pulse's
+coefficients from a table built once per schedule, coupling config and
+photon cutoff (``_nominal_coefficients``); a walk with slot factors
+builds them per call, with the same arithmetic.
 
 A clone walks on its proven photon support.  The cavity exchange
 conserves #e + n and the other pulses leave n alone, so from an empty
 cavity a schedule can only reach so many photons: ``_photon_reach`` walks
-the basis states each pulse couples, reading only the pulses' (variant,
-SQUID) in walk order, and finds 2 for the cloning schedule whatever its
-durations.  ``clone_batch`` and ``run_uqcm`` share one prepare-and-walk
-route, ``_clone_rows``, which walks at m = min(fock_cutoff, reach) with
-every guard and norm check, and pad the result back to the caller's
-cutoff with +0.  Cutoff 2 is therefore exact and any larger cutoff gives
+the basis states each pulse couples, as ``dynamics.COUPLED_LEVELS`` names
+them, the one table the kernel mixes by, reading only the pulses'
+(variant, SQUID) in walk order, and finds 2 for the cloning schedule
+whatever its durations.  ``clone_batch`` and ``run_uqcm`` share one
+prepare-and-walk route, ``_clone_rows``, which walks at
+m = min(fock_cutoff, reach) with every guard and norm check, and pad the
+result back to the caller's cutoff with +0.  Cutoff 2 is therefore exact and any larger cutoff gives
 the same amplitudes padded with zeros (a zero amplitude may differ in
 sign only); cutoff 1 truncates the photon-2 population that timing
 errors put into the cavity.  A trace entry keeps a read-only copy of the
@@ -79,13 +81,13 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import (
+    COUPLED_LEVELS,
     DEFAULT_COUPLINGS,
     CouplingConfig,
     PulseOp,
     PulseVariant,
-    apply_coefficients,
-    check_two_pulse_domain,
     pulse_coefficients,
+    run_pulse,
 )
 from .errors import LeakageError, PhysicsError, PreconditionError
 from .hilbert import (
@@ -96,7 +98,6 @@ from .hilbert import (
     BasisSpec,
     PureState,
     _level,
-    check_row_norms,
     level_populations,
     population_screen,
 )
@@ -449,17 +450,6 @@ def _nominal_coefficients(
     )
 
 
-# The couplings of each pulse variant as the support walk reads them:
-# (a, b, s) couples |a, n + s> with |b, n> on the pulse's SQUID, for every
-# n >= 0.  Free evolution is diagonal and couples nothing.
-_COUPLED_LEVELS = {
-    PulseVariant.JC: (LEVEL_G, LEVEL_E, 1),
-    PulseVariant.DRIVE_GE: (LEVEL_G, LEVEL_E, 0),
-    PulseVariant.DRIVE_IE: (LEVEL_I, LEVEL_E, 0),
-    PulseVariant.RAMAN: (LEVEL_G, LEVEL_I, 0),
-}
-
-
 @functools.lru_cache(maxsize=32)
 def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
     """Largest photon number a three-SQUID clone can reach under the pulses of ``pattern``.
@@ -468,10 +458,11 @@ def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
     walk reads nothing else, so every timing of a schedule shares one
     result.  It starts from SQUID 1 in g or i, SQUIDs 2 and 3 in g and an
     empty cavity, and after each pulse adds the partners of every reached
-    basis state under that pulse's couplings (``_COUPLED_LEVELS``).  A
-    pulse only mixes a basis state with its partners, so amplitude that
-    starts inside the reached set stays inside it, whatever the pulse
-    durations, at any photon cutoff.  Walking at a cutoff m no smaller
+    basis state under that pulse's couplings, read from the table the
+    kernel mixes by (``dynamics.COUPLED_LEVELS``), so the proof covers the
+    couplings the kernel applies.  A pulse only mixes a basis state with
+    its partners, so amplitude that starts inside the reached set stays
+    inside it, whatever the pulse durations, at any photon cutoff.  Walking at a cutoff m no smaller
     than the reach therefore gives the amplitudes of any larger cutoff on
     n <= m and exact zeros above: the one state the cutoff-m exchange
     treats differently, |e, m> (no partner |g, m + 1>), is never reached
@@ -481,9 +472,9 @@ def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
     """
     reached = {(level, LEVEL_G, LEVEL_G, 0) for level in (LEVEL_G, LEVEL_I)}
     for variant, squid in pattern:
-        if variant not in _COUPLED_LEVELS:
+        if variant not in COUPLED_LEVELS:
             continue
-        a, b, shift = _COUPLED_LEVELS[variant]
+        a, b, shift = COUPLED_LEVELS[variant]
         partners = set()
         for state in reached:
             level, photons = state[squid - 1], state[-1]
@@ -510,10 +501,11 @@ def _walk(
     Each pulse of slot k in row b lasts its nominal duration times
     ``factors[b, k]``; with ``factors`` None every pulse lasts its nominal
     duration, and its coefficients come from the schedule's cached table
-    (``_nominal_coefficients``).  Every pulse runs the two-pulse leakage
-    guard (Raman only, skipped with ``enforce_preconditions`` off), the
-    kernel and the row-norm check; a tripped check raises its ``PhysicsError``
-    type, prefixed with the step label and naming the row as sample
+    (``_nominal_coefficients``).  Every pulse goes through
+    ``dynamics.run_pulse``: the two-pulse leakage guard (Raman only,
+    skipped with ``enforce_preconditions`` off), the kernel and the
+    row-norm check; a tripped check raises its ``PhysicsError`` type,
+    prefixed with the step label and naming the row as sample
     ``first_sample + row``.  ``on_pulse(step, op)`` runs after every
     pulse, ``on_step(step, elapsed, amps)`` after the last slot of each
     step, with the nominal schedule time so far.
@@ -531,10 +523,7 @@ def _walk(
                 else:
                     coeffs = pulse_coefficients(op, op.duration * factors[:, k], fock_cutoff, cfg)
                 try:
-                    if enforce_preconditions and op.variant is PulseVariant.RAMAN:
-                        check_two_pulse_domain(amps, op.squid, first_sample)
-                    apply_coefficients(amps, op, coeffs)
-                    check_row_norms(amps, first_sample)
+                    run_pulse(amps, op, coeffs, first_sample, guarded=enforce_preconditions)
                 except PhysicsError as exc:
                     raise type(exc)(f"{slot.step}: {exc}") from exc
                 if on_pulse is not None:

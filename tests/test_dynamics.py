@@ -1,7 +1,7 @@
 """Pulse primitives: closed-form values, unitarity, composition, generator oracle."""
 
+import itertools
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +28,6 @@ from clone_sim import (
     basis_tuple,
     build_generator,
     diagonalize_generator,
-    evolve_diagonalized,
     evolve_exact,
     inner_product,
     partial_trace,
@@ -58,10 +57,16 @@ def amp(state, levels, photons):
     return state.amplitudes[basis_index(state.spec, levels, photons)]
 
 
+def kernel(amps, op, durations):
+    # the raw kernel, no guard and no norm check: row b lasts durations[b]
+    coeffs = dynamics.pulse_coefficients(op, durations, amps.shape[-2] - 1, CFG)
+    dynamics.apply_coefficients(amps, op, coeffs)
+
+
 def unguarded(state, op):
     # the kernel apply_pulse_op runs, on a batch of one, without its Raman guard
     amps = state.tensor()[..., None].copy()
-    dynamics.pulse_kernel(amps, op, np.array([op.duration]), CFG)
+    kernel(amps, op, np.array([op.duration]))
     return PureState(amps.reshape(-1), state.spec)
 
 
@@ -230,10 +235,11 @@ def _lambda_system(ratio, phi1, phi2):
 
 def _gi_block(eigen, duration):
     """The g-i block of exp(-i H duration): column j is where |g> (j = 0) or |i> (j = 1) goes."""
-    columns = [evolve_diagonalized(PureState.basis_state(LAMBDA_SPEC, (level,), 0), eigen,
-                                   duration) for level in ("g", "i")]
+    starts = [PureState.basis_state(LAMBDA_SPEC, (level,), 0) for level in ("g", "i")]
+    columns = [dynamics.evolve_rows(start.amplitudes[None], eigen, np.array([duration]))[0]
+               for start in starts]
     gi = [basis_index(LAMBDA_SPEC, (level,), 0) for level in ("g", "i")]
-    return np.array([[column.amplitudes[k] for column in columns] for k in gi])
+    return np.array([[column[k] for column in columns] for k in gi])
 
 
 def _raman_rotation(op, cfg):
@@ -453,10 +459,11 @@ def test_evolve_exact_is_decomposition_then_apply():
     eigen = diagonalize_generator(ham)
     for duration in (0.0, 0.7, 5.3):
         once = evolve_exact(psi, ham, duration)
-        reused = evolve_diagonalized(psi, eigen, duration)
-        assert np.array_equal(once.amplitudes, reused.amplitudes)
+        reused = dynamics.evolve_rows(psi.amplitudes[None], eigen, np.array([duration]))[0]
+        assert np.array_equal(once.amplitudes, reused)
     with pytest.raises(ValueError, match="does not match dimension"):
-        evolve_diagonalized(PureState.basis_state(BasisSpec(1, 1), ("g",), 0), eigen, 1.0)
+        dynamics.evolve_rows(PureState.basis_state(BasisSpec(1, 1), ("g",), 0).amplitudes[None],
+                             eigen, np.array([1.0]))
 
 
 @pytest.mark.parametrize("fock_cutoff", [1, 2, 4])
@@ -478,7 +485,8 @@ def test_evolve_rows_equals_the_per_state_route_bit_for_bit(variant, fock_cutoff
             for psi, t, row in zip(states, durations, batch):
                 one = evecs @ (np.exp(-1j * evals * float(t)) * (evecs.conj().T @ psi.amplitudes))
                 assert np.array_equal(row, one)
-                assert np.array_equal(row, evolve_diagonalized(psi, eigen, float(t)).amplitudes)
+                alone = dynamics.evolve_rows(psi.amplitudes[None], eigen, np.array([float(t)]))
+                assert np.array_equal(row, alone[0])
 
 
 def _kron_lift(spec, squid, mat, cavity=None):
@@ -509,6 +517,49 @@ def test_lift_is_the_nested_kron_entry_for_entry(monkeypatch):
                         for part in (np.real, np.imag):
                             assert np.array_equal(np.signbit(part(broadcast)),
                                                   np.signbit(part(nested)))
+
+
+def _table_couplings(variant, squid, spec):
+    """(row, column) of every pair |a, n + s> <-> |b, n> that ``COUPLED_LEVELS`` names."""
+    if variant not in dynamics.COUPLED_LEVELS:
+        return set()
+    a, b, shift = dynamics.COUPLED_LEVELS[variant]
+    pairs = set()
+    for levels in itertools.product(range(3), repeat=spec.num_squids):
+        if levels[squid - 1] != a:
+            continue
+        partner = levels[:squid - 1] + (b,) + levels[squid:]
+        for n in range(shift, spec.fock_cutoff + 1):
+            one = int(np.ravel_multi_index(levels + (n,), spec.factor_dims))
+            other = int(np.ravel_multi_index(partner + (n - shift,), spec.factor_dims))
+            pairs |= {(one, other), (other, one)}
+    return pairs
+
+
+def _generator_couplings(variant, squid, spec):
+    """(row, column) of every nonzero off-diagonal entry of ``build_generator``."""
+    generator = build_generator(PulseOp(variant, squid, 1.0, phi1=0.7, phi2=2.1), spec, CFG)
+    return {(int(r), int(c)) for r, c in zip(*np.nonzero(generator)) if r != c}
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 3])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_the_coupling_table_names_exactly_the_generators_couplings(variant, fock_cutoff):
+    # two routes: the table the kernel and the support walk read, the oracle's generator
+    spec = BasisSpec(3, fock_cutoff)
+    for squid in (1, 2, 3):
+        couplings = _generator_couplings(variant, squid, spec)
+        assert couplings == _table_couplings(variant, squid, spec)
+        assert bool(couplings) == (variant is not PulseVariant.FREE_EVOLVE)
+
+
+def test_a_wrong_coupling_table_entry_fails_the_two_route_check(monkeypatch):
+    spec = BasisSpec(3, 2)
+    generator = _generator_couplings(PulseVariant.DRIVE_IE, 2, spec)
+    monkeypatch.setitem(dynamics.COUPLED_LEVELS, PulseVariant.DRIVE_IE, (LEVEL_G, LEVEL_E, 0))
+    # the generator does not read the table, so only the table's side moves
+    assert _generator_couplings(PulseVariant.DRIVE_IE, 2, spec) == generator
+    assert _table_couplings(PulseVariant.DRIVE_IE, 2, spec) != generator
 
 
 # ----------------------------------------------- independent expm cross-check
@@ -585,15 +636,13 @@ def test_each_apply_function_matches_expm_and_the_eigh_oracle(variant):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_kernel_rows_each_follow_their_own_duration(variant):
     # one kernel call on six rows, each with its own state and duration
-    from clone_sim.dynamics import pulse_kernel
-
     spec = BasisSpec(3, 2)
     rng = np.random.default_rng(67)
     rows = [random_pure_state((67, k), spec) for k in range(6)]
     durations = rng.uniform(0.0, 5.0, size=6)
     op = PulseOp(variant, 2, 1.0, phi1=0.4, phi2=1.3)
     amps = np.stack([state.tensor() for state in rows], axis=-1)  # batch axis last
-    pulse_kernel(amps, op, durations, CFG)
+    kernel(amps, op, durations)
     for k, state in enumerate(rows):
         row_op = PulseOp(variant, 2, float(durations[k]), phi1=0.4, phi2=1.3)
         want = _expm_unitary(row_op, spec) @ state.amplitudes
@@ -603,27 +652,17 @@ def test_kernel_rows_each_follow_their_own_duration(variant):
 
 
 def test_kernels_reject_targets_outside_the_register():
-    from clone_sim.dynamics import pulse_kernel
-
     # two squids and a cavity of cutoff 2, two rows on the last axis
     amps = np.zeros((3, 3, 3, 2), dtype=complex)
     with pytest.raises(ValueError):
-        pulse_kernel(amps, PulseOp(PulseVariant.JC, 3, 1.0), np.ones(2), CFG)
+        kernel(amps, PulseOp(PulseVariant.JC, 3, 1.0), np.ones(2))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-@pytest.mark.parametrize("durations", [np.ones(1), np.ones(4), np.ones((3, 1)), np.float64(1.0)])
-def test_kernels_take_exactly_one_duration_per_row(variant, durations):
-    # a length-1 array would otherwise broadcast over every row of some kernels
-    from clone_sim.dynamics import pulse_kernel
-
-    amps = np.zeros((3, 3, 3, 3), dtype=complex)  # two squids, three rows
-    amps[0, 0, 0] = 1.0
-    before = amps.copy()
-    shape = re.escape(str(np.shape(durations)))
-    with pytest.raises(ValueError, match=rf"^durations has shape {shape}, expected \(3,\)"):
-        pulse_kernel(amps, PulseOp(variant, 1, 1.0), durations, CFG)
-    assert np.array_equal(amps, before)
+def test_apply_pulse_op_rejects_a_squid_outside_the_register(variant):
+    state = PureState.basis_state(BasisSpec(2, 2), ("g", "g"), 0)
+    with pytest.raises(ValueError, match=r"^squid index 3 outside 1\.\.2$"):
+        apply_pulse_op(state, PulseOp(variant, 3, 1.0))
 
 
 # ------------------------------------------------------ guard population screen

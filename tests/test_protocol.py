@@ -226,16 +226,23 @@ def test_a_process_error_carries_its_slot_label(process, label):
 
 
 def test_protocol_operations_apply_their_pulses_only_through_the_walk(monkeypatch):
-    from clone_sim import dynamics
+    import sys
 
-    calls = []
-    original = dynamics.pulse_kernel
+    from clone_sim import dynamics, protocol
+
+    calls, callers = [], []
+    original = dynamics.run_pulse
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "pulse_kernel", counting)
+    def walked(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "run_pulse", counting)
+    monkeypatch.setattr(protocol, "run_pulse", walked)
     q = InputQubit.from_bloch(1.1, 2.3)
     process_one(gi_state(1.0, 0.0), 1, CFG)
     process_two(gi_state(1.0, 0.0), 1, CFG)
@@ -243,6 +250,7 @@ def test_protocol_operations_apply_their_pulses_only_through_the_walk(monkeypatc
     prepare_input(fresh(), 1, q, CFG, mode="pulsed")
     run_uqcm(q, CFG)
     assert calls == []
+    assert callers and set(callers) == {"_walk"}
     dynamics.apply_pulse_op(fresh(), PulseOp(PulseVariant.FREE_EVOLVE, 1, 1.0), CFG)
     assert len(calls) == 1  # the counter sees the single-pulse route
 

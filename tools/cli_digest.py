@@ -37,6 +37,8 @@ CASES = [
     "run --theta 1.3 --phi 0.2 --fock-cutoff 10000",
     "run --theta 2.5 --fock-cutoff 8 --trace out/t.json",
     "validate --verbose --seed 0", "validate --verbose --seed 12345",
+    "trace --theta 1.3 --phi 0.2 --fock-cutoff 1",
+    "trace --theta 1.3 --timing-jitter 0.3 --seed 5 --fock-cutoff 1",
 ]
 
 
