@@ -39,10 +39,15 @@ that way at its own cutoff.  All three apply the schedule through one
 walk, ``_walk``, which runs every pulse through ``dynamics.run_pulse``,
 the two-pulse guard, kernel and row-norm check that every pulse
 application shares, so a row's result and its checks do not depend on
-the batch it ran in.  A walk without slot factors reads every pulse's
-coefficients from a table built once per schedule, coupling config and
-photon cutoff (``_nominal_coefficients``); a walk with slot factors
-builds them per call, with the same arithmetic.
+the batch it ran in.  The walk reads a pulse program, which ``_compile``
+builds from a schedule, a coupling config and a photon cutoff: the
+pulses in walk order with their slot index and their coefficients at
+nominal duration, grouped into one run per stretch of consecutive slots
+of one step, each with the nominal time at its end.  The cloning
+schedule's program is compiled once per coupling config and requested
+cutoff (``_uqcm_program``); any other schedule is compiled per call.  A
+walk with slot factors builds each pulse's coefficients per call, with
+the same arithmetic.
 
 A clone walks on its proven photon support.  The cavity exchange
 conserves #e + n and the other pulses leave n alone, so from an empty
@@ -50,10 +55,11 @@ cavity a schedule can only reach so many photons: ``_photon_reach`` walks
 the basis states each pulse couples, as ``dynamics.COUPLED_LEVELS`` names
 them, the one table the kernel mixes by, reading only the pulses'
 (variant, SQUID) in walk order, and finds 2 for the cloning schedule
-whatever its durations.  ``clone_batch`` and ``run_uqcm`` share one
-prepare-and-walk route, ``_clone_rows``, which walks at
-m = min(fock_cutoff, reach) with every guard and norm check, and pad the
-result back to the caller's cutoff with +0.  Cutoff 2 is therefore exact and any larger cutoff gives
+whatever its durations.  A clone's program is compiled at
+m = min(fock_cutoff, reach), and ``clone_batch`` and ``run_uqcm`` share
+one prepare-and-walk route, ``_clone_rows``, which walks it with every
+guard and norm check; they pad the result back to the caller's cutoff
+with +0.  Cutoff 2 is therefore exact and any larger cutoff gives
 the same amplitudes padded with zeros (a zero amplitude may differ in
 sign only); cutoff 1 truncates the photon-2 population that timing
 errors put into the cavity.  A trace entry keeps a read-only copy of the
@@ -434,22 +440,6 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
     return Schedule(slots)
 
 
-@functools.lru_cache(maxsize=8)
-def _nominal_coefficients(
-    schedule: Schedule, cfg: CouplingConfig, fock_cutoff: int
-) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Every pulse's ``pulse_coefficients`` at its nominal duration, in walk order.
-
-    Each has shape (1,) or (fock_cutoff, 1) and broadcasts over the rows.
-    The arrays are read-only, because every walk of the schedule shares
-    them.
-    """
-    return tuple(
-        pulse_coefficients(op, np.array([op.duration]), fock_cutoff, cfg)
-        for slot in schedule.slots for track in slot.tracks for op in track
-    )
-
-
 @functools.lru_cache(maxsize=32)
 def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
     """Largest photon number a three-SQUID clone can reach under the pulses of ``pattern``.
@@ -486,52 +476,86 @@ def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
     return max(state[-1] for state in reached)
 
 
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """A schedule compiled for ``_walk`` at one coupling config and photon cutoff.
+
+    ``runs`` holds one entry per stretch of consecutive slots of one step:
+    (step, nominal time at its last slot's end, pulses), where pulses are
+    (slot index, op, ``pulse_coefficients`` at the op's duration) in walk
+    order.  Each coefficient array is read-only with shape (1,) or
+    (fock_cutoff, 1) and broadcasts over the rows.
+    """
+
+    cfg: CouplingConfig
+    fock_cutoff: int
+    n_slots: int
+    runs: tuple[tuple[str, float, tuple[tuple[int, PulseOp, tuple[np.ndarray, ...]], ...]], ...]
+
+
+def _compile(schedule: Schedule, cfg: CouplingConfig, fock_cutoff: int, clone: bool) -> _Program:
+    """``schedule``'s pulse program for a start state at ``fock_cutoff``.
+
+    With ``clone`` on, the start state is a clone's prepared input, and the
+    program runs at min(fock_cutoff, ``_photon_reach`` of its pulses).  The
+    nominal time is summed slot by slot.
+    """
+    if clone:
+        pattern = tuple((op.variant, op.squid)
+                        for slot in schedule.slots for track in slot.tracks for op in track)
+        fock_cutoff = min(fock_cutoff, _photon_reach(pattern))
+    runs, elapsed = [], 0.0
+    for k, slot in enumerate(schedule.slots):
+        pulses = tuple((k, op, pulse_coefficients(op, np.array([op.duration]), fock_cutoff, cfg))
+                       for track in slot.tracks for op in track)
+        elapsed += slot.duration
+        if runs and runs[-1][0] == slot.step:
+            pulses = runs.pop()[2] + pulses
+        runs.append((slot.step, elapsed, pulses))
+    return _Program(cfg, fock_cutoff, len(schedule.slots), tuple(runs))
+
+
+@functools.lru_cache(maxsize=8)
+def _uqcm_program(cfg: CouplingConfig, fock_cutoff: int) -> _Program:
+    """The cloning schedule's clone program at ``fock_cutoff``, shared by all its walks."""
+    return _compile(build_uqcm_schedule(cfg), cfg, fock_cutoff, clone=True)
+
+
 def _walk(
     amps: np.ndarray,
-    schedule: Schedule,
+    program: _Program,
     factors: np.ndarray | None,
-    cfg: CouplingConfig,
     enforce_preconditions: bool,
     first_sample: int = 0,
     on_pulse: Callable[[str, PulseOp], None] | None = None,
     on_step: Callable[[str, float, np.ndarray], None] | None = None,
 ) -> None:
-    """Apply ``schedule`` in place to the batch-last rows ``amps``.
+    """Apply ``program`` in place to the batch-last rows ``amps``, at its photon cutoff.
 
     Each pulse of slot k in row b lasts its nominal duration times
-    ``factors[b, k]``; with ``factors`` None every pulse lasts its nominal
-    duration, and its coefficients come from the schedule's cached table
-    (``_nominal_coefficients``).  Every pulse goes through
-    ``dynamics.run_pulse``: the two-pulse leakage guard (Raman only,
-    skipped with ``enforce_preconditions`` off), the kernel and the
-    row-norm check; a tripped check raises its ``PhysicsError`` type,
-    prefixed with the step label and naming the row as sample
+    ``factors[b, k]``, with coefficients built per call; with ``factors``
+    None every pulse reads the program's nominal coefficients.  Every
+    pulse goes through ``dynamics.run_pulse``: the two-pulse leakage guard
+    (Raman only, skipped with ``enforce_preconditions`` off), the kernel
+    and the row-norm check; a tripped check raises its ``PhysicsError``
+    type, prefixed with the step label and naming the row as sample
     ``first_sample + row``.  ``on_pulse(step, op)`` runs after every
-    pulse, ``on_step(step, elapsed, amps)`` after the last slot of each
-    step, with the nominal schedule time so far.
+    pulse, ``on_step(step, elapsed, amps)`` after each of the program's
+    runs, with the nominal schedule time so far.
     """
-    fock_cutoff = amps.shape[-2] - 1
-    if factors is None:
-        nominal = iter(_nominal_coefficients(schedule, cfg, fock_cutoff))
-    slots = schedule.slots
-    elapsed = 0.0
-    for k, slot in enumerate(slots):
-        for track in slot.tracks:
-            for op in track:
-                if factors is None:
-                    coeffs = next(nominal)
-                else:
-                    coeffs = pulse_coefficients(op, op.duration * factors[:, k], fock_cutoff, cfg)
-                try:
-                    run_pulse(amps, op, coeffs, first_sample, guarded=enforce_preconditions)
-                except PhysicsError as exc:
-                    raise type(exc)(f"{slot.step}: {exc}") from exc
-                if on_pulse is not None:
-                    on_pulse(slot.step, op)
+    for step, elapsed, pulses in program.runs:
+        for k, op, coeffs in pulses:
+            if factors is not None:
+                coeffs = pulse_coefficients(op, op.duration * factors[:, k], program.fock_cutoff,
+                                            program.cfg)
+            try:
+                run_pulse(amps, op, coeffs, first_sample, guarded=enforce_preconditions)
+            except PhysicsError as exc:
+                raise type(exc)(f"{step}: {exc}") from exc
+            if on_pulse is not None:
+                on_pulse(step, op)
         if on_step is not None:
-            elapsed += slot.duration
-            if k + 1 == len(slots) or slots[k + 1].step != slot.step:
-                on_step(slot.step, elapsed, amps)
+            on_step(step, elapsed, amps)
 
 
 def execute_schedule(
@@ -556,7 +580,7 @@ def execute_schedule(
     def observe(step: str, op: PulseOp) -> None:
         observer(step, op, PureState(amps.reshape(-1), spec))
 
-    _walk(amps, schedule, None, cfg, enforce_preconditions,
+    _walk(amps, _compile(schedule, cfg, spec.fock_cutoff, False), None, enforce_preconditions,
           on_pulse=None if observer is None else observe, on_step=_recorder(entries, spec))
     final = entries[-1].state if entries else state
     return final, StepTrace(tuple(entries))
@@ -585,32 +609,27 @@ def _run_track(
 
 def _clone_rows(
     gi: np.ndarray,
-    spec: BasisSpec,
-    schedule: Schedule,
+    program: _Program,
     factors: np.ndarray | None,
-    cfg: CouplingConfig,
     enforce_preconditions: bool,
     first_sample: int = 0,
     on_step: Callable[[str, float, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Prepare one clone per (g, i) pair of ``gi`` (B, 2) and walk ``schedule`` on them all.
+    """Prepare one clone per (g, i) pair of ``gi`` (B, 2) and walk ``program`` on them all.
 
-    The rows run batch axis last at the photon cutoff
-    min(spec.fock_cutoff, schedule's ``_photon_reach``), where they hold
-    the amplitudes a walk at ``spec``'s cutoff gives, up to the sign of a
-    zero; the caller pads them back.
-    ``on_step`` sees the prepared rows as step "input" at time 0 and then
-    runs as ``_walk`` runs it.
+    ``program`` is a clone's program (``_compile`` with ``clone`` on) for
+    the caller's cutoff.  The three-SQUID rows run batch axis last at its
+    photon cutoff, min(cutoff, reach), where they hold the amplitudes a
+    walk at the caller's cutoff gives, up to the sign of a zero; the
+    caller pads them back.  ``on_step`` sees the prepared rows as step
+    "input" at time 0 and then runs as ``_walk`` runs it.
     """
-    pattern = tuple((op.variant, op.squid)
-                    for slot in schedule.slots for track in slot.tracks for op in track)
-    walked = min(spec.fock_cutoff, _photon_reach(pattern))
-    amps = np.zeros(spec.factor_dims[:-1] + (walked + 1, len(gi)), dtype=np.complex128)
+    amps = np.zeros((3, 3, 3, program.fock_cutoff + 1, len(gi)), dtype=np.complex128)
     amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
     _inject_rows(amps, 1, gi)
     if on_step is not None:
         on_step("input", 0.0, amps)
-    _walk(amps, schedule, factors, cfg, enforce_preconditions, first_sample, on_step=on_step)
+    _walk(amps, program, factors, enforce_preconditions, first_sample, on_step=on_step)
     return amps
 
 
@@ -636,13 +655,15 @@ def run_uqcm(
     schedule never reaches a third photon (``_photon_reach``), whatever
     its pulse durations, so every larger cutoff gives the same state
     padded with zeros, while a cutoff of one truncates the photon-2
-    population that timing errors put into the cavity.
+    population that timing errors put into the cavity.  Without
+    ``schedule`` the run walks the cloning schedule's cached program;
+    a given ``schedule`` is compiled for this call.
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
-    if schedule is None:
-        schedule = build_uqcm_schedule(cfg)
+    program = (_uqcm_program(cfg, fock_cutoff) if schedule is None
+               else _compile(schedule, cfg, fock_cutoff, clone=True))
     entries: list[TraceEntry] = []
-    _clone_rows(q.gi_vector()[None], spec, schedule, None, cfg, enforce_preconditions,
+    _clone_rows(q.gi_vector()[None], program, None, enforce_preconditions,
                 on_step=_recorder(entries, spec))
     return entries[-1].state, StepTrace(tuple(entries))
 
@@ -678,9 +699,9 @@ def clone_batch(
     if bad.size:
         raise ValueError(f"sample {first_sample + int(bad[0])}: |alpha|^2 + |beta|^2 = "
                          f"{float(total[bad[0]])}, must be 1")
-    spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
-    schedule = build_uqcm_schedule(cfg)
-    shape = (len(alpha), len(schedule.slots))
+    BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)  # rejects a cutoff below 1
+    program = _uqcm_program(cfg, fock_cutoff)
+    shape = (len(alpha), program.n_slots)
     factors = None
     if slot_factors is not None:
         factors = np.asarray(slot_factors, dtype=np.float64)
@@ -691,6 +712,6 @@ def clone_batch(
             k = int(bad[0])
             raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
                              f"and >= 0, got {factors[k].tolist()}")
-    amps = _clone_rows(gi_amplitudes(alpha, beta), spec, schedule, factors, cfg,
+    amps = _clone_rows(gi_amplitudes(alpha, beta), program, factors,
                        enforce_preconditions, first_sample)
     return _padded(np.moveaxis(amps, -1, 0), fock_cutoff)

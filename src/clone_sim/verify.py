@@ -360,6 +360,5 @@ def universality_sweep(
                             first_sample=start)
         for name, values in score_rows(final, alpha[rows], beta[rows], start).items():
             scores[name].append(values)
-    columns = [np.concatenate(scores[name]) for name in
-               ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")]
+    columns = [np.concatenate(scores[name]) for name in REPORT_FIELDS]
     return SweepResult(thetas, phis, *columns, seed=seed, n=n)

@@ -1,5 +1,6 @@
 """Protocol steps, schedule construction, and the end-to-end cloning run."""
 
+import functools
 import math
 
 import numpy as np
@@ -360,6 +361,32 @@ def test_execute_schedule_prefixes_errors_with_step_label():
         execute_schedule(start, bad, CFG)
 
 
+def test_a_step_that_returns_after_another_gets_an_entry_of_its_own():
+    from clone_sim.dynamics import apply_pulse_op
+
+    pulses = [op(PulseVariant.DRIVE_GE, 2, 0.3), op(PulseVariant.JC, 2, 0.7),
+              op(PulseVariant.DRIVE_IE, 3, 0.2)]
+    schedule = Schedule(tuple(Slot(step, ((pulse,),)) for step, pulse in zip("aba", pulses)))
+    state = fresh(BasisSpec(3, 2))
+    final, trace = execute_schedule(state, schedule, CFG)
+    assert [(e.label, e.t_elapsed) for e in trace.entries] == [("a", 0.3), ("b", 1.0), ("a", 1.2)]
+    for entry, pulse in zip(trace.entries, pulses):
+        state = apply_pulse_op(state, pulse, CFG)
+        assert np.array_equal(entry.state.amplitudes, state.amplitudes), entry.label
+    assert final is trace.entries[-1].state
+
+
+def test_an_empty_schedule_walks_nothing():
+    start = fresh(BasisSpec(3, 4))
+    final, trace = execute_schedule(start, Schedule(()), CFG)
+    assert final is start and trace.entries == ()
+    q = InputQubit.from_bloch(1.1, 2.3)
+    final, trace = run_uqcm(q, CFG, fock_cutoff=4, schedule=Schedule(()))
+    assert [(e.label, e.t_elapsed) for e in trace.entries] == [("input", 0.0)]
+    assert final is trace.entries[0].state
+    assert np.array_equal(final.amplitudes, prepare_input(start, 1, q, CFG).amplitudes)
+
+
 def test_trace_snapshots_per_step_with_increasing_clock():
     q = InputQubit(1.0, 0.0)
     _, trace = run_uqcm(q, CFG)
@@ -524,7 +551,7 @@ RATES = st.floats(1e-3, 1e3)
 @settings(max_examples=40, deadline=None)
 def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
         lam, omega_ge, omega_ie, lambda_prime, omega_gi, fock_cutoff, rows, seed):
-    # no slot factors reads the cached table; all-ones factors build every pulse per call
+    # no slot factors reads the cached program; all-ones factors build every pulse per call
     from clone_sim import clone_batch
     from clone_sim.protocol import bloch_amplitudes
 
@@ -542,24 +569,53 @@ def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
     assert outcomes[0] == outcomes[1]
 
 
-def test_cached_coefficients_are_shared_and_read_only():
+def test_one_cached_program_serves_clones_with_read_only_coefficients():
     from clone_sim import clone_batch
-    from clone_sim.protocol import _nominal_coefficients
+    from clone_sim.protocol import _uqcm_program
 
     schedule = build_uqcm_schedule(CFG)
-    table = _nominal_coefficients(schedule, CFG, 2)
-    assert len(table) == sum(len(track) for slot in schedule.slots for track in slot.tracks)
-    hits = _nominal_coefficients.cache_info().hits
+    program = _uqcm_program(CFG, 2)
+    pulses = [pulse for _, _, run in program.runs for pulse in run]
+    assert program.n_slots == len(schedule.slots)
+    assert [(k, op) for k, op, _ in pulses] == [
+        (k, op) for k, slot in enumerate(schedule.slots) for track in slot.tracks for op in track]
+    info = _uqcm_program.cache_info()
     clone_batch(np.ones(3), np.zeros(3), CFG, 2)
+    assert _uqcm_program.cache_info()[:2] == (info.hits + 1, info.misses)
     run_uqcm(InputQubit(1.0, 0.0), CFG, 2)
-    assert _nominal_coefficients.cache_info().hits == hits + 2
-    for coeffs in table:
+    assert _uqcm_program.cache_info()[:2] == (info.hits + 2, info.misses)
+    for _, _, coeffs in pulses:
         for array in coeffs:
             assert array.shape in {(1,), (2, 1)}
             before = array.copy()
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
             assert np.array_equal(array, before)
+
+
+def test_a_warm_nominal_clone_hashes_no_schedule_and_at_most_one_config(monkeypatch):
+    from clone_sim import clone_batch
+    from clone_sim.protocol import bloch_amplitudes
+
+    rng = np.random.default_rng(26)
+    alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(100)),
+                                   2.0 * math.pi * rng.random(100))
+    q = InputQubit.from_bloch(1.3, 0.2)
+    calls = [lambda: run_uqcm(q, CFG, fock_cutoff=32), lambda: clone_batch(alpha, beta, CFG)]
+    for call in calls:
+        call()  # warm-up
+    counts = {}
+    for cls in (PulseOp, Slot, Schedule, CouplingConfig):
+        def counting(self, original=cls.__hash__, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counting)
+    for call in calls:
+        counts.clear()
+        call()
+        assert counts.get("CouplingConfig", 0) <= 1
+        assert [counts.get(name, 0) for name in ("PulseOp", "Slot", "Schedule")] == [0, 0, 0]
 
 
 def test_phase_closure_overflow_names_the_rate_and_the_pulse_time():
@@ -602,8 +658,8 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
     ``_walk``.
     """
     from clone_sim import build_generator, clone_batch
-    from clone_sim.protocol import (_inject_rows, _photon_reach, _walk, bloch_amplitudes,
-                                    gi_amplitudes)
+    from clone_sim.protocol import (_compile, _inject_rows, _photon_reach, _walk,
+                                    bloch_amplitudes, gi_amplitudes)
 
     schedule = build_uqcm_schedule(CFG)
     spec = BasisSpec(3, fock_cutoff)
@@ -628,7 +684,7 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
     amps = np.zeros(spec.factor_dims + (rows,), dtype=complex)
     amps[0, 0, 0, 0] = 1.0
     _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
-    _walk(amps, schedule, factors, CFG, False)
+    _walk(amps, _compile(schedule, CFG, fock_cutoff, clone=False), factors, False)
     full = np.moveaxis(amps, -1, 0)
 
     reach = _photon_reach(_pattern(schedule))
@@ -660,6 +716,9 @@ def test_a_reach_one_too_low_breaks_the_support_check(monkeypatch):
 
     original = protocol._photon_reach
     monkeypatch.setattr(protocol, "_photon_reach", lambda pattern: original(pattern) - 1)
+    # a fresh program cache, so clone_batch compiles under the lowered reach
+    monkeypatch.setattr(protocol, "_uqcm_program",
+                        functools.lru_cache(protocol._uqcm_program.__wrapped__))
     defects = _support_defects(8)
     assert "n <= reach block differs from the full-cutoff walk" in defects
 

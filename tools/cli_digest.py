@@ -34,6 +34,7 @@ CASES = [
     "validate --fock-cutoff 8", "sweep -n 2 --theta 1",
     "trace --theta 0.7 --phi 5.0 --fock-cutoff 32 --timing-jitter 0.5 --seed 4",
     "sweep -n 300 --fock-cutoff 32 --timing-jitter 0.2 --seed 4",
+    "sweep -n 300 --fock-cutoff 32 --summary out/s.json",
     "run --theta 1.3 --phi 0.2 --fock-cutoff 10000",
     "run --theta 2.5 --fock-cutoff 8 --trace out/t.json",
     "validate --verbose --seed 0", "validate --verbose --seed 12345",
