@@ -34,9 +34,11 @@ arrays, the entries of the map's 2x2 matrix (cos and -i sin of the
 rotation angles, the two-pulse couplings) and the |i> phase, and
 ``apply_coefficients`` applies them to the level views.  One table,
 ``COUPLED_LEVELS``, says which pair of levels each pulse mixes and by how
-many photons; one routine, ``_mix``, mixes that pair, and the two-pulse
-map and free evolution then put the |i> phase on with ``_phase``.  The
-photon-support proof in ``protocol`` reads the same table.  Coefficients
+many photons; one routine, ``_mix``, mixes that pair, and puts the
+two-pulse map's |i> phase on in the same write; free evolution is that
+phase alone.  The photon-support proof in ``protocol`` reads the same
+table, and its basis-walk certificate reads ``map_norm_bound``, a bound
+on the norm of the map a pulse's coefficients define.  Coefficients
 built from a (1,) duration broadcast over every row, so a caller that
 runs one pulse many times at one duration can build them once.  With
 the batch axis last, each per-row coefficient broadcasts along a
@@ -84,6 +86,7 @@ from .hilbert import (
     NUM_LEVELS,
     BasisSpec,
     PureState,
+    _EPS,
     _check_squid,
     _level,
     check_row_norms,
@@ -200,6 +203,27 @@ def pulse_coefficients(
     return coeffs
 
 
+def map_norm_bound(op: PulseOp, coeffs: tuple[np.ndarray, ...]) -> float:
+    """An upper bound on the 2-norm of the exact map that ``coeffs`` define for ``op``.
+
+    A coupling pulse maps each pair it mixes by A = [[c, ab], [ba, c]], and
+    the largest eigenvalue of A^H A is at most its largest diagonal entry
+    plus its off-diagonal modulus (Gershgorin); the two-pulse map's |i>
+    phase scales A's second row by |free|, and free evolution is |free|
+    alone.  The factor 1 + 8 u, u = 2^-53, covers the dozen roundings of
+    evaluating the bound.
+    """
+    if op.variant is PulseVariant.FREE_EVOLVE:
+        bound = float(np.max(np.abs(coeffs[0])))
+    else:
+        c, ab, ba = coeffs[:3]
+        diagonal = np.maximum(np.abs(c) ** 2 + np.abs(ba) ** 2, np.abs(ab) ** 2 + np.abs(c) ** 2)
+        bound = math.sqrt(float(np.max(diagonal + np.abs(np.conj(c) * ab + np.conj(ba) * c))))
+        if op.variant is PulseVariant.RAMAN:
+            bound *= max(1.0, float(np.max(np.abs(coeffs[-1]))))
+    return bound * (1.0 + 4.0 * _EPS)  # _EPS = 2u
+
+
 def _rotation(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = -1j * np.sin(theta)
     return np.cos(theta).astype(np.complex128), m, m
@@ -209,15 +233,17 @@ def _free_phase(t: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
     return np.exp(-1j * cfg.omega_gi * t)
 
 
-def _mix(a: np.ndarray, b: np.ndarray, c: np.ndarray, ab: np.ndarray, ba: np.ndarray) -> None:
-    # a -> c a + ab b, b -> ba a + c b, in place.
+def _mix(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, ab: np.ndarray, ba: np.ndarray,
+    free: np.ndarray | None = None,
+) -> None:
+    # a -> c a + ab b, b -> free (ba a + c b), in place; no free means 1.
     a_old = a.copy()
     a[...] = c * a_old + ab * b
-    b[...] = ba * a_old + c * b
-
-
-def _phase(i: np.ndarray, free: np.ndarray) -> None:
-    np.multiply(free, i, out=i)
+    if free is None:
+        b[...] = ba * a_old + c * b
+    else:
+        np.multiply(free, ba * a_old + c * b, out=b)
 
 
 def apply_coefficients(amps: np.ndarray, op: PulseOp, coeffs: tuple[np.ndarray, ...]) -> None:
@@ -225,21 +251,23 @@ def apply_coefficients(amps: np.ndarray, op: PulseOp, coeffs: tuple[np.ndarray, 
 
     The raw kernel, with no guard and no norm check (``run_pulse`` adds
     both).  A coupling pulse mixes the pair of level views that
-    ``COUPLED_LEVELS`` names by its first three coefficients (``_mix``);
-    ``RAMAN`` and ``FREE_EVOLVE`` then put the free phase on |i>.  Cavity
+    ``COUPLED_LEVELS`` names by its coefficients (``_mix``), and for
+    ``RAMAN`` the free phase goes onto the new |i> amplitudes as they are
+    written; ``FREE_EVOLVE`` multiplies |i> by its phase.  Cavity
     exchange thus rotates each excitation sector {|g, n+1>, |e, n>} by its
     own angle; |i, n> and |g, 0> are dark, and |e, fock_cutoff> has no
     partner within the truncated space and stays put.  The two-pulse map
     leaves e amplitudes untouched.
     """
-    if op.variant in COUPLED_LEVELS:
-        a, b, shift = COUPLED_LEVELS[op.variant]
-        a_view, b_view = _level(amps, op.squid, a), _level(amps, op.squid, b)
-        if shift:
-            a_view, b_view = a_view[..., shift:, :], b_view[..., :-shift, :]
-        _mix(a_view, b_view, *coeffs[:3])
-    if op.variant is PulseVariant.RAMAN or op.variant is PulseVariant.FREE_EVOLVE:
-        _phase(_level(amps, op.squid, LEVEL_I), coeffs[-1])
+    if op.variant is PulseVariant.FREE_EVOLVE:
+        i_view = _level(amps, op.squid, LEVEL_I)
+        np.multiply(coeffs[0], i_view, out=i_view)
+        return
+    a, b, shift = COUPLED_LEVELS[op.variant]
+    a_view, b_view = _level(amps, op.squid, a), _level(amps, op.squid, b)
+    if shift:
+        a_view, b_view = a_view[..., shift:, :], b_view[..., :-shift, :]
+    _mix(a_view, b_view, *coeffs)
 
 
 def check_two_pulse_domain(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:

@@ -49,6 +49,25 @@ cutoff (``_uqcm_program``); any other schedule is compiled per call.  A
 walk with slot factors builds each pulse's coefficients per call, with
 the same arithmetic.
 
+A nominal clone is read, not walked.  A clone is linear in the (g, i)
+pair x it injects, so its state after any step is Psi x, Psi the walk of
+the two basis injections (Buzek & Hillery, PRA 54, 1844 (1996), for the
+cloning map's linearity).  A clone program walks that pair once, on
+first read of ``_Program.basis``, with every guard and norm check, and
+keeps Psi at each step with a certificate over all inputs: the 2 x 2
+Grams of Psi after each pulse and of its e-level view before each Raman
+pulse bound every row's norm and guarded e population
+(``_BasisWalk``).  ``clone_batch`` without slot factors and ``run_uqcm``
+without a schedule check only a batch's least and largest |x|^2 against
+those bounds; if they clear them by the proven rounding margin, the rows
+are Psi[..., 0] x_0 + Psi[..., 1] x_1, one elementwise helper for both,
+and ``check_row_norms`` runs on every such row (``_basis_rows``).  If
+they do not, or the basis walk itself raised, the batch is walked as
+below, so a failure names its sample.  Such a row lies within a few
+roundings of its own walk (1e-14 in the tests) and never depends on its
+batch.  Jittered rows, ``execute_schedule``, the processes and pulsed
+``prepare_input`` always walk.
+
 A clone walks on its proven photon support.  The cavity exchange
 conserves #e + n and the other pulses leave n alone, so from an empty
 cavity a schedule can only reach so many photons: ``_photon_reach`` walks
@@ -58,13 +77,13 @@ them, the one table the kernel mixes by, reading only the pulses'
 whatever its durations.  A clone's program is compiled at
 m = min(fock_cutoff, reach), and ``clone_batch`` and ``run_uqcm`` share
 one prepare-and-walk route, ``_clone_rows``, which walks it with every
-guard and norm check; they pad the result back to the caller's cutoff
-with +0.  Cutoff 2 is therefore exact and any larger cutoff gives
-the same amplitudes padded with zeros (a zero amplitude may differ in
-sign only); cutoff 1 truncates the photon-2 population that timing
-errors put into the cavity.  A trace entry keeps a read-only copy of the
-walked amplitudes and builds its padded ``PureState`` only when read;
-the row it copies has passed the walk's norm check.
+guard and norm check, and the basis walk above; they pad the result back
+to the caller's cutoff with +0.  Cutoff 2 is therefore exact and any
+larger cutoff gives the same amplitudes padded with zeros (a zero
+amplitude may differ in sign only); cutoff 1 truncates the photon-2
+population that timing errors put into the cavity.  A trace entry keeps
+a read-only copy of its amplitudes and builds its padded ``PureState``
+only when read; the row it copies has passed the norm check.
 
 ``_walk`` is the only code here that applies a pulse.  The single-state
 operations are pulse data too: ``process_one``, ``process_two``,
@@ -92,6 +111,7 @@ from .dynamics import (
     CouplingConfig,
     PulseOp,
     PulseVariant,
+    map_norm_bound,
     pulse_coefficients,
     run_pulse,
 )
@@ -101,9 +121,12 @@ from .hilbert import (
     LEVEL_E,
     LEVEL_G,
     LEVEL_I,
+    NORM_TOL,
     BasisSpec,
     PureState,
+    _EPS,
     _level,
+    check_row_norms,
     level_populations,
     population_screen,
 )
@@ -230,7 +253,7 @@ def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator
 
 @dataclass(frozen=True, eq=False)
 class TraceEntry:
-    """One snapshot of a walk: a read-only copy of the walked amplitudes.
+    """One snapshot of a run: a read-only copy of its amplitudes, walked or from the basis walk.
 
     ``block`` is shaped (3, ..., 3, m + 1), m the photon cutoff the walk ran
     at, at most ``spec.fock_cutoff``.  ``state`` pads it with +0 amplitudes
@@ -484,13 +507,21 @@ class _Program:
     (step, nominal time at its last slot's end, pulses), where pulses are
     (slot index, op, ``pulse_coefficients`` at the op's duration) in walk
     order.  Each coefficient array is read-only with shape (1,) or
-    (fock_cutoff, 1) and broadcasts over the rows.
+    (fock_cutoff, 1) and broadcasts over the rows.  ``basis``, the walk of
+    the identity (g, i) pair with its certificate, is built on first read
+    and kept with the program, so a program built under a test's patch
+    never serves another; only clone programs read it.
     """
 
     cfg: CouplingConfig
     fock_cutoff: int
     n_slots: int
     runs: tuple[tuple[str, float, tuple[tuple[int, PulseOp, tuple[np.ndarray, ...]], ...]], ...]
+
+    @functools.cached_property
+    def basis(self) -> _BasisWalk | None:
+        """The walk of the identity (g, i) pair, built on first read; None if it raises."""
+        return _walk_basis(self)
 
 
 def _compile(schedule: Schedule, cfg: CouplingConfig, fock_cutoff: int, clone: bool) -> _Program:
@@ -527,7 +558,7 @@ def _walk(
     factors: np.ndarray | None,
     enforce_preconditions: bool,
     first_sample: int = 0,
-    on_pulse: Callable[[str, PulseOp], None] | None = None,
+    on_pulse: Callable[[str, PulseOp, np.ndarray], None] | None = None,
     on_step: Callable[[str, float, np.ndarray], None] | None = None,
 ) -> None:
     """Apply ``program`` in place to the batch-last rows ``amps``, at its photon cutoff.
@@ -539,7 +570,7 @@ def _walk(
     (Raman only, skipped with ``enforce_preconditions`` off), the kernel
     and the row-norm check; a tripped check raises its ``PhysicsError``
     type, prefixed with the step label and naming the row as sample
-    ``first_sample + row``.  ``on_pulse(step, op)`` runs after every
+    ``first_sample + row``.  ``on_pulse(step, op, amps)`` runs after every
     pulse, ``on_step(step, elapsed, amps)`` after each of the program's
     runs, with the nominal schedule time so far.
     """
@@ -553,7 +584,7 @@ def _walk(
             except PhysicsError as exc:
                 raise type(exc)(f"{step}: {exc}") from exc
             if on_pulse is not None:
-                on_pulse(step, op)
+                on_pulse(step, op, amps)
         if on_step is not None:
             on_step(step, elapsed, amps)
 
@@ -577,7 +608,7 @@ def execute_schedule(
     amps = state.tensor()[..., None].copy()
     entries: list[TraceEntry] = []
 
-    def observe(step: str, op: PulseOp) -> None:
+    def observe(step: str, op: PulseOp, amps: np.ndarray) -> None:
         observer(step, op, PureState(amps.reshape(-1), spec))
 
     _walk(amps, _compile(schedule, cfg, spec.fock_cutoff, False), None, enforce_preconditions,
@@ -589,7 +620,7 @@ def execute_schedule(
 def _recorder(
     entries: list[TraceEntry], spec: BasisSpec
 ) -> Callable[[str, float, np.ndarray], None]:
-    """An ``on_step`` that appends a read-only copy of the walked batch of one to ``entries``."""
+    """An ``on_step`` that appends a read-only copy of a batch of one to ``entries``."""
 
     def record(step: str, elapsed: float, amps: np.ndarray) -> None:
         block = amps[..., 0].copy()
@@ -614,23 +645,162 @@ def _clone_rows(
     enforce_preconditions: bool,
     first_sample: int = 0,
     on_step: Callable[[str, float, np.ndarray], None] | None = None,
+    on_pulse: Callable[[str, PulseOp, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Prepare one clone per (g, i) pair of ``gi`` (B, 2) and walk ``program`` on them all.
 
     ``program`` is a clone's program (``_compile`` with ``clone`` on) for
-    the caller's cutoff.  The three-SQUID rows run batch axis last at its
+    the caller's cutoff.  This is the walk a batch takes with slot factors,
+    or when ``_basis_rows`` does not certify it; the basis walk is this
+    walk of the identity pair.  The three-SQUID rows run batch axis last at its
     photon cutoff, min(cutoff, reach), where they hold the amplitudes a
     walk at the caller's cutoff gives, up to the sign of a zero; the
     caller pads them back.  ``on_step`` sees the prepared rows as step
-    "input" at time 0 and then runs as ``_walk`` runs it.
+    "input" at time 0 and then runs as ``_walk`` runs it, as does
+    ``on_pulse``.
     """
     amps = np.zeros((3, 3, 3, program.fock_cutoff + 1, len(gi)), dtype=np.complex128)
     amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
     _inject_rows(amps, 1, gi)
     if on_step is not None:
         on_step("input", 0.0, amps)
-    _walk(amps, program, factors, enforce_preconditions, first_sample, on_step=on_step)
+    _walk(amps, program, factors, enforce_preconditions, first_sample, on_pulse, on_step)
     return amps
+
+
+@dataclass(frozen=True, eq=False)
+class _BasisWalk:
+    """A clone program's walk of the identity (g, i) pair, and a certificate over all inputs.
+
+    A clone walk is linear in the (g, i) pair x it injects, so a nominal
+    row is Psi x, Psi the (..., 2) walk of the two basis injections.
+    ``blocks`` holds Psi, read-only, at every snapshot that ``marks``
+    names with its (label, nominal time): "input" and each step, shape
+    (S, 3, 3, 3, m + 1, 2).  After pulse k, row x's squared norm is
+    x^H G_k x with G_k = Psi_k^H Psi_k, and before a Raman pulse on SQUID
+    s its e population is x^H E_k x, E_k the Gram of the e-level view of
+    s in Psi; each lies between its matrix's extreme eigenvalues times
+    |x|^2 (Rayleigh-Ritz; Horn & Johnson, Matrix Analysis, Thm 4.2.2).
+    ``norm_lo`` and ``norm_hi`` bound the eigenvalues of every G_k,
+    ``leak_hi`` those of every E_k (0 without a Raman pulse), from the
+    Gershgorin discs of the computed 2 x 2 matrices, so no eigensolver
+    error enters.
+
+    ``clears`` certifies a batch from its least and largest |x|^2 alone,
+    and ``margin`` is mu = D + 8 (N + 3) u, u = 2^-53, for rows of N
+    amplitudes walked through K pulses:
+
+    - Kernel.  A pulse writes c a + ab b, or free times it on a Raman
+      |i>: complex products, each within sqrt(5) u of exact relative
+      (Brent, Percival & Zimmermann, Math. Comp. 76 (2007) 1469), and a
+      complex sum within u.  So a pulse leaves a row within eta = 7 u rho
+      times its norm of the exact map of its coefficients, rho >= 1
+      bounding every pulse's ``dynamics.map_norm_bound``; underflow adds
+      under 2^-1070 per amplitude, nothing against a norm near 1.
+    - Walks.  The injection multiplies by 1 and is exact.  After k pulses
+      a walked row is within k eta (rho + eta)^k times its start norm of
+      the exact product of the pulse maps applied to its start, and so is
+      each basis column.  With |x_0| + |x_1| <= sqrt(2) |x|, the walked
+      row w_k(x) and Psi_k x differ by at most D |x|,
+      D = (1 + sqrt(2)) K eta (rho + eta)^K.
+    - Grams.  Each computed 2 x 2 entry is a sum of 2N real products per
+      part, within sqrt(2) gamma_2N of exact times the two columns' norms
+      in any order (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., section 3.1), so the computed discs widened by
+      twice that times the largest diagonal hold every exact eigenvalue.
+    - Checks.  ``check_row_norms`` decides on a norm within (N + 1) u of
+      exact, and ``level_populations`` on a population within (n + 4) u
+      of exact plus subnormals; |x|^2 from its four squares is within
+      gamma_4, and ``clears`` rounds three more times.
+
+    For inputs with |x|^2 within 1e-12 of 1, which both entry points
+    require, the Gram, check and evaluation terms sum to under 4 (N + 3) u
+    in norm, half the slack.  So if sqrt(norm_lo min|x|^2) - mu exceeds
+    1 - NORM_TOL and sqrt(norm_hi max|x|^2) + mu stays below
+    1 + NORM_TOL, the walk's norm check passes on every row after every
+    pulse; if also (sqrt(leak_hi max|x|^2) + mu)^2 < E_LEAK_TOL / 2, every
+    Raman guard passes, the factor 2 covering the population's relative
+    rounding.  At cutoff 2, mu is about 1.1e-13 against NORM_TOL = 1e-12.
+    """
+
+    marks: tuple[tuple[str, float], ...]
+    blocks: np.ndarray
+    norm_lo: float
+    norm_hi: float
+    leak_hi: float
+    margin: float
+
+    def clears(self, gi: np.ndarray, guarded: bool) -> bool:
+        """Whether walking the (B, 2) pairs ``gi`` passes every check (guards if ``guarded``)."""
+        parts = gi.view(np.float64)
+        squares = np.einsum("ij,ij->i", parts, parts)
+        least, largest = float(np.min(squares)), float(np.max(squares))
+        if not (math.sqrt(max(self.norm_lo, 0.0) * least) - self.margin > 1.0 - NORM_TOL
+                and math.sqrt(self.norm_hi * largest) + self.margin < 1.0 + NORM_TOL):
+            return False
+        leak = (math.sqrt(self.leak_hi * largest) + self.margin) ** 2
+        return not guarded or leak < E_LEAK_TOL / 2
+
+
+def _gram_bounds(pairs: np.ndarray) -> tuple[float, float]:
+    """Gershgorin bounds (least, largest) on the eigenvalues of each (..., 2) entry's 2 x 2 Gram."""
+    columns = pairs.reshape(len(pairs), -1, 2)
+    gram = np.conj(columns).transpose(0, 2, 1) @ columns
+    diagonal = np.stack([gram[:, 0, 0].real, gram[:, 1, 1].real])
+    off = np.abs(gram[:, 0, 1])
+    return float(np.min(diagonal.min(axis=0) - off)), float(np.max(diagonal.max(axis=0) + off))
+
+
+def _walk_basis(program: _Program) -> _BasisWalk | None:
+    """Walk the identity (g, i) pair through clone ``program``, guarded; None where it raises."""
+    snapshots: list[tuple[str, float, np.ndarray]] = []
+    after: list[np.ndarray] = []  # the pair after each pulse
+    try:
+        _clone_rows(np.eye(2, dtype=np.complex128), program, None, True,
+                    on_step=lambda step, t, amps: snapshots.append((step, t, amps.copy())),
+                    on_pulse=lambda step, op, amps: after.append(amps.copy()))
+    except PhysicsError:
+        return None
+    pulses = [(op, coeffs) for _, _, run in program.runs for _, op, coeffs in run]
+    before = [snapshots[0][2]] + after[:-1]
+    e_views = [_level(before[k], op.squid, LEVEL_E)
+               for k, (op, _) in enumerate(pulses) if op.variant is PulseVariant.RAMAN]
+    blocks = np.stack([amps for _, _, amps in snapshots])
+    blocks.flags.writeable = False
+    u = _EPS / 2.0
+    rho = max([1.0] + [map_norm_bound(op, coeffs) for op, coeffs in pulses])
+    eta = 7.0 * u * rho
+    walk = (1.0 + math.sqrt(2.0)) * len(pulses) * eta * (rho + eta) ** len(pulses)
+    return _BasisWalk(tuple((step, elapsed) for step, elapsed, _ in snapshots), blocks,
+                      *_gram_bounds(np.stack(after)),
+                      _gram_bounds(np.stack(e_views))[1] if e_views else 0.0,
+                      walk + 8.0 * (blocks[0].size // 2 + 3) * u)
+
+
+def _basis_rows(
+    program: _Program, gi: np.ndarray, guarded: bool, first_sample: int, every_step: bool
+) -> np.ndarray | None:
+    """Rows Psi x of the pairs ``gi`` (B, 2) from ``program``'s basis walk, or None.
+
+    None unless the basis walk exists and ``clears`` the batch.  The rows,
+    shape (S, 3, 3, 3, m + 1, B), are the snapshots of every step with
+    ``every_step`` on, else the last one alone; each is
+    Psi[..., 0] x_0 + Psi[..., 1] x_1 elementwise, so a row does not depend
+    on its batch, and each passes ``check_row_norms``, an error prefixed
+    with the snapshot's label as the walk prefixes it.
+    """
+    basis = program.basis
+    if basis is None or not basis.clears(gi, guarded):
+        return None
+    snapshots = slice(None) if every_step else slice(-1, None)
+    blocks = basis.blocks[snapshots]
+    rows = blocks[..., 0:1] * gi[:, 0] + blocks[..., 1:2] * gi[:, 1]
+    for (label, _), block in zip(basis.marks[snapshots], rows):
+        try:
+            check_row_norms(block, first_sample)
+        except PhysicsError as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
+    return rows
 
 
 def _padded(amps: np.ndarray, fock_cutoff: int) -> np.ndarray:
@@ -656,15 +826,25 @@ def run_uqcm(
     its pulse durations, so every larger cutoff gives the same state
     padded with zeros, while a cutoff of one truncates the photon-2
     population that timing errors put into the cavity.  Without
-    ``schedule`` the run walks the cloning schedule's cached program;
-    a given ``schedule`` is compiled for this call.
+    ``schedule`` every snapshot is the cached program's basis walk times
+    the input's (g, i) pair, where its certificate clears the input
+    (``_basis_rows``), and otherwise the run walks that program; a given
+    ``schedule`` is compiled and walked for this call.
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
-    program = (_uqcm_program(cfg, fock_cutoff) if schedule is None
-               else _compile(schedule, cfg, fock_cutoff, clone=True))
+    gi = q.gi_vector()[None]
     entries: list[TraceEntry] = []
-    _clone_rows(q.gi_vector()[None], program, None, enforce_preconditions,
-                on_step=_recorder(entries, spec))
+    record = _recorder(entries, spec)
+    if schedule is None:
+        program = _uqcm_program(cfg, fock_cutoff)
+        rows = _basis_rows(program, gi, enforce_preconditions, 0, every_step=True)
+    else:
+        program, rows = _compile(schedule, cfg, fock_cutoff, clone=True), None
+    if rows is None:
+        _clone_rows(gi, program, None, enforce_preconditions, on_step=record)
+    else:
+        for (label, elapsed), block in zip(program.basis.marks, rows):
+            record(label, elapsed, block)
     return entries[-1].state, StepTrace(tuple(entries))
 
 
@@ -685,7 +865,10 @@ def clone_batch(
     ``slot_factors[b, k]`` (default: every pulse at its nominal duration).
     Each row is prepared in the ideal mode and checked exactly as
     ``run_uqcm`` checks a single run; errors name the row as sample
-    ``first_sample + b``.
+    ``first_sample + b``.  Without ``slot_factors`` the rows are the
+    program's basis walk times each input's (g, i) pair, bit for bit what
+    ``run_uqcm`` gives, where the certificate clears the batch, and are
+    walked otherwise; with them every row is walked.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -712,6 +895,9 @@ def clone_batch(
             k = int(bad[0])
             raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
                              f"and >= 0, got {factors[k].tolist()}")
-    amps = _clone_rows(gi_amplitudes(alpha, beta), program, factors,
-                       enforce_preconditions, first_sample)
+    gi = gi_amplitudes(alpha, beta)
+    rows = None if factors is not None else _basis_rows(
+        program, gi, enforce_preconditions, first_sample, every_step=False)
+    amps = rows[-1] if rows is not None else _clone_rows(
+        gi, program, factors, enforce_preconditions, first_sample)
     return _padded(np.moveaxis(amps, -1, 0), fock_cutoff)

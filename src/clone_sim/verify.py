@@ -17,7 +17,13 @@ command line accepts needs ``eigvalsh``.
 ``universality_sweep`` clones and scores its samples in chunks of
 ``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
 slot factors as one array, the next rows of the seed's one jitter
-stream.  Its ``SweepResult`` keeps one array per CSV column.
+stream, and every row is walked pulse by pulse.  An ideal chunk is read
+from the cloning program's one walk of the two basis inputs, Psi x for
+each input's (g, i) pair x, once a certificate from that walk clears the
+chunk's least and largest |x|^2 for every per-pulse check; a chunk it
+does not clear is walked (``protocol.clone_batch``).  Either way a row
+equals ``run_uqcm`` plus ``clone_fidelities`` of its input, bit for bit.
+Its ``SweepResult`` keeps one array per CSV column.
 """
 
 from __future__ import annotations

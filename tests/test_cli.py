@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, JSON/CSV output, config plumbing."""
 
+import cmath
 import contextlib
+import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -431,6 +434,49 @@ def test_sweep_maps_a_tripped_raman_guard_to_exit_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("physics error: step7: sample 0: squid2 e-level population")
+
+
+def _programs_with_one_faulty_pulse(index, position, factor):
+    """A fresh program cache whose pulse ``index`` has coefficient ``position`` times ``factor``."""
+    from clone_sim import protocol
+
+    compile_program = protocol._uqcm_program.__wrapped__
+
+    def build(cfg, fock_cutoff):
+        program = compile_program(cfg, fock_cutoff)
+        count = itertools.count()
+
+        def faulty(coeffs):
+            if next(count) != index:
+                return coeffs
+            return tuple(array * factor if k == position else array
+                         for k, array in enumerate(coeffs))
+
+        runs = tuple((step, elapsed, tuple((slot, op, faulty(coeffs)) for slot, op, coeffs in run))
+                     for step, elapsed, run in program.runs)
+        return dataclasses.replace(program, runs=runs)
+
+    return functools.lru_cache(build)
+
+
+@pytest.mark.parametrize("index, position, factor, step, basis_walks", [
+    (0, 0, 1.0 + 1e-9, "step1", False),  # step 1's cos: the basis walk itself trips
+    (7, 1, cmath.exp(1e-9j), "step7", True),  # squid 1's coupling: only superposed rows drift
+])
+def test_a_kernel_fault_in_one_pulse_exits_three_naming_a_sample(capsys, monkeypatch, index,
+                                                                 position, factor, step,
+                                                                 basis_walks):
+    # the error names the pulse's own step, as the walk's check after that pulse does
+    from clone_sim import protocol
+
+    monkeypatch.setattr(protocol, "_uqcm_program",
+                        _programs_with_one_faulty_pulse(index, position, factor))
+    program = protocol._uqcm_program(protocol.DEFAULT_COUPLINGS, 2)
+    assert (program.basis is not None) == basis_walks
+    for argv in (("run", "--theta", "1.1", "--phi", "0.4"), ("sweep", "-n", "5", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"physics error: {step}: sample 0: state norm is "), err
 
 
 @pytest.mark.parametrize("content", [

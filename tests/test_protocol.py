@@ -31,6 +31,7 @@ from clone_sim import (
     run_uqcm,
     target_state,
 )
+from clone_sim.hilbert import E_LEAK_TOL
 from clone_sim.protocol import STEP_LABELS, StepTrace
 
 CFG = CouplingConfig()
@@ -488,7 +489,9 @@ def test_clone_batch_rows_equal_run_uqcm_finals():
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
 def test_clone_batch_rows_do_not_depend_on_the_batch(fock_cutoff, jitter):
     # batches of 1, 2, 100, 1024 and 1030 rows, cut from one sample range at
-    # several first_sample offsets, against each other and single runs
+    # several first_sample offsets, against each other and single runs; ideal
+    # rows take the nominal route (no slot factors), as run_uqcm without a
+    # schedule does
     from clone_sim import clone_batch
     from clone_sim.protocol import (bloch_amplitudes, build_uqcm_schedule, draw_slot_factors,
                                     jitter_rng, perturbed_schedule)
@@ -497,14 +500,17 @@ def test_clone_batch_rows_do_not_depend_on_the_batch(fock_cutoff, jitter):
     rng = np.random.default_rng(seed)
     alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(n)),
                                    2.0 * math.pi * rng.random(n))
-    factors = np.ones((n, 11)) if ideal else draw_slot_factors(jitter, (n, 11), jitter_rng(seed))
+    factors = None if ideal else draw_slot_factors(jitter, (n, 11), jitter_rng(seed))
     whole = clone_batch(alpha, beta, CFG, fock_cutoff, factors, ideal)
     assert whole.shape == (n, 3, 3, 3, fock_cutoff + 1)
     for start, size in [(0, 1), (1029, 1), (511, 2), (7, 100), (0, 1024), (6, 1024)]:
         rows = slice(start, start + size)
-        part = clone_batch(alpha[rows], beta[rows], CFG, fock_cutoff, factors[rows], ideal,
-                           first_sample=start)
+        part = clone_batch(alpha[rows], beta[rows], CFG, fock_cutoff,
+                           None if ideal else factors[rows], ideal, first_sample=start)
         assert np.array_equal(part, whole[rows]), (start, size)
+    if ideal:  # each nominal row against its own walk
+        walked = clone_batch(alpha, beta, CFG, fock_cutoff, np.ones((n, 11)))
+        assert np.max(np.abs(whole - walked)) <= 1e-14
     base = build_uqcm_schedule(CFG)
     for k in sorted({0, 1, 99, 100, 1023, 1024, 1029} | set(range(0, n, 149))):
         q = InputQubit(complex(alpha[k]), complex(beta[k]))
@@ -551,22 +557,117 @@ RATES = st.floats(1e-3, 1e3)
 @settings(max_examples=40, deadline=None)
 def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
         lam, omega_ge, omega_ie, lambda_prime, omega_gi, fock_cutoff, rows, seed):
-    # no slot factors reads the cached program; all-ones factors build every pulse per call
+    # The basis walk reads the cached program; all-ones factors build every
+    # pulse per call, and the two walks agree bit for bit.  A nominal row is
+    # then Psi x from that walk, bit for bit, where its certificate clears,
+    # and the row's own walk otherwise; either way it lies within 1e-14 of
+    # that walk, or raises the walk's error.
     from clone_sim import clone_batch
-    from clone_sim.protocol import bloch_amplitudes
+    from clone_sim.protocol import _clone_rows, _uqcm_program, bloch_amplitudes, gi_amplitudes
 
     cfg = CouplingConfig(lam=lam, omega_ge=omega_ge, omega_ie=omega_ie,
                          lambda_prime=lambda_prime, omega_gi=omega_gi)
     rng = np.random.default_rng(seed)
     alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
                                    2.0 * math.pi * rng.random(rows))
-    outcomes = []
-    for factors in (None, np.ones((rows, 11))):
-        try:
-            outcomes.append(clone_batch(alpha, beta, cfg, fock_cutoff, factors).tobytes())
-        except (PhysicsError, ValueError) as exc:
-            outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    basis_walks = [_outcome(lambda: _clone_rows(np.eye(2, dtype=complex),
+                                                _uqcm_program(cfg, fock_cutoff), factors, True))
+                   for factors in (None, np.ones((2, 11)))]
+    assert _same(*basis_walks)
+    nominal = _outcome(lambda: clone_batch(alpha, beta, cfg, fock_cutoff))
+    walked = _outcome(lambda: clone_batch(alpha, beta, cfg, fock_cutoff, np.ones((rows, 11))))
+    if isinstance(nominal, tuple) or isinstance(walked, tuple):
+        assert nominal == walked
+        return
+    assert np.max(np.abs(nominal - walked)) <= 1e-14
+    gi = gi_amplitudes(alpha, beta)
+    basis = _uqcm_program(cfg, fock_cutoff).basis
+    if basis is None or not basis.clears(gi, True):
+        assert nominal.tobytes() == walked.tobytes()
+        return
+    psi = basis_walks[0]
+    assert np.array_equal(psi, basis.blocks[-1])
+    psi_x = np.moveaxis(psi[..., 0:1] * gi[:, 0] + psi[..., 1:2] * gi[:, 1], -1, 0)
+    assert nominal[..., :psi.shape[-2]].tobytes() == np.ascontiguousarray(psi_x).tobytes()
+    assert not np.any(nominal[..., psi.shape[-2]:])
+
+
+def _outcome(call):
+    """``call()``'s array, or the (type, message) of the PhysicsError or ValueError it raised."""
+    try:
+        return call()
+    except (PhysicsError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(first, second):
+    if isinstance(first, tuple) or isinstance(second, tuple):
+        return first == second
+    return first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("fock_cutoff", [2, 32])
+def test_nominal_trace_entries_are_the_basis_snapshots_times_the_input(fock_cutoff):
+    from clone_sim.protocol import _uqcm_program
+
+    q = InputQubit.from_bloch(1.1, 0.4)
+    x = q.gi_vector()
+    basis = _uqcm_program(CFG, fock_cutoff).basis
+    _, trace = run_uqcm(q, CFG, fock_cutoff)
+    _, walked = run_uqcm(q, CFG, fock_cutoff, schedule=build_uqcm_schedule(CFG))
+    assert [(e.label, e.t_elapsed) for e in trace.entries] == list(basis.marks)
+    assert list(basis.marks) == [(e.label, e.t_elapsed) for e in walked.entries]
+    for entry, psi, other in zip(trace.entries, basis.blocks, walked.entries):
+        assert entry.block.tobytes() == (psi[..., 0] * x[0] + psi[..., 1] * x[1]).tobytes()
+        assert np.max(np.abs(entry.state.amplitudes - other.state.amplitudes)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.sqrt(1.0 - 9e-13), 0.0),
+    (0.0, complex(0.0, math.sqrt(1.0 - 9e-13))),
+    (0.6 * math.sqrt(1.0 - 9e-13), 0.8j * math.sqrt(1.0 - 9e-13)),
+])
+def test_an_input_at_the_edge_of_the_accepted_norm_gets_the_walks_verdict(alpha, beta):
+    # |alpha|^2 + |beta|^2 = 1 - 9e-13 passes the input check, and the
+    # certificate's margin still clears it: the rows are Psi x, within
+    # 1e-14 of the walk, and pass every check the walk passes
+    from clone_sim import clone_batch
+    from clone_sim.protocol import _uqcm_program, gi_amplitudes
+
+    alpha, beta = np.array([alpha], dtype=complex), np.array([beta], dtype=complex)
+    assert 8e-13 < 1.0 - (abs(alpha[0]) ** 2 + abs(beta[0]) ** 2) < 1e-12
+    assert _uqcm_program(CFG, 2).basis.clears(gi_amplitudes(alpha, beta), True)
+    nominal = clone_batch(alpha, beta, CFG)
+    walked = clone_batch(alpha, beta, CFG, slot_factors=np.ones((1, 11)))
+    assert np.max(np.abs(nominal - walked)) <= 1e-14
+    final, _ = run_uqcm(InputQubit(complex(alpha[0]), complex(beta[0])), CFG)
+    assert final.amplitudes.tobytes() == nominal[0].tobytes()
+
+
+def test_a_batch_the_certificate_does_not_clear_is_walked(monkeypatch):
+    import dataclasses
+
+    from clone_sim import clone_batch, protocol
+    from clone_sim.protocol import bloch_amplitudes, gi_amplitudes
+
+    rng = np.random.default_rng(28)
+    alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(40)),
+                                   2.0 * math.pi * rng.random(40))
+    gi = gi_amplitudes(alpha, beta)
+    program = protocol._uqcm_program.__wrapped__(CFG, 2)
+    basis = program.basis
+    assert basis.clears(gi, True)
+    leaky = dataclasses.replace(basis, leak_hi=E_LEAK_TOL)
+    assert leaky.clears(gi, False) and not leaky.clears(gi, True)
+    program.__dict__["basis"] = dataclasses.replace(basis, margin=math.inf)
+    monkeypatch.setattr(protocol, "_uqcm_program", lambda cfg, fock_cutoff: program)
+    assert clone_batch(alpha, beta, CFG).tobytes() == clone_batch(
+        alpha, beta, CFG, slot_factors=np.ones((40, 11))).tobytes()
+    q = InputQubit.from_bloch(1.1, 0.4)
+    _, trace = run_uqcm(q, CFG)
+    _, walked = run_uqcm(q, CFG, schedule=build_uqcm_schedule(CFG))
+    for entry, other in zip(trace.entries, walked.entries, strict=True):
+        assert entry.state.amplitudes.tobytes() == other.state.amplitudes.tobytes()
 
 
 def test_one_cached_program_serves_clones_with_read_only_coefficients():

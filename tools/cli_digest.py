@@ -40,6 +40,8 @@ CASES = [
     "validate --verbose --seed 0", "validate --verbose --seed 12345",
     "trace --theta 1.3 --phi 0.2 --fock-cutoff 1",
     "trace --theta 1.3 --timing-jitter 0.3 --seed 5 --fock-cutoff 1",
+    "run --theta 1.1 --phi 0.4 --config gi1e7.cfg",
+    "sweep -n 300 --seed 3 --fock-cutoff 1 --summary out/s.json",
 ]
 
 
