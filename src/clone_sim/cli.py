@@ -27,7 +27,14 @@ from .dynamics import CouplingConfig
 from .errors import PhysicsError
 from .hilbert import E_LEAK_TOL
 from .protocol import InputQubit, build_uqcm_schedule, jitter_rng, perturbed_schedule, run_uqcm
-from .verify import MAX_FOCK_CUTOFF, MAX_SWEEP_SAMPLES, clone_fidelities, universality_sweep
+from .verify import (
+    MAX_FOCK_CUTOFF,
+    MAX_SWEEP_SAMPLES,
+    CloneReport,
+    clone_fidelities,
+    score_nominal,
+    universality_sweep,
+)
 
 ENV_CONFIG = "CLONE_SIM_CONFIG"
 
@@ -224,10 +231,20 @@ def _execute(settings: Settings):
 
 
 def cmd_run(settings: Settings) -> int:
-    final, trace = _execute(settings)
-    report = clone_fidelities(final, settings.q)
-    if settings.trace_path:
-        _write_json(settings.trace_path, trace.to_dict())
+    # A nominal clone is scored from the basis walk, as an ideal sweep row
+    # is, so run and sweep print the same bytes for one input; the clone
+    # runs only for its trace or where the basis walk does not serve it.
+    report = None
+    if settings.timing_jitter == 0.0:
+        fields = score_nominal([settings.q.alpha], [settings.q.beta], settings.cfg,
+                               settings.fock_cutoff)
+        report = None if fields is None else CloneReport.from_fields(fields)
+    if report is None or settings.trace_path:
+        final, trace = _execute(settings)
+        if report is None:
+            report = clone_fidelities(final, settings.q)
+        if settings.trace_path:
+            _write_json(settings.trace_path, trace.to_dict())
     five_sixths = 5.0 / 6.0
     gates_ok = (
         abs(report.fidelity_squid2 - five_sixths) <= settings.tolerance

@@ -402,26 +402,32 @@ def density_defect(mats: np.ndarray, gram_terms: int | None = None) -> tuple[int
     diagonalised, so the verdict and the eigenvalue a failure reports are
     ``eigvalsh``'s.
 
-    Gram bound, only when ``gram_terms`` = n is given: every matrix must
-    then be a computed Gram product fl(C C^H) of a complex matrix C with
-    rows of length n.  For any summation order, blocking or FMA use in a
-    conventional product, each computed entry lies within
-    gamma * sum_l |c_il| |c_jl| of the exact one (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sections 3.5-3.6), with
-    gamma = 8 (n + 2) u, u = 2^-53, a generous complex gamma_{n+2}.  The
-    matrix ``eigvalsh`` reads (real diagonal, lower triangle mirrored)
-    therefore differs from the positive semidefinite C C^H by an E with
-    ||E||_2 <= ||E||_F <= gamma ||C||_F^2, and by Weyl's inequality its
-    smallest eigenvalue is at least -gamma ||C||_F^2.  ||C||_F^2 is the
-    exact trace T, and the computed trace t, two more additions, has
-    |t - T| <= gamma T, so T <= (|t| + NORM_TOL) / (1 - gamma), NORM_TOL
-    covering the rounding of |t| and of the test.  The stack passes when
+    Gram bound, only when ``gram_terms`` = n is given, with
+    gamma = 8 (n + 2) u, u = 2^-53.  Its premise: every matrix that passes
+    the trace test, as ``eigvalsh`` reads it (real diagonal, lower
+    triangle mirrored), differs from a positive semidefinite matrix by an
+    E with ||E||_F <= gamma (|t| + NORM_TOL) / (1 - gamma), t its computed
+    trace.  By Weyl's inequality its smallest eigenvalue is then at least
+    -||E||_2 >= -||E||_F.  The stack passes when
     gamma (|t| + NORM_TOL) <= (1 - gamma) (-EIGENVALUE_FLOOR - 1e-12)
     for its largest |t|; multiplied out, the test also fails once
     gamma >= 1.  Every |t| lies within about NORM_TOL of 1 here, so one
-    bound serves the whole stack.  A copy's matrix in the three-SQUID
-    register has n = 9 (n_max + 1) and passes for every photon cutoff
-    n_max below about 1.2 * 10^4.
+    bound serves the whole stack.
+
+    A computed Gram product fl(C C^H) of a complex matrix C with rows of
+    length n meets the premise.  For any summation order, blocking or FMA
+    use in a conventional product, each computed entry lies within
+    gamma * sum_l |c_il| |c_jl| of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.5-3.6), gamma
+    a generous complex gamma_{n+2}, so the matrix differs from the
+    positive semidefinite C C^H by an E with ||E||_F <= gamma ||C||_F^2.
+    ||C||_F^2 is the exact trace T, and the computed trace t, two more
+    additions, has |t - T| <= gamma T, so T <= (|t| + NORM_TOL) / (1 - gamma),
+    NORM_TOL covering the rounding of |t| and of the test.  A copy's matrix
+    in the three-SQUID register has n = 9 (n_max + 1) and passes for every
+    photon cutoff n_max below about 1.2 * 10^4.  ``verify.score_nominal``
+    proves the premise for its weighted sums of Gram blocks with
+    n = 2 (n' + 8), n' their blocks' row length.
     """
     skew = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
     trace = np.trace(mats, axis1=-2, axis2=-1)

@@ -66,7 +66,11 @@ they do not, or the basis walk itself raised, the batch is walked as
 below, so a failure names its sample.  Such a row lies within a few
 roundings of its own walk (1e-14 in the tests) and never depends on its
 batch.  Jittered rows, ``execute_schedule``, the processes and pulsed
-``prepare_input`` always walk.
+``prepare_input`` always walk.  A nominal clone need not be built at
+all to be scored: ``_BasisWalk.forms`` holds the final snapshot's score
+blocks, each copy's reduced matrix and the population outside the
+computational levels as forms in x, and ``verify.score_nominal`` reads
+them for any batch ``certified_basis`` clears.
 
 A clone walks on its proven photon support.  The cavity exchange
 conserves #e + n and the other pulses leave n alone, so from an empty
@@ -721,6 +725,10 @@ class _BasisWalk:
     pulse; if also (sqrt(leak_hi max|x|^2) + mu)^2 < E_LEAK_TOL / 2, every
     Raman guard passes, the factor 2 covering the population's relative
     rounding.  At cutoff 2, mu is about 1.1e-13 against NORM_TOL = 1e-12.
+
+    ``forms``, built from the final snapshot on first read and kept with
+    the walk, as the walk is kept with its program, holds the blocks that
+    ``verify.score_nominal`` scores a certified batch from.
     """
 
     marks: tuple[tuple[str, float], ...]
@@ -740,6 +748,30 @@ class _BasisWalk:
             return False
         leak = (math.sqrt(self.leak_hi * largest) + self.margin) ** 2
         return not guarded or leak < E_LEAK_TOL / 2
+
+    @functools.cached_property
+    def forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(copies, outside): the final snapshot's score blocks, read-only, built on first read.
+
+        C_j is copy s's view of the final Psi[..., j], shape (3, 9 (m + 1)),
+        SQUID s first.  ``copies[s - 2, j, k]`` is the computed
+        R_s,jk = C_j C_k^H for s in {2, 3}, shape (2, 2, 2, 3, 3), so copy
+        s of the row Psi x has the reduced matrix sum_jk x_j conj(x_k) R_s,jk.
+        ``outside[j, k]`` sums conj(Psi_j) Psi_k over the amplitudes
+        outside levels {g, i} and photon numbers {0, 1}, so
+        x^H outside x is the row's population there.
+        """
+        final = self.blocks[-1]
+        views = np.stack([np.moveaxis(final, squid - 1, 0).reshape(3, -1, 2) for squid in (2, 3)])
+        views = np.moveaxis(views, -1, 1)
+        copies = views[:, :, None] @ np.conj(views[:, None]).swapaxes(-1, -2)
+        columns = final.copy()
+        columns[:2, :2, :2, :2] = 0.0
+        columns = columns.reshape(-1, 2)
+        outside = np.conj(columns).T @ columns
+        copies.flags.writeable = False
+        outside.flags.writeable = False
+        return copies, outside
 
 
 def _gram_bounds(pairs: np.ndarray) -> tuple[float, float]:
@@ -803,6 +835,16 @@ def _basis_rows(
     return rows
 
 
+def certified_basis(gi: np.ndarray, cfg: CouplingConfig, fock_cutoff: int) -> _BasisWalk | None:
+    """The cloning program's basis walk at ``fock_cutoff`` if it ``clears`` the (B, 2) pairs ``gi``.
+
+    The Raman guards are on.  None if the basis walk raised or does not
+    clear the batch, which must then be walked.
+    """
+    basis = _uqcm_program(cfg, fock_cutoff).basis
+    return basis if basis is not None and basis.clears(gi, True) else None
+
+
 def _padded(amps: np.ndarray, fock_cutoff: int) -> np.ndarray:
     """A contiguous copy of ``amps``, its photon (last) axis padded with +0 to fock_cutoff + 1."""
     out = np.zeros(amps.shape[:-1] + (fock_cutoff + 1,), dtype=np.complex128)
@@ -848,6 +890,31 @@ def run_uqcm(
     return entries[-1].state, StepTrace(tuple(entries))
 
 
+def clone_pairs(
+    alpha: np.ndarray, beta: np.ndarray, fock_cutoff: int, first_sample: int = 0
+) -> np.ndarray:
+    """The (B, 2) (g, i) pairs of a clone batch's inputs, once the inputs and cutoff pass.
+
+    ``alpha`` and ``beta`` must be equal-length, non-empty 1-D arrays with
+    |alpha|^2 + |beta|^2 within 1e-12 of 1 on every row, an error naming
+    the row as sample ``first_sample + b``, and the cutoff must be >= 1.
+    """
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    if alpha.ndim != 1 or alpha.shape != beta.shape:
+        raise ValueError(f"alpha and beta must be equal-length 1-D arrays, "
+                         f"got {alpha.shape} and {beta.shape}")
+    if not alpha.size:
+        raise ValueError("the batch is empty: alpha and beta need at least one row")
+    total = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    bad = np.flatnonzero(~(np.abs(total - 1.0) < 1e-12))
+    if bad.size:
+        raise ValueError(f"sample {first_sample + int(bad[0])}: |alpha|^2 + |beta|^2 = "
+                         f"{float(total[bad[0]])}, must be 1")
+    BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)  # rejects a cutoff below 1
+    return gi_amplitudes(alpha, beta)
+
+
 def clone_batch(
     alpha: np.ndarray,
     beta: np.ndarray,
@@ -870,21 +937,9 @@ def clone_batch(
     ``run_uqcm`` gives, where the certificate clears the batch, and are
     walked otherwise; with them every row is walked.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    if alpha.ndim != 1 or alpha.shape != beta.shape:
-        raise ValueError(f"alpha and beta must be equal-length 1-D arrays, "
-                         f"got {alpha.shape} and {beta.shape}")
-    if not alpha.size:
-        raise ValueError("the batch is empty: alpha and beta need at least one row")
-    total = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-    bad = np.flatnonzero(~(np.abs(total - 1.0) < 1e-12))
-    if bad.size:
-        raise ValueError(f"sample {first_sample + int(bad[0])}: |alpha|^2 + |beta|^2 = "
-                         f"{float(total[bad[0]])}, must be 1")
-    BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)  # rejects a cutoff below 1
+    gi = clone_pairs(alpha, beta, fock_cutoff, first_sample)
     program = _uqcm_program(cfg, fock_cutoff)
-    shape = (len(alpha), program.n_slots)
+    shape = (len(gi), program.n_slots)
     factors = None
     if slot_factors is not None:
         factors = np.asarray(slot_factors, dtype=np.float64)
@@ -895,7 +950,6 @@ def clone_batch(
             k = int(bad[0])
             raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
                              f"and >= 0, got {factors[k].tolist()}")
-    gi = gi_amplitudes(alpha, beta)
     rows = None if factors is not None else _basis_rows(
         program, gi, enforce_preconditions, first_sample, every_step=False)
     amps = rows[-1] if rows is not None else _clone_rows(

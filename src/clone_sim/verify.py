@@ -6,23 +6,34 @@ between a trace and these states is a genuine two-route check.  Clone
 quality is the overlap of each copy's reduced density matrix with the
 input qubit; the ideal machine puts both at exactly 5/6.
 
-Scoring is batched: ``score_rows`` takes final states as an array of
-shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs' (alpha, beta) and
-scores every row, both copies in one pass, using only per-row stacked
-matrix products, so a row's score does not depend on the batch size.
-Each copy's reduced matrix is a computed Gram product, so its eigenvalue
-floor follows from the product's rounding bound, and no photon cutoff the
-command line accepts needs ``eigvalsh``.
-``clone_fidelities`` is the same scoring for one state.
+Scoring is batched and comes in two routes, which share one check of
+each copy's reduced matrix and the fields (``_scored``), so the clone
+fidelity has one definition.  ``score_rows`` takes walked final states as
+an array of shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs'
+(alpha, beta) and scores every row, both copies in one pass, using only
+per-row stacked matrix products; each copy's reduced matrix is a computed
+Gram product, so its eigenvalue floor follows from the product's rounding
+bound, and no photon cutoff the command line accepts needs ``eigvalsh``.
+``clone_fidelities`` is that scoring for one state.  ``score_nominal``
+scores nominal clones without building a row: a clone is Psi x, x its
+(g, i) pair and Psi the cloning program's walk of the two basis
+injections, so each copy's reduced matrix is sum_jk x_j conj(x_k) R_jk,
+and the target overlap and the leakage are forms in x too, all from
+blocks fixed once per program (``protocol._BasisWalk.forms``), with
+their own floor proof.  Its rows depend on the cutoff only through the
+walked one, so every cutoff from 2 up gives the same bytes.  A row of
+either route does not depend on its batch.
 ``universality_sweep`` clones and scores its samples in chunks of
 ``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
 slot factors as one array, the next rows of the seed's one jitter
-stream, and every row is walked pulse by pulse.  An ideal chunk is read
-from the cloning program's one walk of the two basis inputs, Psi x for
-each input's (g, i) pair x, once a certificate from that walk clears the
-chunk's least and largest |x|^2 for every per-pulse check; a chunk it
-does not clear is walked (``protocol.clone_batch``).  Either way a row
-equals ``run_uqcm`` plus ``clone_fidelities`` of its input, bit for bit.
+stream, and every row is walked pulse by pulse and scored by
+``score_rows``, so it equals ``run_uqcm`` plus ``clone_fidelities`` of
+its input with that schedule, bit for bit.  An ideal chunk is scored by
+``score_nominal`` once the basis walk's certificate clears it for every
+per-pulse check; a row then equals what ``run`` prints for its input, bit
+for bit, and lies within 1e-14 of ``run_uqcm`` plus ``clone_fidelities``.
+A chunk the certificate does not clear is walked (``protocol.clone_batch``)
+and scored by ``score_rows``, so a failure names its step and sample.
 Its ``SweepResult`` keeps one array per CSV column.
 """
 
@@ -46,7 +57,9 @@ from .protocol import (
     InputQubit,
     bloch_amplitudes,
     build_uqcm_schedule,
+    certified_basis,
     clone_batch,
+    clone_pairs,
     draw_slot_factors,
     gi_amplitudes,
     jitter_rng,
@@ -165,10 +178,16 @@ def _target_branches(spec: BasisSpec) -> np.ndarray:
 
 
 def _leakage_rows(amps: np.ndarray) -> np.ndarray:
-    """Each row's population outside levels {g, i} and photon numbers {0, 1}."""
-    comp = amps[(slice(None),) + (slice(0, 2),) * (amps.ndim - 1)]
-    pops = np.sum((np.abs(comp) ** 2).reshape(len(amps), -1), axis=1)
-    return np.maximum(0.0, 1.0 - pops)
+    """Each row's population outside levels {g, i} and photon numbers {0, 1}, summed directly.
+
+    The squares of the real and imaginary parts of every amplitude outside
+    are summed; 1 minus the population inside would read the rounding of
+    a sum near 1.
+    """
+    parts = np.square(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
+    # photons 0 and 1 are the first four parts of the photon axis
+    parts[(slice(None),) + (slice(0, 2),) * (amps.ndim - 2) + (slice(0, 4),)] = 0.0
+    return np.sum(parts.reshape(len(amps), -1), axis=1)
 
 
 REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")
@@ -193,8 +212,49 @@ class CloneReport:
             if not _in_unit_range(value):
                 raise ValueError(f"{name} = {value} outside [0, 1]")
 
+    @classmethod
+    def from_fields(cls, fields: dict[str, np.ndarray]) -> "CloneReport":
+        """The report of row 0 of ``score_rows`` or ``score_nominal`` fields."""
+        return cls(**{name: float(fields[name][0]) for name in REPORT_FIELDS})
+
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in REPORT_FIELDS}
+
+
+def _scored(
+    rho: np.ndarray, gi: np.ndarray, gram_terms: int, overlap: np.ndarray, leakage: np.ndarray,
+    first_sample: int,
+) -> dict[str, np.ndarray]:
+    """The ``CloneReport`` fields of B rows, once their copies' matrices and fields pass.
+
+    ``rho`` stacks the (3, 3) reduced matrices of squid 2's copies, rows
+    0..B-1, and then squid 3's; ``gi`` holds the inputs' (g, i) pairs,
+    ``overlap`` and ``leakage`` the rows' (B,) fields.  Each matrix is
+    checked like a ``DensityMatrix`` by ``density_defect`` with
+    ``gram_terms``, squid 2's copies before squid 3's, and every field
+    must lie in [0, 1]; a failure raises ``ValueError`` naming sample
+    ``first_sample + row``.  The fidelity of a copy is x^H rho_gi x, x the
+    (g, i) pair and rho_gi the (g, i) block of its matrix; e population
+    shows up in the leakage field.
+    """
+    rows = len(gi)
+    if density_defect(rho, gram_terms) is not None:
+        # name the failure as squid by squid: every squid2 row before squid3's
+        for half, squid in enumerate((2, 3)):
+            defect = density_defect(rho[half * rows:(half + 1) * rows], gram_terms)
+            if defect is not None:
+                raise ValueError(f"sample {first_sample + defect[0]}: squid{squid} {defect[1]}")
+    psi = np.concatenate([gi] * 2)
+    fid = (np.conj(psi)[:, None, :] @ rho[:, :2, :2] @ psi[:, :, None])[:, 0, 0].real
+    fields = {"fidelity_squid2": fid[:rows], "fidelity_squid3": fid[rows:],
+              "target_overlap": overlap, "leakage": leakage}
+    for name in REPORT_FIELDS:
+        bad = np.flatnonzero(~_in_unit_range(fields[name]))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"sample {first_sample + k}: {name} = "
+                             f"{float(fields[name][k])} outside [0, 1]")
+    return fields
 
 
 def score_rows(
@@ -204,15 +264,14 @@ def score_rows(
 
     ``amps`` has shape (B, 3, 3, 3, fock_cutoff + 1) with fock_cutoff >= 1;
     any other shape raises ``ValueError`` before any arithmetic.  Each
-    copy's reduced matrix is checked like a ``DensityMatrix`` (Hermitian,
-    unit trace, eigenvalue floor) and every field must lie in [0, 1]; a
-    failure raises ``ValueError`` naming sample ``first_sample + row``.
-    The matrix is the computed product C C^H of the copy's
+    copy's reduced matrix is the computed product C C^H of the copy's
     3 x 9 (fock_cutoff + 1) amplitude block C, so ``density_defect``'s
     Gram bound proves its floor at any cutoff below about 1.2 * 10^4;
-    only above that does ``eigvalsh`` decide.  The fidelity reads the
-    (g, i) block of the reduced matrix; e population shows up in the
-    leakage field.
+    only above that does ``eigvalsh`` decide.  ``_scored`` checks the
+    matrices and fields and names a failing sample ``first_sample + row``.
+    It scores rows that were built: jittered sweep rows, single runs
+    through ``clone_fidelities`` (``run --timing-jitter``, ``validate``),
+    and any nominal batch ``score_nominal`` does not certify.
     """
     if amps.ndim != 5 or amps.shape[1:4] != (3, 3, 3) or amps.shape[4] < 2:
         raise ValueError(f"amps must have shape (B, 3, 3, 3, fock_cutoff + 1) with "
@@ -226,7 +285,6 @@ def score_rows(
     if alpha.shape != (rows,) or beta.shape != (rows,):
         raise ValueError(f"alpha and beta must be 1-D with one entry per row of amps "
                          f"({rows}), got shapes {alpha.shape} and {beta.shape}")
-    psi = np.concatenate([gi_amplitudes(alpha, beta)] * 2)
     # Rows 0..B-1 hold squid 2's copy, rows B..2B-1 squid 3's.  A stacked
     # matmul reduces each row on its own; one product over the flattened
     # batch could round a row differently for another B.
@@ -235,31 +293,90 @@ def score_rows(
         copies[half] = np.moveaxis(amps, squid, 1)
     copies = copies.reshape(2 * rows, 3, -1)
     rho = copies @ np.conj(copies).transpose(0, 2, 1)
-    terms = copies.shape[-1]
-    if density_defect(rho, terms) is not None:
-        # name the failure as squid by squid: every squid2 row before squid3's
-        for half, squid in enumerate((2, 3)):
-            defect = density_defect(rho[half * rows:(half + 1) * rows], terms)
-            if defect is not None:
-                raise ValueError(f"sample {first_sample + defect[0]}: squid{squid} {defect[1]}")
-    fid = (np.conj(psi)[:, None, :] @ rho[:, :2, :2] @ psi[:, :, None])[:, 0, 0].real
-    fields = {"fidelity_squid2": fid[:rows], "fidelity_squid3": fid[rows:]}
     overlaps = (np.conj(amps.reshape(rows, 1, -1)) @ _target_branches(spec))[:, 0, :]
-    fields["target_overlap"] = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
-    fields["leakage"] = _leakage_rows(amps)
-    for name in REPORT_FIELDS:
-        bad = np.flatnonzero(~_in_unit_range(fields[name]))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"sample {first_sample + k}: {name} = "
-                             f"{float(fields[name][k])} outside [0, 1]")
-    return fields
+    overlap = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
+    return _scored(rho, gi_amplitudes(alpha, beta), copies.shape[-1], overlap,
+                   _leakage_rows(amps), first_sample)
+
+
+def score_nominal(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    cfg: CouplingConfig = DEFAULT_COUPLINGS,
+    fock_cutoff: int = 2,
+    first_sample: int = 0,
+) -> dict[str, np.ndarray] | None:
+    """Score B nominal clones from the cloning program's basis walk; None where it does not serve.
+
+    The inputs are checked as ``clone_batch`` checks them, errors naming
+    sample ``first_sample + b``.  None unless the program's basis walk
+    exists and its certificate ``clears`` the batch with the Raman guards
+    on; the caller then walks and scores the batch (``clone_batch`` and
+    ``score_rows``), so a failing check names its step and its sample.
+    Otherwise no row is built: with x a row's (g, i) pair and
+    w_jk = x_j conj(x_k), copy s's reduced matrix is
+    w_00 R_00 + w_01 R_01 + w_10 R_10 + w_11 R_11 from the walk's blocks
+    R_s,jk (``_BasisWalk.forms``), the target overlap is
+    |alpha (conj(x) M)_0 + beta (conj(x) M)_1|, M = Psi^H T the final
+    snapshot against the two target branches, and the leakage is
+    x^H G x, G the walk's outside Gram, as
+    w_00 G_00 + w_01 G_10 + w_10 G_01 + w_11 G_11, clamped at 0.  Each
+    is elementwise in that order, so a row's score does not depend on its
+    batch, and all depend on the photon cutoff only through the walked one,
+    min(fock_cutoff, reach): every cutoff from 2 up scores alike.
+    ``_scored`` checks every row's two matrices and its fields; the trace
+    test is the row's final norm check, since tr rho_s = |Psi x|^2.
+
+    Floor proof, for ``density_defect`` with gram_terms 2 (n + 8),
+    n = 9 (m + 1) the length of a row of C_j at the walked cutoff m,
+    u = 2^-53 and gamma_n = 8 (n + 2) u as there.  The weights are of the
+    stored x, so the exact weighted sum is C(x) C(x)^H, C(x) = sum_j x_j C_j,
+    which is positive semidefinite.  Each computed R_jk entry lies within
+    gamma_n (|C_j| |C_k|^T) of exact (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.5-3.6); each weight and each
+    product w R is one complex product, within sqrt(5) u relative (Brent,
+    Percival & Zimmermann, Math. Comp. 76 (2007) 1469); the four-term
+    sum rounds each part three times, within sqrt(2) gamma_3 of the sum of
+    the terms' moduli (section 3.1).  So each entry of rho lies within
+    (gamma_n + gamma') (D D^T) of exact, D = sum_j |x_j| |C_j| and
+    gamma' = 10 u, and the matrix ``eigvalsh`` reads differs from
+    C(x) C(x)^H by at most
+    (gamma_n + gamma') (sum_j |x_j| ||C_j||_F)^2
+    <= 2 (gamma_n + gamma') |x|^2 max_j ||C_j||_F^2 in Frobenius norm
+    (Cauchy-Schwarz).  ||C_j||_F is the norm of a basis column, which
+    passed the walk's norm check, so ||C_j||_F^2 < 1 + 2.3e-12, and
+    |x|^2 < 1 + 1.1e-12 after the input check; the bound is then below
+    2 (gamma_n + 56 u) = gamma_(2 (n + 8)), while a matrix that passes the
+    trace test has |t| + NORM_TOL > 1.  That is ``density_defect``'s
+    premise for gram_terms 2 (n + 8), at every requested cutoff.
+    """
+    gi = clone_pairs(alpha, beta, fock_cutoff, first_sample)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    basis = certified_basis(gi, cfg, fock_cutoff)
+    if basis is None:
+        return None
+    copies, outside = basis.forms
+    final = basis.blocks[-1]
+    walked = BasisSpec(num_squids=3, fock_cutoff=final.shape[-2] - 1)
+    psi_t = np.conj(final.reshape(-1, 2)).T @ _target_branches(walked)
+    x0, x1 = gi[:, 0], gi[:, 1]
+    x0c, x1c = np.conj(x0), np.conj(x1)
+    w00, w01, w10, w11 = x0 * x0c, x0 * x1c, x1 * x0c, x1 * x1c
+    rho = (w00[:, None, None] * copies[:, None, 0, 0] + w01[:, None, None] * copies[:, None, 0, 1]
+           + w10[:, None, None] * copies[:, None, 1, 0] + w11[:, None, None] * copies[:, None, 1, 1])
+    overlap = np.abs(alpha * (x0c * psi_t[0, 0] + x1c * psi_t[1, 0])
+                     + beta * (x0c * psi_t[0, 1] + x1c * psi_t[1, 1]))
+    leakage = (w00 * outside[0, 0] + w01 * outside[1, 0]
+               + w10 * outside[0, 1] + w11 * outside[1, 1]).real
+    return _scored(rho.reshape(-1, 3, 3), gi, 2 * (final.size // 6 + 8), overlap,
+                   np.maximum(leakage, 0.0), first_sample)
 
 
 def clone_fidelities(final: PureState, q: InputQubit) -> CloneReport:
     """Reduce the final state onto each copy and score it against the input."""
     fields = score_rows(final.tensor()[None], np.array([q.alpha]), np.array([q.beta]))
-    return CloneReport(**{name: float(values[0]) for name, values in fields.items()})
+    return CloneReport.from_fields(fields)
 
 
 @dataclass(frozen=True)
@@ -338,10 +455,12 @@ def universality_sweep(
     k*n_slots ... (k+1)*n_slots - 1 of ``jitter_rng(seed)``, read chunk by
     chunk in sample order with ``draw_slot_factors``, and the two-pulse
     leakage guard is off; with f = 0 the nominal schedule runs guarded.
-    Repeat calls with one seed are bit-identical, and each row equals a
-    single ``run_uqcm`` (with the same perturbed schedule) plus
+    Repeat calls with one seed are bit-identical.  A jittered row equals a
+    single ``run_uqcm`` with the same perturbed schedule plus
     ``clone_fidelities`` of its input; row 0's schedule is the one
-    ``perturbed_schedule(base, f, jitter_rng(seed))`` builds.  ``n`` is
+    ``perturbed_schedule(base, f, jitter_rng(seed))`` builds.  An ideal
+    chunk is scored by ``score_nominal``, each row equal to that function
+    for its input alone, and walked only where it returns None.  ``n`` is
     at most 2**32.
     """
     if n < 1:
@@ -360,11 +479,14 @@ def universality_sweep(
     scores: dict[str, list[np.ndarray]] = {name: [] for name in REPORT_FIELDS}
     for start in range(0, n, SWEEP_CHUNK):
         rows = slice(start, min(start + SWEEP_CHUNK, n))
-        factors = None if ideal else draw_slot_factors(
-            timing_jitter, (rows.stop - start, n_slots), jitter)
-        final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
-                            first_sample=start)
-        for name, values in score_rows(final, alpha[rows], beta[rows], start).items():
+        fields = score_nominal(alpha[rows], beta[rows], cfg, fock_cutoff, start) if ideal else None
+        if fields is None:
+            factors = None if ideal else draw_slot_factors(
+                timing_jitter, (rows.stop - start, n_slots), jitter)
+            final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
+                                first_sample=start)
+            fields = score_rows(final, alpha[rows], beta[rows], start)
+        for name, values in fields.items():
             scores[name].append(values)
     columns = [np.concatenate(scores[name]) for name in REPORT_FIELDS]
     return SweepResult(thetas, phis, *columns, seed=seed, n=n)

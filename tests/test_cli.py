@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clone_sim
+from clone_sim import run_uqcm
 from clone_sim.cli import main
 
 FIVE_SIXTHS = 5.0 / 6.0
@@ -136,6 +137,37 @@ def test_sweep_single_sample_matches_run_for_the_same_input(capsys):
     assert float(row[3]) == payload["fidelity_squid2"]
     assert float(row[4]) == payload["fidelity_squid3"]
     assert float(row[6]) == payload["leakage"]
+
+
+@pytest.mark.parametrize("argv", [("run", "--theta", "1.1", "--phi", "0.4"),
+                                  ("sweep", "-n", "300", "--seed", "3")])
+def test_nominal_output_does_not_depend_on_the_photon_cutoff(tmp_path, capsys, argv):
+    # a nominal clone is scored at its walked cutoff, min(cutoff, 2), so every
+    # cutoff from 2 up prints the same bytes (cutoff 1 is a real truncation)
+    outputs = set()
+    for cutoff in (2, 3, 8, 32, 10_000):
+        summary = tmp_path / f"s{cutoff}.json"
+        extra = ("--summary", str(summary)) if argv[0] == "sweep" else ()
+        code, out, err = run_cli(capsys, *argv, "--fock-cutoff", str(cutoff), *extra)
+        assert (code, err) == (0, "")
+        outputs.add((out, summary.read_bytes() if extra else b""))
+    assert len(outputs) == 1
+
+
+def test_a_nominal_run_clones_only_for_its_trace(tmp_path, capsys, monkeypatch):
+    import clone_sim.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_uqcm",
+                        lambda *args, **kwargs: calls.append(args) or run_uqcm(*args, **kwargs))
+    argv = ("run", "--theta", "1.1", "--phi", "0.4")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and calls == []
+    path = tmp_path / "t.json"
+    code, traced, _ = run_cli(capsys, *argv, "--trace", str(path))
+    assert (code, traced) == (0, plain) and len(calls) == 1
+    _, printed, _ = run_cli(capsys, "trace", "--theta", "1.1", "--phi", "0.4")
+    assert path.read_text() == printed
 
 
 @pytest.mark.parametrize("seed", [0, 2**32])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clone_sim import (
+    DEFAULT_COUPLINGS,
     BasisSpec,
     CloneReport,
     InputQubit,
@@ -22,7 +23,7 @@ from clone_sim import (
     universality_sweep,
 )
 from clone_sim.protocol import STEP_LABELS, StepTrace
-from clone_sim.verify import SWEEP_CHUNK
+from clone_sim.verify import REPORT_FIELDS, SWEEP_CHUNK, score_nominal
 from conftest import brute_force_partial_trace
 
 RT6 = math.sqrt(6.0)
@@ -255,7 +256,9 @@ def _jitter_factory(fraction, seed=606):
 @pytest.mark.parametrize("fock_cutoff", [2, 8, 32])
 @pytest.mark.parametrize("jitter", [0.0, 0.05, 0.2])
 def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
-    # each row of one 300-row batch against the same sample cloned alone
+    # each row of one 300-row batch against the same sample cloned alone; an
+    # ideal row is the nominal score of its input alone (what run prints), bit
+    # for bit, and lies within 1e-14 of its walked clone's score
     factory = _jitter_factory(jitter)
     result = universality_sweep(300, seed=606, fock_cutoff=fock_cutoff, timing_jitter=jitter)
     for row in result.rows:
@@ -264,9 +267,15 @@ def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
                             schedule=factory(row.sample) if factory else None,
                             enforce_preconditions=jitter == 0.0)
         report = clone_fidelities(final, q)
-        assert (row.f2, row.f3, row.target_overlap, row.leakage) == (
-            report.fidelity_squid2, report.fidelity_squid3,
-            report.target_overlap, report.leakage)
+        fields = (row.f2, row.f3, row.target_overlap, row.leakage)
+        walked = (report.fidelity_squid2, report.fidelity_squid3,
+                  report.target_overlap, report.leakage)
+        if factory is None:
+            alone = score_nominal([q.alpha], [q.beta], fock_cutoff=fock_cutoff)
+            assert fields == tuple(float(alone[name][0]) for name in REPORT_FIELDS)
+            assert max(abs(a - b) for a, b in zip(fields, walked)) <= 1e-14
+        else:
+            assert fields == walked
 
 
 def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -480,3 +489,99 @@ def test_csv_blocks_give_the_per_row_bytes_across_block_edges(count):
     columns[4][::11] = math.nan
     result = SweepResult(*columns, seed=0, n=count)
     assert result.to_csv() == _f_string_csv(result)
+
+
+def _bloch_inputs(rows, seed):
+    from clone_sim.protocol import bloch_amplitudes
+
+    rng = np.random.default_rng(seed)
+    return bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
+                            2.0 * math.pi * rng.random(rows))
+
+
+@pytest.mark.parametrize("size", [1, 7, 1024])
+def test_nominal_scores_do_not_depend_on_the_partition(size):
+    alpha, beta = _bloch_inputs(1030, 30)
+    whole = score_nominal(alpha, beta)
+    parts = [score_nominal(alpha[start:start + size], beta[start:start + size],
+                           first_sample=start) for start in range(0, 1030, size)]
+    for name in REPORT_FIELDS:
+        assert np.concatenate([part[name] for part in parts]).tobytes() == whole[name].tobytes()
+
+
+def test_leakage_is_the_population_outside_summed_directly():
+    # 1 - the population inside would read the rounding of a sum near 1, ~1e-16
+    from clone_sim import clone_batch
+
+    alpha, beta = _bloch_inputs(300, 3)
+    walked = score_rows(clone_batch(alpha, beta), alpha, beta)["leakage"]
+    nominal = score_nominal(alpha, beta)["leakage"]
+    assert 0.0 < np.max(walked) < 1e-30 and 0.0 < np.max(nominal) < 1e-30
+
+
+def test_weighted_copy_matrices_stay_within_their_floor_proof(monkeypatch):
+    # score_nominal's bound on |rho - C(x) C(x)^H|_F, with C(x) = sum_j x_j C_j
+    # formed in extended precision, for 2,000 inputs and |x|^2 = 1 +- 9e-13
+    from clone_sim import verify
+    from clone_sim.protocol import _uqcm_program, gi_amplitudes
+    from test_hilbert import _counting_eigvalsh
+
+    alpha, beta = _bloch_inputs(2000, 31)
+    for scale in (1.0 - 9e-13, 1.0 + 9e-13):
+        alpha = np.append(alpha, math.sqrt(scale) * np.array([1.0, 0.6, 0.0]))
+        beta = np.append(beta, math.sqrt(scale) * np.array([0.0, 0.8j, -1.0]))
+    x = gi_amplitudes(alpha, beta)
+    seen = _counting_eigvalsh(monkeypatch)
+    captured, scored = [], verify._scored
+    monkeypatch.setattr(verify, "_scored",
+                        lambda rho, *args: captured.append((rho, args[1])) or scored(rho, *args))
+    assert score_nominal(alpha, beta) is not None
+    assert seen == []
+    (rho, gram_terms), = captured
+    final = _uqcm_program(DEFAULT_COUPLINGS, 2).basis.blocks[-1].astype(np.clongdouble)
+    u = np.finfo(np.float64).eps / 2
+    for half, squid in enumerate((2, 3)):
+        columns = np.moveaxis(final, squid - 1, 0).reshape(3, -1, 2)
+        n = columns.shape[1]
+        assert gram_terms == 2 * (n + 8)
+        norms = np.sqrt(np.sum(np.abs(columns) ** 2, axis=(0, 1))).astype(np.float64)
+        copy = np.einsum("ank,bk->ban", columns, x.astype(np.clongdouble))
+        exact = copy @ np.conj(copy).transpose(0, 2, 1)
+        error = np.sqrt(np.sum(np.abs(rho[half * len(x):(half + 1) * len(x)] - exact) ** 2,
+                               axis=(1, 2))).astype(np.float64)
+        bound = (8 * (n + 2) + 10) * u * (np.abs(x) @ norms) ** 2
+        assert np.all(error <= bound)
+        assert np.all(bound <= 8 * (2 * (n + 8) + 2) * u)
+
+
+@pytest.mark.parametrize("entry, shift, match", [
+    ((0, 0, 0, 0, 1), 1e-9, "density matrix is not Hermitian"),
+    ((0, 0, 0, 0, 0), 2e-12, "density matrix trace"),
+])
+def test_a_corrupted_copy_block_names_the_sample_and_the_copy(monkeypatch, entry, shift, match):
+    from clone_sim import protocol
+
+    program = protocol._uqcm_program.__wrapped__(DEFAULT_COUPLINGS, 2)
+    copies, outside = program.basis.forms
+    bad = copies.copy()
+    bad[entry] += shift
+    if entry[-2:] == (0, 0):  # the trace moves on the x_1 block too, so every row trips
+        bad[(0, 1, 1, 0, 0)] += shift
+    program.basis.__dict__["forms"] = (bad, outside)
+    monkeypatch.setattr(protocol, "_uqcm_program", lambda cfg, fock_cutoff: program)
+    alpha, beta = _bloch_inputs(6, 32)
+    with pytest.raises(ValueError, match=rf"^sample 5: squid2 {match}"):
+        score_nominal(alpha, beta, first_sample=5)
+
+
+def test_an_ideal_sweep_at_the_largest_cutoff_builds_no_padded_row():
+    # a padded row at cutoff 10,000 holds 270,027 amplitudes (4.3 MB)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        universality_sweep(16, 3, fock_cutoff=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

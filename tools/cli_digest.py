@@ -42,6 +42,8 @@ CASES = [
     "trace --theta 1.3 --timing-jitter 0.3 --seed 5 --fock-cutoff 1",
     "run --theta 1.1 --phi 0.4 --config gi1e7.cfg",
     "sweep -n 300 --seed 3 --fock-cutoff 1 --summary out/s.json",
+    "sweep -n 20 --seed 3 --fock-cutoff 10000 --summary out/s.json",
+    "sweep -n 20 --seed 3 --fock-cutoff 2 --summary out/s.json",
 ]
 
 
