@@ -30,6 +30,7 @@ from .dynamics import (
     diagonalize_generator,
     evolve_rows,
     pulse_coefficients,
+    pulse_rows,
     run_pulse,
 )
 from .hilbert import (
@@ -41,6 +42,7 @@ from .hilbert import (
     MINUS_GI,
     NUM_LEVELS,
     PLUS_GI,
+    BasisList,
     BasisSpec,
     PureState,
     _kron_product,
@@ -127,9 +129,10 @@ def _closed_forms_by_squid(
     ``PureState`` makes; either check names a failing row by its place in
     the SQUID's batch.
     """
+    labels = BasisList.full(spec).labels
     for squid in sorted({op.squid for op in ops}):
         rows = [k for k, op in enumerate(ops) if op.squid == squid]
-        amps = np.stack([drawn[k].reshape(spec.factor_dims) for k in rows], axis=-1)
+        amps = np.stack([drawn[k] for k in rows], axis=-1)
         head = ops[rows[0]]
         if head.variant is PulseVariant.RAMAN:
             parts = [pulse_coefficients(ops[k], np.array([ops[k].duration]), spec.fock_cutoff,
@@ -138,10 +141,10 @@ def _closed_forms_by_squid(
         else:
             coeffs = pulse_coefficients(head, np.array([ops[k].duration for k in rows]),
                                         spec.fock_cutoff, cfg)
-        run_pulse(amps, head, coeffs)
+        run_pulse(amps, head, coeffs, pulse_rows(head, labels))
         # Contiguous rows, as a PureState holds them: a strided row would
         # round differently in the BLAS products the checks take.
-        yield squid, rows, np.ascontiguousarray(np.moveaxis(amps, -1, 0)).reshape(len(rows), -1)
+        yield squid, rows, np.ascontiguousarray(amps.T)
 
 
 def _coupling_by_block(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig) -> np.ndarray | None:

@@ -7,7 +7,8 @@ a usage error.  Flags override config-file keys, which every command
 shares; the config file is flat ``key = value`` lines and defaults to the
 path in $CLONE_SIM_CONFIG.  Exit codes:
 0 success, 1 a tolerance gate or self check failed, 2 bad
-configuration, 3 a physical precondition or leakage gate tripped.
+configuration, 3 a physical precondition or leakage gate tripped, 141
+the reader closed stdout before the output was written.
 All reported numbers carry 12 significant digits.
 """
 
@@ -26,12 +27,12 @@ from .checks import run_all_checks
 from .dynamics import CouplingConfig
 from .errors import PhysicsError
 from .hilbert import E_LEAK_TOL
-from .protocol import InputQubit, build_uqcm_schedule, jitter_rng, perturbed_schedule, run_uqcm
+from .protocol import InputQubit, build_uqcm_schedule, clone_trace, jitter_rng, perturbed_schedule
 from .verify import (
     MAX_FOCK_CUTOFF,
     MAX_SWEEP_SAMPLES,
     CloneReport,
-    clone_fidelities,
+    entry_fidelities,
     score_nominal,
     universality_sweep,
 )
@@ -219,12 +220,12 @@ def _write_json(path: str, payload) -> None:
 
 
 def _execute(settings: Settings):
-    """Clone the input once; with timing jitter, under sample 0's perturbed schedule."""
+    """Clone the input once, for its trace; with timing jitter, under sample 0's perturbed schedule."""
     schedule = None
     if settings.timing_jitter > 0.0:
         schedule = perturbed_schedule(build_uqcm_schedule(settings.cfg), settings.timing_jitter,
                                       jitter_rng(settings.seed))
-    return run_uqcm(
+    return clone_trace(
         settings.q, settings.cfg, fock_cutoff=settings.fock_cutoff,
         schedule=schedule, enforce_preconditions=settings.timing_jitter == 0.0,
     )
@@ -232,7 +233,8 @@ def _execute(settings: Settings):
 
 def cmd_run(settings: Settings) -> int:
     # A nominal clone is scored from the basis walk, as an ideal sweep row
-    # is, so run and sweep print the same bytes for one input; the clone
+    # is, and any other clone on its walk's basis list, as a jittered sweep
+    # row is, so run and sweep print the same bytes for one input; the clone
     # runs only for its trace or where the basis walk does not serve it.
     report = None
     if settings.timing_jitter == 0.0:
@@ -240,9 +242,9 @@ def cmd_run(settings: Settings) -> int:
                                settings.fock_cutoff)
         report = None if fields is None else CloneReport.from_fields(fields)
     if report is None or settings.trace_path:
-        final, trace = _execute(settings)
+        trace = _execute(settings)
         if report is None:
-            report = clone_fidelities(final, settings.q)
+            report = entry_fidelities(trace.entries[-1], settings.q)
         if settings.trace_path:
             _write_json(settings.trace_path, trace.to_dict())
     five_sixths = 5.0 / 6.0
@@ -272,7 +274,7 @@ def cmd_run(settings: Settings) -> int:
 
 
 def cmd_trace(settings: Settings) -> int:
-    _, trace = _execute(settings)
+    trace = _execute(settings)
     print(json.dumps(_sig12(trace.to_dict())))
     return 0
 
@@ -347,13 +349,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(_resolve_settings(args))
+        code = args.handler(_resolve_settings(args))
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout.  The rest of the output goes to the null
+        # device, so the flush at exit raises nothing, and the exit code is
+        # the shell's for a process that SIGPIPE ended (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

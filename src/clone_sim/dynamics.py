@@ -26,29 +26,37 @@ single time-independent Hermitian generator can, because the map is not a
 one-parameter group in t.
 
 Each map is one kernel that acts in place on a batch: a complex array of
-shape ``(3, ..., 3, fock_cutoff + 1, B)`` holding one register state per
-index of its last axis (a "row"), with a ``(B,)`` array of durations, so
-every row may carry its own pulse length.  A kernel is two parts:
-``pulse_coefficients`` turns the durations into read-only coefficient
-arrays, the entries of the map's 2x2 matrix (cos and -i sin of the
-rotation angles, the two-pulse couplings) and the |i> phase, and
-``apply_coefficients`` applies them to the level views.  One table,
+shape (N, B) holding one register state per column (a "row"), batch axis
+last, over a listed basis (``hilbert.BasisList``): entry (k, b) is row b's
+amplitude of the k-th listed basis state, and every state the list leaves
+out has amplitude zero.  A (B,) array of durations lets every row carry
+its own pulse length.  A kernel is three parts.  ``pulse_coefficients``
+turns the durations into read-only coefficient arrays, the entries of the
+map's 2x2 matrix (cos and -i sin of the rotation angles, the two-pulse
+couplings) and the |i> phase.  ``pulse_rows`` turns the list into index
+lists: the pairs of rows the pulse mixes, each cavity-exchange pair's
+photon number, which picks its coefficient row, the |i> rows free
+evolution multiplies and the e rows the two-pulse guard sums.  It passes
+the list's index array through the level views of the pulse's SQUID, so
+a list of the whole register gives exactly the amplitudes the views name.
+``apply_coefficients`` then mixes the listed pairs by index.  One table,
 ``COUPLED_LEVELS``, says which pair of levels each pulse mixes and by how
-many photons; one routine, ``_mix``, mixes that pair, and puts the
+many photons; one routine, ``_mix``, mixes the pairs, and puts the
 two-pulse map's |i> phase on in the same write; free evolution is that
 phase alone.  The photon-support proof in ``protocol`` reads the same
 table, and its basis-walk certificate reads ``map_norm_bound``, a bound
 on the norm of the map a pulse's coefficients define.  Coefficients
 built from a (1,) duration broadcast over every row, so a caller that
-runs one pulse many times at one duration can build them once.  With
-the batch axis last, each per-row coefficient broadcasts along a
-contiguous run of B amplitudes.  The kernels use only elementwise
-arithmetic, so a row's result does not depend on the batch size.
+runs one pulse many times at one duration can build them once.  The
+kernels use only elementwise arithmetic, in the order the map is
+written, so a row's result depends neither on the batch size nor on
+which other states the list holds.
 
 ``run_pulse`` is what every pulse application runs: the two-pulse
-guard, the kernel and the row-norm check.  ``protocol``'s walk, the
-``checks`` oracles and ``apply_pulse_op`` (one ``PureState`` as a batch
-of one, a trailing axis of length 1) all call it; each ``apply_*`` is
+guard, the kernel and the row-norm check.  ``protocol``'s walk (over a
+clone's reached states, or the whole register), the ``checks`` oracles
+and ``apply_pulse_op`` (one ``PureState`` as a batch of one over the whole
+register) all call it; each ``apply_*`` is
 ``apply_pulse_op`` with its variant.  The two-pulse map is guarded by
 ``check_two_pulse_domain`` at the one leakage tolerance
 ``hilbert.E_LEAK_TOL``, read from ``hilbert``'s one population sum: a
@@ -84,6 +92,7 @@ from .hilbert import (
     LEVEL_G,
     LEVEL_I,
     NUM_LEVELS,
+    BasisList,
     BasisSpec,
     PureState,
     _EPS,
@@ -233,54 +242,103 @@ def _free_phase(t: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
     return np.exp(-1j * cfg.omega_gi * t)
 
 
+@dataclass(frozen=True, eq=False)
+class PulseRows:
+    """The rows of a listed basis that one pulse reads (``pulse_rows``).
+
+    ``a[k]`` and ``b[k]`` are the rows of a pair |a, n + s> <-> |b, n> that
+    ``COUPLED_LEVELS`` names on the pulse's SQUID, both listed; for ``JC``
+    ``photons[k]`` is the pair's n, which picks its coefficient row.
+    ``FREE_EVOLVE`` lists its SQUID's |i> rows as ``b``.  ``e``, for
+    ``RAMAN`` only, lists the SQUID's e-level rows, which its guard sums.
+    Every list follows the register's C order.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    photons: np.ndarray | None = None
+    e: np.ndarray | None = None
+
+
+def _listed(view: np.ndarray) -> np.ndarray:
+    return view[view >= 0]
+
+
+def pulse_rows(op: PulseOp, labels: np.ndarray) -> PulseRows:
+    """The rows ``op`` reads, for rows labelled by ``labels`` (``hilbert.BasisList.labels``).
+
+    ``labels`` holds each basis state's row, shaped like the register, -1
+    for a state the rows do not hold.  The lists come from the index array
+    passed through the level views of ``op``'s SQUID, so a list over the
+    whole register names exactly the amplitudes the level views name, in
+    their order, and a list over fewer states is that list restricted to
+    the states held.  A SQUID outside the register raises ``ValueError``.
+    """
+    tensor = labels[..., None]  # the level views take a batch axis
+    if op.variant is PulseVariant.FREE_EVOLVE:
+        return PulseRows(np.empty(0, dtype=np.intp), _listed(_level(tensor, op.squid, LEVEL_I)))
+    a, b, shift = COUPLED_LEVELS[op.variant]
+    a_rows = _level(tensor, op.squid, a)[..., shift:, 0]
+    b_rows = _level(tensor, op.squid, b)[..., :a_rows.shape[-1], 0]
+    kept = (a_rows >= 0) & (b_rows >= 0)
+    photons = kept.nonzero()[-1] if shift else None  # each kept pair's photon number
+    e = _listed(_level(tensor, op.squid, LEVEL_E)) if op.variant is PulseVariant.RAMAN else None
+    return PulseRows(a_rows[kept], b_rows[kept], photons, e)
+
+
 def _mix(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, ab: np.ndarray, ba: np.ndarray,
-    free: np.ndarray | None = None,
+    rows: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, ab: np.ndarray,
+    ba: np.ndarray, free: np.ndarray | None = None,
 ) -> None:
-    # a -> c a + ab b, b -> free (ba a + c b), in place; no free means 1.
-    a_old = a.copy()
-    a[...] = c * a_old + ab * b
-    if free is None:
-        b[...] = ba * a_old + c * b
-    else:
-        np.multiply(free, ba * a_old + c * b, out=b)
+    # rows a -> c a + ab b, rows b -> free (ba a + c b), in place; no free means 1.
+    a_old, b_old = rows.take(a, axis=0), rows.take(b, axis=0)
+    rows[a] = c * a_old + ab * b_old
+    b_new = ba * a_old + c * b_old
+    rows[b] = b_new if free is None else free * b_new
 
 
-def apply_coefficients(amps: np.ndarray, op: PulseOp, coeffs: tuple[np.ndarray, ...]) -> None:
-    """Apply ``op``'s map in place to every row of ``amps``, given its ``pulse_coefficients``.
+def apply_coefficients(
+    rows: np.ndarray, op: PulseOp, coeffs: tuple[np.ndarray, ...], lists: PulseRows
+) -> None:
+    """Apply ``op``'s map in place to every row of ``rows``, given its ``pulse_coefficients``.
 
     The raw kernel, with no guard and no norm check (``run_pulse`` adds
-    both).  A coupling pulse mixes the pair of level views that
-    ``COUPLED_LEVELS`` names by its coefficients (``_mix``), and for
-    ``RAMAN`` the free phase goes onto the new |i> amplitudes as they are
-    written; ``FREE_EVOLVE`` multiplies |i> by its phase.  Cavity
-    exchange thus rotates each excitation sector {|g, n+1>, |e, n>} by its
-    own angle; |i, n> and |g, 0> are dark, and |e, fock_cutoff> has no
-    partner within the truncated space and stays put.  The two-pulse map
-    leaves e amplitudes untouched.
+    both).  ``rows`` is (N, B), batch axis last, over a listed basis, and
+    ``lists`` is ``op``'s ``pulse_rows`` over it.  A coupling pulse mixes
+    each pair of rows by its coefficients (``_mix``), ``JC`` reading the
+    coefficient row of each pair's photon number, and for ``RAMAN`` the
+    free phase goes onto the new |i> amplitudes as they are written;
+    ``FREE_EVOLVE`` multiplies the |i> rows by its phase.  Cavity exchange
+    thus rotates each excitation sector {|g, n+1>, |e, n>} by its own
+    angle; |i, n> and |g, 0> are dark, and |e, fock_cutoff> has no partner
+    within the truncated space and stays put.  The two-pulse map leaves e
+    amplitudes untouched.  Every product is elementwise, in the order the
+    map is written, so a row's result does not depend on the batch or on
+    which states the basis lists.
     """
+    if lists.photons is not None:
+        coeffs = tuple(array.take(lists.photons, axis=0) for array in coeffs)
     if op.variant is PulseVariant.FREE_EVOLVE:
-        i_view = _level(amps, op.squid, LEVEL_I)
-        np.multiply(coeffs[0], i_view, out=i_view)
+        rows[lists.b] = coeffs[0] * rows.take(lists.b, axis=0)
         return
-    a, b, shift = COUPLED_LEVELS[op.variant]
-    a_view, b_view = _level(amps, op.squid, a), _level(amps, op.squid, b)
-    if shift:
-        a_view, b_view = a_view[..., shift:, :], b_view[..., :-shift, :]
-    _mix(a_view, b_view, *coeffs)
+    _mix(rows, lists.a, lists.b, *coeffs)
 
 
-def check_two_pulse_domain(amps: np.ndarray, squid: int, first_sample: int = 0) -> None:
+def check_two_pulse_domain(
+    amps: np.ndarray, squid: int, first_sample: int, picks: np.ndarray
+) -> None:
     """Raise ``LeakageError`` naming the first row whose ``squid`` holds e population >= E_LEAK_TOL.
 
     The two-pulse map eliminated the e level, so it is valid only where
-    that population is negligible.  Rows are numbered from ``first_sample``.
+    that population is negligible.  ``amps`` holds (N, B) rows over a
+    listed basis, batch axis last, whose e-level rows of ``squid`` are
+    ``picks``.  Rows are numbered from ``first_sample``.
     """
-    screen, slack = population_screen(amps, squid, LEVEL_E)
+    screen, slack = population_screen(amps, picks)
     suspects = np.flatnonzero(~(screen + slack < E_LEAK_TOL))
     if not suspects.size:
         return
-    pops = level_populations(amps, squid, LEVEL_E)[suspects]
+    pops = level_populations(amps, picks)[suspects]
     bad = pops >= E_LEAK_TOL
     if bad.any():
         k = int(np.argmax(bad))
@@ -292,38 +350,41 @@ def check_two_pulse_domain(amps: np.ndarray, squid: int, first_sample: int = 0) 
 
 
 def run_pulse(
-    amps: np.ndarray,
+    rows: np.ndarray,
     op: PulseOp,
     coeffs: tuple[np.ndarray, ...],
+    lists: PulseRows,
     first_sample: int = 0,
     guarded: bool = True,
 ) -> None:
-    """Apply ``op`` in place to every row of ``amps`` with the checks every pulse gets.
+    """Apply ``op`` in place to every row of ``rows`` with the checks every pulse gets.
 
-    A ``RAMAN`` op is first guarded by ``check_two_pulse_domain`` (skipped
-    with ``guarded`` off); ``apply_coefficients`` then applies ``coeffs``,
-    and ``check_row_norms`` checks every row after it.  Either check
-    names a failing row as sample ``first_sample + row``.
+    ``rows`` is (N, B) over a listed basis and ``lists`` ``op``'s
+    ``pulse_rows`` over it.  A ``RAMAN`` op is first guarded by
+    ``check_two_pulse_domain`` on the SQUID's e-level rows (skipped with
+    ``guarded`` off); ``apply_coefficients`` then applies ``coeffs``, and
+    ``check_row_norms`` checks every row after it.  Either check names a
+    failing row as sample ``first_sample + row``.
     """
     if guarded and op.variant is PulseVariant.RAMAN:
-        check_two_pulse_domain(amps, op.squid, first_sample)
-    apply_coefficients(amps, op, coeffs)
-    check_row_norms(amps, first_sample)
+        check_two_pulse_domain(rows, op.squid, first_sample, lists.e)
+    apply_coefficients(rows, op, coeffs, lists)
+    check_row_norms(rows, first_sample)
 
 
 def apply_pulse_op(
     state: PureState, op: PulseOp, cfg: CouplingConfig = DEFAULT_COUPLINGS
 ) -> PureState:
-    """``run_pulse`` on one state as a batch of one, at ``op.duration``.
+    """``run_pulse`` on one state as a batch of one, at ``op.duration``, over the whole register.
 
     A ``RAMAN`` op is guarded by ``check_two_pulse_domain``; the raw map,
     which leaves e amplitudes untouched, is ``apply_coefficients``.  A
     SQUID outside the register raises ``ValueError`` from the level views.
     """
-    amps = state.tensor()[..., None].copy()
+    rows = state.amplitudes[:, None].copy()
     coeffs = pulse_coefficients(op, np.array([op.duration]), state.spec.fock_cutoff, cfg)
-    run_pulse(amps, op, coeffs)
-    return PureState(amps.reshape(-1), state.spec)
+    run_pulse(rows, op, coeffs, pulse_rows(op, BasisList.full(state.spec).labels))
+    return PureState(rows[:, 0], state.spec)
 
 
 def apply_jc(

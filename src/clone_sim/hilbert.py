@@ -12,15 +12,18 @@ renormalize silently; a drifted norm raises ``NormalizationError`` and
 ``normalized_row`` is the one explicit way to rescale, for a bare row or
 through ``PureState.from_amplitudes(..., normalize=True)``.
 
-The batched engine holds B states as one array of shape
-``spec.factor_dims + (B,)``, batch axis last, row b (index b of that
-axis) being sample b.  The physics checks are defined here once each.
+The batched engine holds B states as one (N, B) array, batch axis last,
+row b (index b of that axis) being sample b, over a ``BasisList``: the N
+basis states the rows hold, in register order, every other amplitude
+zero.  The whole register is one such list; a clone's reached states are
+another.  The physics checks are defined here once each.
 ``check_row_norms`` applies the norm rule to every row of such an array at
-once.  ``level_populations`` is the one sum of a SQUID level's
-population, per row; ``PureState.level_population`` reads it for a batch
-of one, and ``population_screen`` bounds how far a faster sum may stray
-from it.  The level guards of ``dynamics`` and ``protocol`` read those two
-at the one leakage tolerance, ``E_LEAK_TOL``.  ``density_defect`` applies
+once.  ``level_populations`` is the one sum of the population of a list
+of states, per row, and ``level_rows`` lists the states of a SQUID level;
+``PureState.level_population`` reads the sum for a batch of one, and
+``population_screen`` bounds how far a faster sum may stray from it.
+The level guards of ``dynamics`` and ``protocol`` read those two at the
+one leakage tolerance, ``E_LEAK_TOL``.  ``density_defect`` applies
 the density-matrix rules to a stack of matrices; for a stack of computed
 Gram products it proves the eigenvalue floor from the product's rounding
 bound, and otherwise asks ``eigvalsh``.
@@ -28,8 +31,8 @@ bound, and otherwise asks ``eigvalsh``.
 
 from __future__ import annotations
 
+import functools
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -119,6 +122,68 @@ def basis_tuple(spec: BasisSpec, index: int) -> tuple[tuple[int, ...], int]:
 
 
 @dataclass(frozen=True, eq=False)
+class BasisList:
+    """The basis states a stack of rows holds: row k is the amplitude of state ``index[k]``.
+
+    ``index`` lists flat indices over ``spec`` in ascending order, so the
+    rows keep the register's own order; every state it leaves out has
+    amplitude zero.  ``full`` lists every state.  The index tables below are
+    built on first read and kept with the list.
+    """
+
+    spec: BasisSpec
+    index: np.ndarray
+
+    @classmethod
+    def full(cls, spec: BasisSpec) -> "BasisList":
+        return cls(spec, np.arange(spec.dimension))
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Each basis state's row, shaped ``spec.factor_dims``; -1 for a state not listed."""
+        labels = np.full(self.spec.dimension, -1)
+        labels[self.index] = np.arange(len(self.index))
+        return labels.reshape(self.spec.factor_dims)
+
+    @functools.cached_property
+    def reduced(self) -> np.ndarray:
+        """(num_squids, 3, K) rows whose Gram is each SQUID's reduced matrix.
+
+        Row l of SQUID s's block lists, for each assignment of the other
+        factors in C order, the row of the state with s in level l; an
+        assignment with no listed state in any level is left out, and the
+        index N = len(index) marks a state not listed, to be read as a zero
+        amplitude.  Blocks shorter than the longest end in N.
+        """
+        absent = len(self.index)
+        labels = np.where(self.labels >= 0, self.labels, absent)
+        blocks = [np.moveaxis(labels, squid, 0).reshape(NUM_LEVELS, -1)
+                  for squid in range(self.spec.num_squids)]
+        blocks = [block[:, np.any(block < absent, axis=0)] for block in blocks]
+        out = np.full((len(blocks), NUM_LEVELS, max(block.shape[1] for block in blocks)), absent)
+        for squid, block in enumerate(blocks):
+            out[squid, :, :block.shape[1]] = block
+        return out
+
+    @functools.cached_property
+    def outside(self) -> np.ndarray:
+        """Rows of the states outside levels {g, i} and photon numbers {0, 1}."""
+        coords = np.unravel_index(self.index, self.spec.factor_dims)
+        return np.flatnonzero(np.any(np.stack(coords[:-1]) == LEVEL_E, axis=0) | (coords[-1] >= 2))
+
+    def dense(self, rows: np.ndarray, fock_cutoff: int) -> np.ndarray:
+        """The (B, N) ``rows`` over the register at ``fock_cutoff`` >= spec's, +0 off the list.
+
+        The result has shape (B,) + factor_dims at that cutoff.
+        """
+        spec = BasisSpec(self.spec.num_squids, fock_cutoff)
+        levels, photons = np.divmod(self.index, self.spec.fock_cutoff + 1)
+        out = np.zeros((len(rows), spec.dimension), dtype=np.complex128)
+        out[:, levels * (fock_cutoff + 1) + photons] = rows
+        return out.reshape((len(rows),) + spec.factor_dims)
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over a ``BasisSpec`` register.
 
@@ -170,7 +235,8 @@ class PureState:
 
         The value is ``level_populations`` for the state as a batch of one.
         """
-        return float(level_populations(self.tensor()[..., None], squid, level_code(level))[0])
+        picks = level_rows(self.spec.factor_dims, squid, level_code(level))
+        return float(level_populations(self.amplitudes[:, None], picks)[0])
 
     def photon_tail_population(self, min_photons: int) -> float:
         """Total probability of the cavity holding at least ``min_photons`` photons."""
@@ -268,10 +334,10 @@ def check_row_norms(amps: np.ndarray, first_sample: int = 0) -> None:
         sums = np.einsum("ij,ij->j", parts, parts)
         squares = sums[0::2] + sums[1::2]
         band = NORM_TOL - 2 * (len(parts) + 2) * _EPS
-        cleared = ((1.0 - band) ** 2 < squares) & (squares < (1.0 + band) ** 2)
-        if cleared.all():
+        low, high = (1.0 - band) ** 2, (1.0 + band) ** 2
+        if low < squares.min() and squares.max() < high:  # a NaN clears neither
             return
-        suspects = np.flatnonzero(~cleared)
+        suspects = np.flatnonzero(~((low < squares) & (squares < high)))
     norms = _row_norms(np.moveaxis(amps[..., suspects], -1, 0))
     ok = np.abs(norms - 1.0) < NORM_TOL
     if not ok.all():
@@ -289,24 +355,28 @@ def _level(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
     return amps[tuple(index)]
 
 
-def level_populations(amps: np.ndarray, squid: int, level: int) -> np.ndarray:
-    """(B,) probability of finding ``squid`` in ``level``, one entry per row."""
-    view = _level(amps, squid, level)
-    # Sum each row as one contiguous run, so the rounding, and with it the
-    # population a guard reports, does not depend on the batch layout.
-    rows = np.ascontiguousarray(np.moveaxis(view, -1, 0)).reshape(amps.shape[-1], -1)
-    return np.sum(np.abs(rows) ** 2, axis=1)
+def level_rows(dims: tuple[int, ...], squid: int, level: int) -> np.ndarray:
+    """Flat indices, in C order, of the states of a ``dims`` register with ``squid`` in ``level``."""
+    return _level(np.arange(math.prod(dims)).reshape(dims)[..., None], squid, level).reshape(-1)
 
 
-def population_screen(amps: np.ndarray, squid: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B,) populations of ``level`` summed down the batch-last array at once, and their slack.
+def level_populations(rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """(B,) population of the states ``picks`` names, per row of the (N, B) ``rows``."""
+    # Sum each row as one contiguous run, in the order of picks, so the
+    # rounding, and with it the population a guard reports, does not depend
+    # on the batch layout.
+    return np.sum(np.abs(np.ascontiguousarray(rows.take(picks, axis=0).T)) ** 2, axis=1)
 
-    A batch of one is reduced by one BLAS dot product of its level view
-    with itself (``np.vdot``), a larger batch by one ``einsum`` down the
-    batch-last array.  Each value differs from the one
-    ``level_populations`` gives for the row by less than its slack.  All
-    three routes add the squares of the same n amplitudes, 2n real parts,
-    in some order: rounded products or fused multiply-adds, over any
+
+def population_screen(rows: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) populations of the states ``picks`` names, summed down the rows at once, and their slack.
+
+    A batch of one is reduced by one BLAS dot product of its picked
+    amplitudes with themselves (``np.vdot``), a larger batch by one
+    ``einsum`` down the batch-last (N, B) ``rows``.  Each value differs from
+    the one ``level_populations`` gives for the row by less than its slack.
+    All three routes add the squares of the same n amplitudes, 2n real
+    parts, in some order: rounded products or fused multiply-adds, over any
     number of accumulators, each partial sum rounded once.  A sum of
     non-negative terms formed that way lies within
     gamma_2n = 2n u / (1 - 2n u) of the exact one, u = 2^-53 (Higham,
@@ -322,15 +392,14 @@ def population_screen(amps: np.ndarray, squid: int, level: int) -> tuple[np.ndar
     so its verdict and the population it reports are the ones
     ``level_populations`` alone gives.
     """
-    view = _level(np.ascontiguousarray(amps), squid, level)
-    terms = view.size // view.shape[-1]
+    view = rows.take(picks, axis=0)
+    terms = len(view)
     if view.shape[-1] == 1:
         # the same slack in float arithmetic, which rounds as numpy's does
         pop = float(np.vdot(view, view).real)
         return np.array([pop]), np.array([4 * (terms + 3) * (_EPS * pop + _TINY)])
     parts = view.view(np.float64)
-    letters = string.ascii_lowercase[:parts.ndim]
-    sums = np.einsum(f"{letters},{letters}->{letters[-1]}", parts, parts)
+    sums = np.einsum("ij,ij->j", parts, parts)
     pops = sums[0::2] + sums[1::2]
     return pops, 4 * (terms + 3) * (_EPS * pops + _TINY)
 

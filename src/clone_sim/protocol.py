@@ -29,65 +29,64 @@ k*n_slots ... (k+1)*n_slots - 1 of it.  ``perturbed_schedule`` applies
 one sample's factors to a ``Schedule``; a batch carries them as a
 (B, n_slots) array drawn in one call.
 
-Every schedule runs on the batched kernels of ``dynamics``: ``clone_batch``
-clones B inputs at once in an array of shape (3, 3, 3, m + 1, B), batch
-axis last, pulse j of slot k in row b lasting its nominal duration times
-``slot_factors[b, k]``, and returns the rows batch axis first;
-``run_uqcm`` runs one input as a batch of one, every pulse at the
+Every schedule runs on the batched kernels of ``dynamics``, over (N, B)
+rows, batch axis last, that hold a listed basis (``hilbert.BasisList``):
+``clone_rows`` clones B inputs at once, pulse j of slot k in row b lasting
+its nominal duration times ``slot_factors[b, k]``; ``clone_batch`` returns
+those rows scattered into the register, batch axis first; ``run_uqcm`` and
+``clone_trace`` run one input as a batch of one, every pulse at the
 schedule's own duration, and ``execute_schedule`` runs any start state
-that way at its own cutoff.  All three apply the schedule through one
-walk, ``_walk``, which runs every pulse through ``dynamics.run_pulse``,
-the two-pulse guard, kernel and row-norm check that every pulse
-application shares, so a row's result and its checks do not depend on
-the batch it ran in.  The walk reads a pulse program, which ``_compile``
-builds from a schedule, a coupling config and a photon cutoff: the
-pulses in walk order with their slot index and their coefficients at
-nominal duration, grouped into one run per stretch of consecutive slots
-of one step, each with the nominal time at its end.  The cloning
-schedule's program is compiled once per coupling config and requested
-cutoff (``_uqcm_program``); any other schedule is compiled per call.  A
-walk with slot factors builds each pulse's coefficients per call, with
-the same arithmetic.
+that way over the whole register at its own cutoff.  All of them apply
+the schedule through one walk, ``_walk``, which runs every pulse through
+``dynamics.run_pulse``, the two-pulse guard, kernel and row-norm check
+that every pulse application shares, so a row's result and its checks do
+not depend on the batch it ran in.  The walk reads a pulse program, which
+``_compile`` builds from a schedule, a coupling config and a start
+register: the basis list its rows hold and the pulses in walk order with
+their slot index, their coefficients at nominal duration and the row
+lists they read, grouped into one run per stretch of consecutive slots of
+one step, each with the nominal time at its end.  The cloning schedule's
+program is compiled once per coupling config and requested cutoff
+(``_uqcm_program``); any other schedule, a perturbed cloning schedule
+included, is compiled per call.  A walk with slot factors builds each pulse's coefficients per
+call, with the same arithmetic.
 
-A nominal clone is read, not walked.  A clone is linear in the (g, i)
-pair x it injects, so its state after any step is Psi x, Psi the walk of
+A clone walks on the states it can reach.  The cavity exchange conserves
+#e + n and the other pulses leave n alone, and each pulse only mixes a
+basis state with its partners, so from SQUID 1's (g, i) injection a
+schedule can only reach so many states: ``_photon_reach`` walks the basis
+states each pulse couples, as ``dynamics.COUPLED_LEVELS`` names them, the
+one table the kernel mixes by, reading only the pulses' (variant, SQUID)
+in walk order, and finds 45 of the 81 states for the cloning schedule,
+whatever its durations, with at most 2 photons.  Every other amplitude is
+an exact zero, so a clone's program lists those states at
+m = min(fock_cutoff, 2) photons, each pulse reads the pairs of them it
+mixes, less the pairs not yet reached, and every guard and norm check on
+the listed rows gives the verdict it would give on the whole register.
+Cutoff 2 is therefore exact and any larger cutoff gives the same
+amplitudes padded with zeros (a zero amplitude may differ in sign only);
+cutoff 1 truncates the photon-2 population that timing errors put into
+the cavity.  No clone's walk, nor its scoring (``verify.score_rows`` on
+the list), costs more at a larger cutoff.  A trace entry keeps a
+read-only copy of its listed amplitudes and scatters them into its
+``PureState`` only when read; the rows it copies have passed the norm
+check.
+
+A nominal clone need not be walked to be scored.  A clone is linear in
+the (g, i) pair x it injects, so its final state is Psi x, Psi the walk of
 the two basis injections (Buzek & Hillery, PRA 54, 1844 (1996), for the
 cloning map's linearity).  A clone program walks that pair once, on
 first read of ``_Program.basis``, with every guard and norm check, and
-keeps Psi at each step with a certificate over all inputs: the 2 x 2
-Grams of Psi after each pulse and of its e-level view before each Raman
-pulse bound every row's norm and guarded e population
-(``_BasisWalk``).  ``clone_batch`` without slot factors and ``run_uqcm``
-without a schedule check only a batch's least and largest |x|^2 against
-those bounds; if they clear them by the proven rounding margin, the rows
-are Psi[..., 0] x_0 + Psi[..., 1] x_1, one elementwise helper for both,
-and ``check_row_norms`` runs on every such row (``_basis_rows``).  If
-they do not, or the basis walk itself raised, the batch is walked as
-below, so a failure names its sample.  Such a row lies within a few
-roundings of its own walk (1e-14 in the tests) and never depends on its
-batch.  Jittered rows, ``execute_schedule``, the processes and pulsed
-``prepare_input`` always walk.  A nominal clone need not be built at
-all to be scored: ``_BasisWalk.forms`` holds the final snapshot's score
+keeps Psi's final snapshot with a certificate over all inputs: the
+2 x 2 Grams of Psi after each pulse and of its e-level rows before each
+Raman pulse bound every row's norm and guarded e population
+(``_BasisWalk``).  ``_BasisWalk.forms`` holds the final snapshot's score
 blocks, each copy's reduced matrix and the population outside the
 computational levels as forms in x, and ``verify.score_nominal`` reads
-them for any batch ``certified_basis`` clears.
-
-A clone walks on its proven photon support.  The cavity exchange
-conserves #e + n and the other pulses leave n alone, so from an empty
-cavity a schedule can only reach so many photons: ``_photon_reach`` walks
-the basis states each pulse couples, as ``dynamics.COUPLED_LEVELS`` names
-them, the one table the kernel mixes by, reading only the pulses'
-(variant, SQUID) in walk order, and finds 2 for the cloning schedule
-whatever its durations.  A clone's program is compiled at
-m = min(fock_cutoff, reach), and ``clone_batch`` and ``run_uqcm`` share
-one prepare-and-walk route, ``_clone_rows``, which walks it with every
-guard and norm check, and the basis walk above; they pad the result back
-to the caller's cutoff with +0.  Cutoff 2 is therefore exact and any
-larger cutoff gives the same amplitudes padded with zeros (a zero
-amplitude may differ in sign only); cutoff 1 truncates the photon-2
-population that timing errors put into the cavity.  A trace entry keeps
-a read-only copy of its amplitudes and builds its padded ``PureState``
-only when read; the row it copies has passed the norm check.
+them for any batch ``certified_basis`` clears, checking only its least
+and largest |x|^2.  Every clone that is built, nominal or jittered, is
+walked: ``run_uqcm``'s trace, ``clone_batch`` and every sweep chunk the
+certificate does not clear.
 
 ``_walk`` is the only code here that applies a pulse.  The single-state
 operations are pulse data too: ``process_one``, ``process_two``,
@@ -114,9 +113,11 @@ from .dynamics import (
     DEFAULT_COUPLINGS,
     CouplingConfig,
     PulseOp,
+    PulseRows,
     PulseVariant,
     map_norm_bound,
     pulse_coefficients,
+    pulse_rows,
     run_pulse,
 )
 from .errors import LeakageError, PhysicsError, PreconditionError
@@ -126,12 +127,14 @@ from .hilbert import (
     LEVEL_G,
     LEVEL_I,
     NORM_TOL,
+    BasisList,
     BasisSpec,
     PureState,
     _EPS,
+    _check_squid,
     _level,
-    check_row_norms,
     level_populations,
+    level_rows,
     population_screen,
 )
 
@@ -257,21 +260,24 @@ def perturbed_schedule(base: Schedule, fraction: float, rng: np.random.Generator
 
 @dataclass(frozen=True, eq=False)
 class TraceEntry:
-    """One snapshot of a run: a read-only copy of its amplitudes, walked or from the basis walk.
+    """One snapshot of a walk: a read-only copy of its amplitudes over the basis it walked.
 
-    ``block`` is shaped (3, ..., 3, m + 1), m the photon cutoff the walk ran
-    at, at most ``spec.fock_cutoff``.  ``state`` pads it with +0 amplitudes
-    to ``spec`` on first read and keeps that ``PureState``.
+    ``amplitudes[k]`` is the amplitude of ``basis.index[k]``, a state of a
+    register at most ``spec.fock_cutoff`` photons deep; every state the
+    basis leaves out has amplitude zero.  ``state`` scatters the amplitudes
+    into +0 at ``spec`` on first read and keeps that ``PureState``.
     """
 
     label: str
     t_elapsed: float
-    block: np.ndarray
+    amplitudes: np.ndarray
+    basis: BasisList
     spec: BasisSpec
 
     @functools.cached_property
     def state(self) -> PureState:
-        return PureState(_padded(self.block, self.spec.fock_cutoff).reshape(-1), self.spec)
+        return PureState(self.basis.dense(self.amplitudes[None], self.spec.fock_cutoff).reshape(-1),
+                         self.spec)
 
     def to_dict(self) -> dict:
         return {"label": self.label, "t_elapsed": self.t_elapsed, "state": self.state.to_dict()}
@@ -292,11 +298,13 @@ class StepTrace:
 
 
 def _require_rows_in_g(amps: np.ndarray, squid: int) -> None:
-    screen, slack = population_screen(amps, squid, LEVEL_G)
+    picks = level_rows(amps.shape[:-1], squid, LEVEL_G)
+    rows = amps.reshape(-1, amps.shape[-1])
+    screen, slack = population_screen(rows, picks)
     suspects = np.flatnonzero(~(np.abs(screen - 1.0) + slack <= E_LEAK_TOL))
     if not suspects.size:
         return
-    pops = level_populations(amps, squid, LEVEL_G)[suspects]
+    pops = level_populations(rows, picks)[suspects]
     bad = np.flatnonzero(~(np.abs(pops - 1.0) <= E_LEAK_TOL))
     if bad.size:
         k = int(bad[0])
@@ -468,10 +476,14 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
 
 
 @functools.lru_cache(maxsize=32)
-def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
-    """Largest photon number a three-SQUID clone can reach under the pulses of ``pattern``.
+def _photon_reach(
+    pattern: tuple[tuple[PulseVariant, int], ...]
+) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
+    """The basis states (l1, l2, l3, n) a three-SQUID clone can reach under ``pattern``, sorted.
 
-    ``pattern`` lists each pulse's (variant, SQUID) in walk order; the
+    Each state comes with j, the number of pulses run before it is
+    reached: it is in the set before pulse j and every later one, and the
+    start states have 0.  ``pattern`` lists each pulse's (variant, SQUID) in walk order; the
     walk reads nothing else, so every timing of a schedule shares one
     result.  It starts from SQUID 1 in g or i, SQUIDs 2 and 3 in g and an
     empty cavity, and after each pulse adds the partners of every reached
@@ -479,48 +491,62 @@ def _photon_reach(pattern: tuple[tuple[PulseVariant, int], ...]) -> int:
     kernel mixes by (``dynamics.COUPLED_LEVELS``), so the proof covers the
     couplings the kernel applies.  A pulse only mixes a basis state with
     its partners, so amplitude that starts inside the reached set stays
-    inside it, whatever the pulse durations, at any photon cutoff.  Walking at a cutoff m no smaller
-    than the reach therefore gives the amplitudes of any larger cutoff on
-    n <= m and exact zeros above: the one state the cutoff-m exchange
-    treats differently, |e, m> (no partner |g, m + 1>), is never reached
-    on a SQUID before an exchange pulse on it, or |g, m + 1> would be.
-    Only the sign of a zero amplitude can differ, where the larger
-    cutoff's zero tail enters it.
+    inside it, whatever the pulse durations, at any photon cutoff: every
+    amplitude outside it is an exact zero.  Walking only the reached
+    states, and only the pairs of them a pulse mixes, therefore gives the
+    amplitudes of the whole register on the set and zeros elsewhere; a pair
+    with one state outside the set holds two zeros when its pulse runs, or
+    the outside one would have been reached.  The largest photon number in
+    the set, m (2 for the cloning schedule), bounds the walk: walking at a
+    cutoff no smaller than m gives the amplitudes of any larger cutoff,
+    since the one state the cutoff-m exchange treats differently, |e, m>
+    (no partner |g, m + 1>), is never reached on a SQUID before an exchange
+    pulse on it, or |g, m + 1> would be.  Only the sign of a zero amplitude
+    can differ.
     """
-    reached = {(level, LEVEL_G, LEVEL_G, 0) for level in (LEVEL_G, LEVEL_I)}
-    for variant, squid in pattern:
+    reached = {(level, LEVEL_G, LEVEL_G, 0): 0 for level in (LEVEL_G, LEVEL_I)}
+    for j, (variant, squid) in enumerate(pattern):
         if variant not in COUPLED_LEVELS:
             continue
         a, b, shift = COUPLED_LEVELS[variant]
-        partners = set()
+        partners = []
         for state in reached:
             level, photons = state[squid - 1], state[-1]
             if level == a and photons >= shift:
-                partners.add(state[:squid - 1] + (b,) + state[squid:-1] + (photons - shift,))
+                partners.append(state[:squid - 1] + (b,) + state[squid:-1] + (photons - shift,))
             elif level == b:
-                partners.add(state[:squid - 1] + (a,) + state[squid:-1] + (photons + shift,))
-        reached |= partners
-    return max(state[-1] for state in reached)
+                partners.append(state[:squid - 1] + (a,) + state[squid:-1] + (photons + shift,))
+        for state in partners:
+            reached.setdefault(state, j + 1)
+    return tuple(sorted(reached.items()))
 
 
 @dataclass(frozen=True, eq=False)
 class _Program:
-    """A schedule compiled for ``_walk`` at one coupling config and photon cutoff.
+    """A schedule compiled for ``_walk`` at one coupling config, over one basis list.
 
-    ``runs`` holds one entry per stretch of consecutive slots of one step:
-    (step, nominal time at its last slot's end, pulses), where pulses are
-    (slot index, op, ``pulse_coefficients`` at the op's duration) in walk
-    order.  Each coefficient array is read-only with shape (1,) or
-    (fock_cutoff, 1) and broadcasts over the rows.  ``basis``, the walk of
-    the identity (g, i) pair with its certificate, is built on first read
-    and kept with the program, so a program built under a test's patch
-    never serves another; only clone programs read it.
+    ``basis_list`` names the states a walk's (N, B) rows hold, at the
+    program's photon cutoff ``basis_list.spec.fock_cutoff``.  ``runs``
+    holds one entry per stretch of consecutive slots of one step: (step,
+    nominal time at its last slot's end, pulses), where pulses are (slot
+    index, op, ``pulse_coefficients`` at the op's duration, ``pulse_rows``
+    over the basis list) in walk order.  Each coefficient array is
+    read-only with shape (1,) or (fock_cutoff, 1) and broadcasts over the
+    rows.  ``basis``, the walk of the identity (g, i) pair with its
+    certificate, is built on first read and kept with the program, so a
+    program built under a test's patch never serves another; only clone
+    programs read it.
     """
 
     cfg: CouplingConfig
-    fock_cutoff: int
+    basis_list: BasisList
     n_slots: int
-    runs: tuple[tuple[str, float, tuple[tuple[int, PulseOp, tuple[np.ndarray, ...]], ...]], ...]
+    runs: tuple[tuple[str, float, tuple[tuple[int, PulseOp, tuple[np.ndarray, ...], PulseRows],
+                                        ...]], ...]
+
+    @property
+    def fock_cutoff(self) -> int:
+        return self.basis_list.spec.fock_cutoff
 
     @functools.cached_property
     def basis(self) -> _BasisWalk | None:
@@ -528,36 +554,74 @@ class _Program:
         return _walk_basis(self)
 
 
-def _compile(schedule: Schedule, cfg: CouplingConfig, fock_cutoff: int, clone: bool) -> _Program:
-    """``schedule``'s pulse program for a start state at ``fock_cutoff``.
+def _compile(schedule: Schedule, cfg: CouplingConfig, spec: BasisSpec, clone: bool) -> _Program:
+    """``schedule``'s pulse program for a start state over ``spec``.
 
-    With ``clone`` on, the start state is a clone's prepared input, and the
-    program runs at min(fock_cutoff, ``_photon_reach`` of its pulses).  The
-    nominal time is summed slot by slot.
+    The basis list and each pulse's row lists come from ``_layout``; the
+    coefficients are the schedule's, and the nominal time is summed slot
+    by slot.
     """
-    if clone:
-        pattern = tuple((op.variant, op.squid)
-                        for slot in schedule.slots for track in slot.tracks for op in track)
-        fock_cutoff = min(fock_cutoff, _photon_reach(pattern))
-    runs, elapsed = [], 0.0
+    ops = [op for slot in schedule.slots for track in slot.tracks for op in track]
+    basis_list, lists = _layout(ops, spec, clone)
+    fock_cutoff = basis_list.spec.fock_cutoff
+    runs, elapsed, pulse_lists = [], 0.0, iter(lists)
     for k, slot in enumerate(schedule.slots):
-        pulses = tuple((k, op, pulse_coefficients(op, np.array([op.duration]), fock_cutoff, cfg))
+        pulses = tuple((k, op, pulse_coefficients(op, np.array([op.duration]), fock_cutoff, cfg),
+                        next(pulse_lists))
                        for track in slot.tracks for op in track)
         elapsed += slot.duration
         if runs and runs[-1][0] == slot.step:
             pulses = runs.pop()[2] + pulses
         runs.append((slot.step, elapsed, pulses))
-    return _Program(cfg, fock_cutoff, len(schedule.slots), tuple(runs))
+    return _Program(cfg, basis_list, len(schedule.slots), tuple(runs))
+
+
+def _layout(ops: list[PulseOp], spec: BasisSpec, clone: bool) -> tuple[BasisList, list[PulseRows]]:
+    """The basis list a program over ``spec`` walks, and the rows each of ``ops`` reads.
+
+    Without ``clone`` the list is the whole register and each op reads its
+    ``pulse_rows``.  With ``clone`` on, the start state is a clone's
+    prepared input: the list holds the states ``_photon_reach`` finds for
+    the ops, up to min(cutoff, their largest photon number), at least one
+    photon deep, and each op reads its ``pulse_rows`` over that list less
+    the pairs of two states not reached before it (``_photon_reach`` counts
+    the pulses run before each state is reached); such a pair holds two
+    zeros, which the op would leave zero.
+    """
+    if not clone:
+        basis_list = BasisList.full(spec)
+        return basis_list, [pulse_rows(op, basis_list.labels) for op in ops]
+    for op in ops:
+        _check_squid(spec, op.squid)  # before the reach walk reads the op's SQUID
+    pattern = tuple((op.variant, op.squid) for op in ops)
+    reach = [(state, first) for state, first in _photon_reach(pattern)
+             if state[-1] <= spec.fock_cutoff]
+    states = np.array([state for state, _ in reach])
+    first = np.array([first for _, first in reach])
+    walked = BasisSpec(3, max(1, int(states[:, -1].max())))
+    basis_list = BasisList(walked, np.ravel_multi_index(states.T, walked.factor_dims))
+    labels = basis_list.labels
+    lists = []
+    for j, op in enumerate(ops):
+        reached = first <= j  # the states reached before op
+        rows = pulse_rows(op, labels)
+        if op.variant is PulseVariant.FREE_EVOLVE:
+            lists.append(PulseRows(rows.a, rows.b[reached[rows.b]]))
+            continue
+        kept = reached[rows.a] | reached[rows.b]
+        photons = None if rows.photons is None else rows.photons[kept]
+        lists.append(PulseRows(rows.a[kept], rows.b[kept], photons, rows.e))
+    return basis_list, lists
 
 
 @functools.lru_cache(maxsize=8)
 def _uqcm_program(cfg: CouplingConfig, fock_cutoff: int) -> _Program:
     """The cloning schedule's clone program at ``fock_cutoff``, shared by all its walks."""
-    return _compile(build_uqcm_schedule(cfg), cfg, fock_cutoff, clone=True)
+    return _compile(build_uqcm_schedule(cfg), cfg, BasisSpec(3, fock_cutoff), clone=True)
 
 
 def _walk(
-    amps: np.ndarray,
+    rows: np.ndarray,
     program: _Program,
     factors: np.ndarray | None,
     enforce_preconditions: bool,
@@ -565,7 +629,7 @@ def _walk(
     on_pulse: Callable[[str, PulseOp, np.ndarray], None] | None = None,
     on_step: Callable[[str, float, np.ndarray], None] | None = None,
 ) -> None:
-    """Apply ``program`` in place to the batch-last rows ``amps``, at its photon cutoff.
+    """Apply ``program`` in place to the (N, B) ``rows`` over its basis list, batch axis last.
 
     Each pulse of slot k in row b lasts its nominal duration times
     ``factors[b, k]``, with coefficients built per call; with ``factors``
@@ -574,23 +638,26 @@ def _walk(
     (Raman only, skipped with ``enforce_preconditions`` off), the kernel
     and the row-norm check; a tripped check raises its ``PhysicsError``
     type, prefixed with the step label and naming the row as sample
-    ``first_sample + row``.  ``on_pulse(step, op, amps)`` runs after every
-    pulse, ``on_step(step, elapsed, amps)`` after each of the program's
-    runs, with the nominal schedule time so far.
+    ``first_sample + row``.  Every amplitude outside the basis list is an
+    exact zero (``_photon_reach``), so the guard and the norm check read
+    the listed rows and give the verdict they would give on the whole
+    register.  ``on_pulse(step, op, rows)`` runs after every pulse,
+    ``on_step(step, elapsed, rows)`` after each of the program's runs, with
+    the nominal schedule time so far.
     """
     for step, elapsed, pulses in program.runs:
-        for k, op, coeffs in pulses:
+        for k, op, coeffs, lists in pulses:
             if factors is not None:
                 coeffs = pulse_coefficients(op, op.duration * factors[:, k], program.fock_cutoff,
                                             program.cfg)
             try:
-                run_pulse(amps, op, coeffs, first_sample, guarded=enforce_preconditions)
+                run_pulse(rows, op, coeffs, lists, first_sample, guarded=enforce_preconditions)
             except PhysicsError as exc:
                 raise type(exc)(f"{step}: {exc}") from exc
             if on_pulse is not None:
-                on_pulse(step, op, amps)
+                on_pulse(step, op, rows)
         if on_step is not None:
-            on_step(step, elapsed, amps)
+            on_step(step, elapsed, rows)
 
 
 def execute_schedule(
@@ -605,31 +672,33 @@ def execute_schedule(
     ``observer`` is called after every primitive pulse.  With
     ``enforce_preconditions`` off, the two-pulse leakage guard is
     skipped, which perturbed (timing-jittered) schedules need.  The
-    state runs through the batched kernels as a batch of one, at its own
-    photon cutoff.
+    state runs through the batched kernels as a batch of one, over the
+    whole register at its own photon cutoff.
     """
     spec = state.spec
-    amps = state.tensor()[..., None].copy()
+    program = _compile(schedule, cfg, spec, False)
+    rows = state.amplitudes[:, None].copy()
     entries: list[TraceEntry] = []
 
-    def observe(step: str, op: PulseOp, amps: np.ndarray) -> None:
-        observer(step, op, PureState(amps.reshape(-1), spec))
+    def observe(step: str, op: PulseOp, rows: np.ndarray) -> None:
+        observer(step, op, PureState(rows[:, 0], spec))
 
-    _walk(amps, _compile(schedule, cfg, spec.fock_cutoff, False), None, enforce_preconditions,
-          on_pulse=None if observer is None else observe, on_step=_recorder(entries, spec))
+    _walk(rows, program, None, enforce_preconditions,
+          on_pulse=None if observer is None else observe,
+          on_step=_recorder(entries, program.basis_list, spec))
     final = entries[-1].state if entries else state
     return final, StepTrace(tuple(entries))
 
 
 def _recorder(
-    entries: list[TraceEntry], spec: BasisSpec
+    entries: list[TraceEntry], basis_list: BasisList, spec: BasisSpec
 ) -> Callable[[str, float, np.ndarray], None]:
     """An ``on_step`` that appends a read-only copy of a batch of one to ``entries``."""
 
-    def record(step: str, elapsed: float, amps: np.ndarray) -> None:
-        block = amps[..., 0].copy()
-        block.flags.writeable = False
-        entries.append(TraceEntry(step, elapsed, block, spec))
+    def record(step: str, elapsed: float, rows: np.ndarray) -> None:
+        amplitudes = rows[:, 0].copy()
+        amplitudes.flags.writeable = False
+        entries.append(TraceEntry(step, elapsed, amplitudes, basis_list, spec))
 
     return record
 
@@ -642,34 +711,42 @@ def _run_track(
     return final, trace.entries[-1].t_elapsed
 
 
-def _clone_rows(
+def _prepared(gi: np.ndarray, program: _Program) -> np.ndarray:
+    """(N, B) rows over clone ``program``'s basis list: SQUID 1 in x_0|g> + x_1|i>, per pair x of ``gi``.
+
+    SQUIDs 2 and 3 rest in |g> and the cavity is empty, as ``prepare_input``
+    leaves the register in its ideal mode.
+    """
+    labels = program.basis_list.labels
+    rows = np.zeros((len(program.basis_list.index), len(gi)), dtype=np.complex128)
+    rows[labels[LEVEL_G, LEVEL_G, LEVEL_G, 0]] = gi[:, 0]
+    rows[labels[LEVEL_I, LEVEL_G, LEVEL_G, 0]] = gi[:, 1]
+    return rows
+
+
+def _walked_clones(
     gi: np.ndarray,
     program: _Program,
     factors: np.ndarray | None,
     enforce_preconditions: bool,
     first_sample: int = 0,
     on_step: Callable[[str, float, np.ndarray], None] | None = None,
-    on_pulse: Callable[[str, PulseOp, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Prepare one clone per (g, i) pair of ``gi`` (B, 2) and walk ``program`` on them all.
 
     ``program`` is a clone's program (``_compile`` with ``clone`` on) for
-    the caller's cutoff.  This is the walk a batch takes with slot factors,
-    or when ``_basis_rows`` does not certify it; the basis walk is this
-    walk of the identity pair.  The three-SQUID rows run batch axis last at its
-    photon cutoff, min(cutoff, reach), where they hold the amplitudes a
-    walk at the caller's cutoff gives, up to the sign of a zero; the
-    caller pads them back.  ``on_step`` sees the prepared rows as step
-    "input" at time 0 and then runs as ``_walk`` runs it, as does
-    ``on_pulse``.
+    the caller's cutoff.  The (N, B) rows, batch axis last, hold the
+    program's basis list, the states a clone can reach, at its photon
+    cutoff, min(cutoff, 2) for the cloning schedule; every other amplitude
+    of a walk at the caller's cutoff is zero, up to its sign.  ``on_step``
+    sees the prepared rows as step "input" at time 0 and then runs as
+    ``_walk`` runs it.
     """
-    amps = np.zeros((3, 3, 3, program.fock_cutoff + 1, len(gi)), dtype=np.complex128)
-    amps[LEVEL_G, LEVEL_G, LEVEL_G, 0] = 1.0
-    _inject_rows(amps, 1, gi)
+    rows = _prepared(gi, program)
     if on_step is not None:
-        on_step("input", 0.0, amps)
-    _walk(amps, program, factors, enforce_preconditions, first_sample, on_pulse, on_step)
-    return amps
+        on_step("input", 0.0, rows)
+    _walk(rows, program, factors, enforce_preconditions, first_sample, on_step=on_step)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,10 +754,10 @@ class _BasisWalk:
     """A clone program's walk of the identity (g, i) pair, and a certificate over all inputs.
 
     A clone walk is linear in the (g, i) pair x it injects, so a nominal
-    row is Psi x, Psi the (..., 2) walk of the two basis injections.
-    ``blocks`` holds Psi, read-only, at every snapshot that ``marks``
-    names with its (label, nominal time): "input" and each step, shape
-    (S, 3, 3, 3, m + 1, 2).  After pulse k, row x's squared norm is
+    row is Psi x, Psi the (N, 2) walk of the two basis injections over the
+    program's basis list.  ``final`` holds the last Psi scattered into the
+    whole register at the walked cutoff m, read-only, shape
+    (3, 3, 3, m + 1, 2).  After pulse k, row x's squared norm is
     x^H G_k x with G_k = Psi_k^H Psi_k, and before a Raman pulse on SQUID
     s its e population is x^H E_k x, E_k the Gram of the e-level view of
     s in Psi; each lies between its matrix's extreme eigenvalues times
@@ -692,7 +769,8 @@ class _BasisWalk:
 
     ``clears`` certifies a batch from its least and largest |x|^2 alone,
     and ``margin`` is mu = D + 8 (N + 3) u, u = 2^-53, for rows of N
-    amplitudes walked through K pulses:
+    amplitudes walked through K pulses, N = |S| the size of the basis list
+    (45 for the cloning schedule at any cutoff from 2 up):
 
     - Kernel.  A pulse writes c a + ab b, or free times it on a Raman
       |i>: complex products, each within sqrt(5) u of exact relative
@@ -725,14 +803,16 @@ class _BasisWalk:
     pulse; if also (sqrt(leak_hi max|x|^2) + mu)^2 < E_LEAK_TOL / 2, every
     Raman guard passes, the factor 2 covering the population's relative
     rounding.  At cutoff 2, mu is about 1.1e-13 against NORM_TOL = 1e-12.
+    Every amplitude off the list is an exact zero, so these checks on the
+    listed rows are the checks on the whole register.
 
-    ``forms``, built from the final snapshot on first read and kept with
-    the walk, as the walk is kept with its program, holds the blocks that
-    ``verify.score_nominal`` scores a certified batch from.
+    ``forms``, built from ``final`` on first read and kept with the walk,
+    as the walk is kept with its program, holds the blocks that
+    ``verify.score_nominal`` scores a certified batch from; they read the
+    whole register, so each sum keeps its order.
     """
 
-    marks: tuple[tuple[str, float], ...]
-    blocks: np.ndarray
+    final: np.ndarray
     norm_lo: float
     norm_hi: float
     leak_hi: float
@@ -761,7 +841,7 @@ class _BasisWalk:
         outside levels {g, i} and photon numbers {0, 1}, so
         x^H outside x is the row's population there.
         """
-        final = self.blocks[-1]
+        final = self.final
         views = np.stack([np.moveaxis(final, squid - 1, 0).reshape(3, -1, 2) for squid in (2, 3)])
         views = np.moveaxis(views, -1, 1)
         copies = views[:, :, None] @ np.conj(views[:, None]).swapaxes(-1, -2)
@@ -774,10 +854,9 @@ class _BasisWalk:
         return copies, outside
 
 
-def _gram_bounds(pairs: np.ndarray) -> tuple[float, float]:
-    """Gershgorin bounds (least, largest) on the eigenvalues of each (..., 2) entry's 2 x 2 Gram."""
-    columns = pairs.reshape(len(pairs), -1, 2)
-    gram = np.conj(columns).transpose(0, 2, 1) @ columns
+def _gram_bounds(pairs: list[np.ndarray]) -> tuple[float, float]:
+    """Gershgorin bounds (least, largest) on the eigenvalues of each (k, 2) pair's 2 x 2 Gram."""
+    gram = np.stack([np.conj(pair).T @ pair for pair in pairs])
     diagonal = np.stack([gram[:, 0, 0].real, gram[:, 1, 1].real])
     off = np.abs(gram[:, 0, 1])
     return float(np.min(diagonal.min(axis=0) - off)), float(np.max(diagonal.max(axis=0) + off))
@@ -785,54 +864,25 @@ def _gram_bounds(pairs: np.ndarray) -> tuple[float, float]:
 
 def _walk_basis(program: _Program) -> _BasisWalk | None:
     """Walk the identity (g, i) pair through clone ``program``, guarded; None where it raises."""
-    snapshots: list[tuple[str, float, np.ndarray]] = []
-    after: list[np.ndarray] = []  # the pair after each pulse
+    rows = _prepared(np.eye(2, dtype=np.complex128), program)
+    before = [rows.copy()]  # the pair before each pulse, and at the end after the last
     try:
-        _clone_rows(np.eye(2, dtype=np.complex128), program, None, True,
-                    on_step=lambda step, t, amps: snapshots.append((step, t, amps.copy())),
-                    on_pulse=lambda step, op, amps: after.append(amps.copy()))
+        _walk(rows, program, None, True,
+              on_pulse=lambda step, op, rows: before.append(rows.copy()))
     except PhysicsError:
         return None
-    pulses = [(op, coeffs) for _, _, run in program.runs for _, op, coeffs in run]
-    before = [snapshots[0][2]] + after[:-1]
-    e_views = [_level(before[k], op.squid, LEVEL_E)
-               for k, (op, _) in enumerate(pulses) if op.variant is PulseVariant.RAMAN]
-    blocks = np.stack([amps for _, _, amps in snapshots])
-    blocks.flags.writeable = False
+    pulses = [(op, coeffs, lists) for _, _, run in program.runs for _, op, coeffs, lists in run]
+    e_views = [before[k][lists.e]
+               for k, (op, _, lists) in enumerate(pulses) if op.variant is PulseVariant.RAMAN]
+    final = np.moveaxis(program.basis_list.dense(rows.T, program.fock_cutoff), 0, -1).copy()
+    final.flags.writeable = False
     u = _EPS / 2.0
-    rho = max([1.0] + [map_norm_bound(op, coeffs) for op, coeffs in pulses])
+    rho = max([1.0] + [map_norm_bound(op, coeffs) for op, coeffs, _ in pulses])
     eta = 7.0 * u * rho
     walk = (1.0 + math.sqrt(2.0)) * len(pulses) * eta * (rho + eta) ** len(pulses)
-    return _BasisWalk(tuple((step, elapsed) for step, elapsed, _ in snapshots), blocks,
-                      *_gram_bounds(np.stack(after)),
-                      _gram_bounds(np.stack(e_views))[1] if e_views else 0.0,
-                      walk + 8.0 * (blocks[0].size // 2 + 3) * u)
-
-
-def _basis_rows(
-    program: _Program, gi: np.ndarray, guarded: bool, first_sample: int, every_step: bool
-) -> np.ndarray | None:
-    """Rows Psi x of the pairs ``gi`` (B, 2) from ``program``'s basis walk, or None.
-
-    None unless the basis walk exists and ``clears`` the batch.  The rows,
-    shape (S, 3, 3, 3, m + 1, B), are the snapshots of every step with
-    ``every_step`` on, else the last one alone; each is
-    Psi[..., 0] x_0 + Psi[..., 1] x_1 elementwise, so a row does not depend
-    on its batch, and each passes ``check_row_norms``, an error prefixed
-    with the snapshot's label as the walk prefixes it.
-    """
-    basis = program.basis
-    if basis is None or not basis.clears(gi, guarded):
-        return None
-    snapshots = slice(None) if every_step else slice(-1, None)
-    blocks = basis.blocks[snapshots]
-    rows = blocks[..., 0:1] * gi[:, 0] + blocks[..., 1:2] * gi[:, 1]
-    for (label, _), block in zip(basis.marks[snapshots], rows):
-        try:
-            check_row_norms(block, first_sample)
-        except PhysicsError as exc:
-            raise type(exc)(f"{label}: {exc}") from exc
-    return rows
+    return _BasisWalk(final, *_gram_bounds(before[1:]),
+                      _gram_bounds(e_views)[1] if e_views else 0.0,
+                      walk + 8.0 * (len(rows) + 3) * u)
 
 
 def certified_basis(gi: np.ndarray, cfg: CouplingConfig, fock_cutoff: int) -> _BasisWalk | None:
@@ -845,11 +895,28 @@ def certified_basis(gi: np.ndarray, cfg: CouplingConfig, fock_cutoff: int) -> _B
     return basis if basis is not None and basis.clears(gi, True) else None
 
 
-def _padded(amps: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """A contiguous copy of ``amps``, its photon (last) axis padded with +0 to fock_cutoff + 1."""
-    out = np.zeros(amps.shape[:-1] + (fock_cutoff + 1,), dtype=np.complex128)
-    out[..., :amps.shape[-1]] = amps
-    return out
+def clone_trace(
+    q: InputQubit,
+    cfg: CouplingConfig = DEFAULT_COUPLINGS,
+    fock_cutoff: int = 2,
+    schedule: Schedule | None = None,
+    enforce_preconditions: bool = True,
+) -> StepTrace:
+    """``run_uqcm``'s trace alone: "input" and one entry per step, each over the walk's basis list.
+
+    No entry builds its ``PureState`` until it is read, so a caller that
+    scores the last entry's amplitudes (``verify.entry_fidelities``) never
+    builds the register at ``fock_cutoff``.
+    """
+    spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
+    if schedule is None:
+        program = _uqcm_program(cfg, fock_cutoff)
+    else:
+        program = _compile(schedule, cfg, spec, clone=True)
+    entries: list[TraceEntry] = []
+    _walked_clones(q.gi_vector()[None], program, None, enforce_preconditions,
+                   on_step=_recorder(entries, program.basis_list, spec))
+    return StepTrace(tuple(entries))
 
 
 def run_uqcm(
@@ -868,26 +935,13 @@ def run_uqcm(
     its pulse durations, so every larger cutoff gives the same state
     padded with zeros, while a cutoff of one truncates the photon-2
     population that timing errors put into the cavity.  Without
-    ``schedule`` every snapshot is the cached program's basis walk times
-    the input's (g, i) pair, where its certificate clears the input
-    (``_basis_rows``), and otherwise the run walks that program; a given
-    ``schedule`` is compiled and walked for this call.
+    ``schedule`` the run walks the cloning schedule's cached program; a
+    given ``schedule`` is compiled and walked for this call.  Either way
+    the walk runs over the program's basis list, the 45 states a clone can
+    reach.
     """
-    spec = BasisSpec(num_squids=3, fock_cutoff=fock_cutoff)
-    gi = q.gi_vector()[None]
-    entries: list[TraceEntry] = []
-    record = _recorder(entries, spec)
-    if schedule is None:
-        program = _uqcm_program(cfg, fock_cutoff)
-        rows = _basis_rows(program, gi, enforce_preconditions, 0, every_step=True)
-    else:
-        program, rows = _compile(schedule, cfg, fock_cutoff, clone=True), None
-    if rows is None:
-        _clone_rows(gi, program, None, enforce_preconditions, on_step=record)
-    else:
-        for (label, elapsed), block in zip(program.basis.marks, rows):
-            record(label, elapsed, block)
-    return entries[-1].state, StepTrace(tuple(entries))
+    trace = clone_trace(q, cfg, fock_cutoff, schedule, enforce_preconditions)
+    return trace.entries[-1].state, trace
 
 
 def clone_pairs(
@@ -915,6 +969,38 @@ def clone_pairs(
     return gi_amplitudes(alpha, beta)
 
 
+def clone_rows(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    cfg: CouplingConfig = DEFAULT_COUPLINGS,
+    fock_cutoff: int = 2,
+    slot_factors: np.ndarray | None = None,
+    enforce_preconditions: bool = True,
+    first_sample: int = 0,
+) -> tuple[np.ndarray, BasisList]:
+    """``clone_batch``'s clones as walked: (N, B) rows, batch axis last, and the basis list they hold.
+
+    The list is the cloning program's, the states a clone can reach at
+    min(fock_cutoff, 2) photons; every other amplitude is zero.
+    ``verify.score_rows`` scores the rows on that list.
+    """
+    gi = clone_pairs(alpha, beta, fock_cutoff, first_sample)
+    program = _uqcm_program(cfg, fock_cutoff)
+    shape = (len(gi), program.n_slots)
+    factors = None
+    if slot_factors is not None:
+        factors = np.asarray(slot_factors, dtype=np.float64)
+        if factors.shape != shape:
+            raise ValueError(f"slot_factors has shape {factors.shape}, expected {shape}")
+        bad = np.flatnonzero(~np.all((0.0 <= factors) & (factors < math.inf), axis=1))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
+                             f"and >= 0, got {factors[k].tolist()}")
+    rows = _walked_clones(gi, program, factors, enforce_preconditions, first_sample)
+    return rows, program.basis_list
+
+
 def clone_batch(
     alpha: np.ndarray,
     beta: np.ndarray,
@@ -930,28 +1016,11 @@ def clone_batch(
     first.  Every row runs the cloning schedule; ``slot_factors``, an
     array of shape (B, n_slots), scales each pulse of slot k in row b by
     ``slot_factors[b, k]`` (default: every pulse at its nominal duration).
-    Each row is prepared in the ideal mode and checked exactly as
-    ``run_uqcm`` checks a single run; errors name the row as sample
-    ``first_sample + b``.  Without ``slot_factors`` the rows are the
-    program's basis walk times each input's (g, i) pair, bit for bit what
-    ``run_uqcm`` gives, where the certificate clears the batch, and are
-    walked otherwise; with them every row is walked.
+    Each row is prepared in the ideal mode, walked over the program's
+    basis list and checked exactly as ``run_uqcm`` checks a single run;
+    errors name the row as sample ``first_sample + b``.  The walked rows
+    (``clone_rows``) are scattered into zeros for this dense return.
     """
-    gi = clone_pairs(alpha, beta, fock_cutoff, first_sample)
-    program = _uqcm_program(cfg, fock_cutoff)
-    shape = (len(gi), program.n_slots)
-    factors = None
-    if slot_factors is not None:
-        factors = np.asarray(slot_factors, dtype=np.float64)
-        if factors.shape != shape:
-            raise ValueError(f"slot_factors has shape {factors.shape}, expected {shape}")
-        bad = np.flatnonzero(~np.all((0.0 <= factors) & (factors < math.inf), axis=1))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"sample {first_sample + k}: slot factors must be finite "
-                             f"and >= 0, got {factors[k].tolist()}")
-    rows = None if factors is not None else _basis_rows(
-        program, gi, enforce_preconditions, first_sample, every_step=False)
-    amps = rows[-1] if rows is not None else _clone_rows(
-        gi, program, factors, enforce_preconditions, first_sample)
-    return _padded(np.moveaxis(amps, -1, 0), fock_cutoff)
+    rows, basis_list = clone_rows(alpha, beta, cfg, fock_cutoff, slot_factors,
+                                  enforce_preconditions, first_sample)
+    return basis_list.dense(rows.T, fock_cutoff)

@@ -8,33 +8,36 @@ input qubit; the ideal machine puts both at exactly 5/6.
 
 Scoring is batched and comes in two routes, which share one check of
 each copy's reduced matrix and the fields (``_scored``), so the clone
-fidelity has one definition.  ``score_rows`` takes walked final states as
-an array of shape (B, 3, 3, 3, fock_cutoff + 1) with the inputs'
-(alpha, beta) and scores every row, both copies in one pass, using only
-per-row stacked matrix products; each copy's reduced matrix is a computed
-Gram product, so its eigenvalue floor follows from the product's rounding
-bound, and no photon cutoff the command line accepts needs ``eigvalsh``.
-``clone_fidelities`` is that scoring for one state.  ``score_nominal``
-scores nominal clones without building a row: a clone is Psi x, x its
-(g, i) pair and Psi the cloning program's walk of the two basis
-injections, so each copy's reduced matrix is sum_jk x_j conj(x_k) R_jk,
-and the target overlap and the leakage are forms in x too, all from
-blocks fixed once per program (``protocol._BasisWalk.forms``), with
-their own floor proof.  Its rows depend on the cutoff only through the
-walked one, so every cutoff from 2 up gives the same bytes.  A row of
-either route does not depend on its batch.
-``universality_sweep`` clones and scores its samples in chunks of
-``SWEEP_CHUNK`` rows; with timing jitter each chunk carries its samples'
-slot factors as one array, the next rows of the seed's one jitter
-stream, and every row is walked pulse by pulse and scored by
-``score_rows``, so it equals ``run_uqcm`` plus ``clone_fidelities`` of
-its input with that schedule, bit for bit.  An ideal chunk is scored by
+fidelity has one definition.  ``score_rows`` scores built states, batch
+axis first, over a listed basis (``hilbert.BasisList``): the whole
+register, as ``clone_fidelities`` passes one state, or the 45 states a
+clone can reach, as every walked clone passes its rows.  It scores every
+row, both copies in one pass, using only per-row stacked matrix products;
+each copy's reduced matrix is a computed Gram product of one gathered
+block, so its eigenvalue floor follows from the product's rounding bound,
+and no photon cutoff the command line accepts needs ``eigvalsh``.
+``score_nominal`` scores nominal clones without building a row: a clone
+is Psi x, x its (g, i) pair and Psi the cloning program's walk of the two
+basis injections, so each copy's reduced matrix is
+sum_jk x_j conj(x_k) R_jk, and the target overlap and the leakage are
+forms in x too, all from blocks fixed once per program
+(``protocol._BasisWalk.forms``), with their own floor proof.  Both routes
+read the cutoff only through the walked one, min(cutoff, 2), so every
+cutoff from 2 up gives the same bytes, and a row of either route does not
+depend on its batch.  ``universality_sweep`` clones and scores its
+samples in chunks of ``SWEEP_CHUNK`` rows; with timing jitter each chunk
+carries its samples' slot factors as one array, the next rows of the
+seed's one jitter stream, and every row is walked pulse by pulse over the
+reached states (``protocol.clone_rows``) and scored there by
+``score_rows``, so it equals what ``run`` prints for its input with that
+schedule, bit for bit (``entry_fidelities``), and lies within 1e-14 of
+``run_uqcm`` plus ``clone_fidelities``.  An ideal chunk is scored by
 ``score_nominal`` once the basis walk's certificate clears it for every
 per-pulse check; a row then equals what ``run`` prints for its input, bit
 for bit, and lies within 1e-14 of ``run_uqcm`` plus ``clone_fidelities``.
-A chunk the certificate does not clear is walked (``protocol.clone_batch``)
-and scored by ``score_rows``, so a failure names its step and sample.
-Its ``SweepResult`` keeps one array per CSV column.
+A chunk the certificate does not clear is walked and scored as a jittered
+chunk is, so a failure names its step and sample.  Its ``SweepResult``
+keeps one array per CSV column.
 """
 
 from __future__ import annotations
@@ -52,14 +55,15 @@ from .hilbert import KET_G as _G
 from .hilbert import KET_I as _I
 from .hilbert import MINUS_GI as _MINUS
 from .hilbert import PLUS_GI as _PLUS
-from .hilbert import BasisSpec, PureState, _kron_product, density_defect
+from .hilbert import BasisList, BasisSpec, PureState, _kron_product, density_defect
 from .protocol import (
     InputQubit,
+    TraceEntry,
     bloch_amplitudes,
     build_uqcm_schedule,
     certified_basis,
-    clone_batch,
     clone_pairs,
+    clone_rows,
     draw_slot_factors,
     gi_amplitudes,
     jitter_rng,
@@ -177,19 +181,6 @@ def _target_branches(spec: BasisSpec) -> np.ndarray:
     return branches
 
 
-def _leakage_rows(amps: np.ndarray) -> np.ndarray:
-    """Each row's population outside levels {g, i} and photon numbers {0, 1}, summed directly.
-
-    The squares of the real and imaginary parts of every amplitude outside
-    are summed; 1 minus the population inside would read the rounding of
-    a sum near 1.
-    """
-    parts = np.square(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
-    # photons 0 and 1 are the first four parts of the photon axis
-    parts[(slice(None),) + (slice(0, 2),) * (amps.ndim - 2) + (slice(0, 4),)] = 0.0
-    return np.sum(parts.reshape(len(amps), -1), axis=1)
-
-
 REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")
 
 
@@ -258,28 +249,43 @@ def _scored(
 
 
 def score_rows(
-    amps: np.ndarray, alpha: np.ndarray, beta: np.ndarray, first_sample: int = 0
+    amps: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    first_sample: int = 0,
+    basis: BasisList | None = None,
 ) -> dict[str, np.ndarray]:
     """Score B final states against their inputs; one (B,) array per ``CloneReport`` field.
 
-    ``amps`` has shape (B, 3, 3, 3, fock_cutoff + 1) with fock_cutoff >= 1;
-    any other shape raises ``ValueError`` before any arithmetic.  Each
-    copy's reduced matrix is the computed product C C^H of the copy's
-    3 x 9 (fock_cutoff + 1) amplitude block C, so ``density_defect``'s
-    Gram bound proves its floor at any cutoff below about 1.2 * 10^4;
-    only above that does ``eigvalsh`` decide.  ``_scored`` checks the
+    ``amps`` holds the states batch axis first: shape
+    (B, 3, 3, 3, fock_cutoff + 1) over the whole register, fock_cutoff >= 1,
+    or with ``basis`` (B, N) over the N states it lists, every other
+    amplitude zero; any other shape raises ``ValueError`` before any
+    arithmetic.  Each copy's reduced matrix is the computed product C C^H
+    of the copy's 3 x K block C, gathered in one step from the basis list's
+    ``reduced`` rows (K at most 9 (fock_cutoff + 1)), so ``density_defect``'s
+    Gram bound proves its floor at any cutoff below about 1.2 * 10^4; only
+    above that does ``eigvalsh`` decide.  The target overlap reads the
+    target branches on the listed states and the leakage the listed states
+    outside the computational levels (``BasisList.outside``), squares of
+    real and imaginary parts summed directly.  ``_scored`` checks the
     matrices and fields and names a failing sample ``first_sample + row``.
-    It scores rows that were built: jittered sweep rows, single runs
-    through ``clone_fidelities`` (``run --timing-jitter``, ``validate``),
-    and any nominal batch ``score_nominal`` does not certify.
+    It scores rows that were walked: jittered sweep rows and jittered or
+    uncertified ``run`` reports on the walk's basis list, and single states
+    through ``clone_fidelities`` on the whole register.
     """
-    if amps.ndim != 5 or amps.shape[1:4] != (3, 3, 3) or amps.shape[4] < 2:
-        raise ValueError(f"amps must have shape (B, 3, 3, 3, fock_cutoff + 1) with "
-                         f"fock_cutoff >= 1, got {amps.shape}")
+    if basis is None:
+        if amps.ndim != 5 or amps.shape[1:4] != (3, 3, 3) or amps.shape[4] < 2:
+            raise ValueError(f"amps must have shape (B, 3, 3, 3, fock_cutoff + 1) with "
+                             f"fock_cutoff >= 1, got {amps.shape}")
+        basis = BasisList.full(BasisSpec(num_squids=3, fock_cutoff=amps.shape[-1] - 1))
+        amps = amps.reshape(len(amps), basis.spec.dimension)
+    elif amps.ndim != 2 or amps.shape[1] != len(basis.index):
+        raise ValueError(f"amps must have shape (B, {len(basis.index)}) over the basis list, "
+                         f"got {amps.shape}")
     rows = len(amps)
     if not rows:
         raise ValueError("the batch is empty: amps needs at least one row")
-    spec = BasisSpec(num_squids=3, fock_cutoff=amps.shape[-1] - 1)
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
     if alpha.shape != (rows,) or beta.shape != (rows,):
@@ -287,16 +293,18 @@ def score_rows(
                          f"({rows}), got shapes {alpha.shape} and {beta.shape}")
     # Rows 0..B-1 hold squid 2's copy, rows B..2B-1 squid 3's.  A stacked
     # matmul reduces each row on its own; one product over the flattened
-    # batch could round a row differently for another B.
-    copies = np.empty((2,) + amps.shape, dtype=np.complex128)
-    for half, squid in enumerate((2, 3)):
-        copies[half] = np.moveaxis(amps, squid, 1)
-    copies = copies.reshape(2 * rows, 3, -1)
+    # batch could round a row differently for another B.  Column N of the
+    # padded rows is the zero a state off the list holds.
+    padded = np.zeros((rows, amps.shape[1] + 1), dtype=np.complex128)
+    padded[:, :-1] = amps
+    copies = np.moveaxis(padded.take(basis.reduced[1:], axis=1), 1, 0).reshape(2 * rows, 3, -1)
     rho = copies @ np.conj(copies).transpose(0, 2, 1)
-    overlaps = (np.conj(amps.reshape(rows, 1, -1)) @ _target_branches(spec))[:, 0, :]
+    targets = _target_branches(basis.spec).take(basis.index, axis=0)
+    overlaps = (np.conj(padded[:, None, :-1]) @ targets)[:, 0, :]
     overlap = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
-    return _scored(rho, gi_amplitudes(alpha, beta), copies.shape[-1], overlap,
-                   _leakage_rows(amps), first_sample)
+    leakage = np.sum(np.square(padded.take(basis.outside, axis=1).view(np.float64)), axis=1)
+    return _scored(rho, gi_amplitudes(alpha, beta), copies.shape[-1], overlap, leakage,
+                   first_sample)
 
 
 def score_nominal(
@@ -357,7 +365,7 @@ def score_nominal(
     if basis is None:
         return None
     copies, outside = basis.forms
-    final = basis.blocks[-1]
+    final = basis.final
     walked = BasisSpec(num_squids=3, fock_cutoff=final.shape[-2] - 1)
     psi_t = np.conj(final.reshape(-1, 2)).T @ _target_branches(walked)
     x0, x1 = gi[:, 0], gi[:, 1]
@@ -374,8 +382,19 @@ def score_nominal(
 
 
 def clone_fidelities(final: PureState, q: InputQubit) -> CloneReport:
-    """Reduce the final state onto each copy and score it against the input."""
+    """Reduce the final state onto each copy and score it against the input, on the whole register."""
     fields = score_rows(final.tensor()[None], np.array([q.alpha]), np.array([q.beta]))
+    return CloneReport.from_fields(fields)
+
+
+def entry_fidelities(entry: TraceEntry, q: InputQubit) -> CloneReport:
+    """``clone_fidelities`` of a walked snapshot, scored on the basis list it was walked over.
+
+    A clone's last entry scores as its sweep row does, bit for bit, and
+    nothing is built at the trace's cutoff.
+    """
+    fields = score_rows(entry.amplitudes[None], np.array([q.alpha]), np.array([q.beta]),
+                        basis=entry.basis)
     return CloneReport.from_fields(fields)
 
 
@@ -483,9 +502,9 @@ def universality_sweep(
         if fields is None:
             factors = None if ideal else draw_slot_factors(
                 timing_jitter, (rows.stop - start, n_slots), jitter)
-            final = clone_batch(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
-                                first_sample=start)
-            fields = score_rows(final, alpha[rows], beta[rows], start)
+            walked, basis = clone_rows(alpha[rows], beta[rows], cfg, fock_cutoff, factors, ideal,
+                                       first_sample=start)
+            fields = score_rows(walked.T, alpha[rows], beta[rows], start, basis)
         for name, values in fields.items():
             scores[name].append(values)
     columns = [np.concatenate(scores[name]) for name in REPORT_FIELDS]

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clone_sim
-from clone_sim import run_uqcm
 from clone_sim.cli import main
 
 FIVE_SIXTHS = 5.0 / 6.0
@@ -154,12 +153,35 @@ def test_nominal_output_does_not_depend_on_the_photon_cutoff(tmp_path, capsys, a
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--theta", "1.1", "--phi", "0.4", "--timing-jitter", "0.05"),
+    ("sweep", "-n", "40", "--seed", "3", "--timing-jitter", "0.05"),
+])
+def test_jittered_output_does_not_depend_on_the_photon_cutoff(tmp_path, capsys, argv):
+    # a jittered clone walks and scores on its basis list, the 45 states it
+    # can reach, which every cutoff from 2 up shares; cutoff 1 truncates
+    from clone_sim.protocol import DEFAULT_COUPLINGS, _uqcm_program
+
+    outputs = {}
+    for cutoff in (1, 2, 3, 8, 32, 10_000):
+        summary = tmp_path / f"s{cutoff}.json"
+        extra = ("--summary", str(summary)) if argv[0] == "sweep" else ()
+        code, out, err = run_cli(capsys, *argv, "--fock-cutoff", str(cutoff), *extra)
+        outputs[cutoff] = (code, out, err, summary.read_bytes() if extra else b"")
+        if cutoff > 1:
+            listed = _uqcm_program(DEFAULT_COUPLINGS, cutoff).basis_list
+            assert (listed.spec.fock_cutoff, len(listed.index)) == (2, 45)
+    assert len(set(outputs.values())) == 2
+    assert outputs[1] != outputs[2] and outputs[2][0] in (0, 1, 3)
+
+
 def test_a_nominal_run_clones_only_for_its_trace(tmp_path, capsys, monkeypatch):
     import clone_sim.cli as cli
+    from clone_sim.protocol import clone_trace
 
     calls = []
-    monkeypatch.setattr(cli, "run_uqcm",
-                        lambda *args, **kwargs: calls.append(args) or run_uqcm(*args, **kwargs))
+    monkeypatch.setattr(cli, "clone_trace",
+                        lambda *args, **kwargs: calls.append(args) or clone_trace(*args, **kwargs))
     argv = ("run", "--theta", "1.1", "--phi", "0.4")
     code, plain, _ = run_cli(capsys, *argv)
     assert code == 0 and calls == []
@@ -353,6 +375,26 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["passed"] is True
 
 
+def test_a_reader_that_closes_stdout_gets_exit_141_and_no_traceback():
+    # The summary goes to the same pipe first, as one line; the reader reads
+    # it and closes the pipe while the sweep still formats its 20000 CSV
+    # lines, so the CSV meets a closed pipe.
+    src = os.path.dirname(os.path.dirname(clone_sim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clone_sim.cli", "sweep", "-n", "20000", "--seed", "3",
+         "--summary", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["n"] == 20000
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 # --------------------------------------------------- non-finite and edge inputs
 
 
@@ -384,7 +426,7 @@ def test_a_cutoff_above_the_maximum_exits_two_before_any_state_is_built(
     def refuse(*args, **kwargs):
         raise AssertionError("a state was built for an out-of-range cutoff")
 
-    for name in ("run_uqcm", "perturbed_schedule", "universality_sweep"):
+    for name in ("clone_trace", "perturbed_schedule", "universality_sweep"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run_cli(capsys, *command, "--fock-cutoff", str(cutoff))
     assert code == 2 and out == ""
@@ -484,7 +526,8 @@ def _programs_with_one_faulty_pulse(index, position, factor):
             return tuple(array * factor if k == position else array
                          for k, array in enumerate(coeffs))
 
-        runs = tuple((step, elapsed, tuple((slot, op, faulty(coeffs)) for slot, op, coeffs in run))
+        runs = tuple((step, elapsed, tuple((slot, op, faulty(coeffs), rows)
+                                           for slot, op, coeffs, rows in run))
                      for step, elapsed, run in program.runs)
         return dataclasses.replace(program, runs=runs)
 

@@ -58,9 +58,13 @@ def amp(state, levels, photons):
 
 
 def kernel(amps, op, durations):
-    # the raw kernel, no guard and no norm check: row b lasts durations[b]
+    # the raw kernel over the whole register, no guard and no norm check: row b
+    # lasts durations[b]; amps is contiguous, so the flat rows are a view of it
     coeffs = dynamics.pulse_coefficients(op, durations, amps.shape[-2] - 1, CFG)
-    dynamics.apply_coefficients(amps, op, coeffs)
+    labels = np.arange(amps[..., 0].size).reshape(amps.shape[:-1])
+    rows = amps.reshape(-1, amps.shape[-1])
+    assert np.shares_memory(rows, amps)
+    dynamics.apply_coefficients(rows, op, coeffs, dynamics.pulse_rows(op, labels))
 
 
 def unguarded(state, op):
@@ -671,19 +675,44 @@ EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
+def _pops(amps, squid, level):
+    """``level_populations`` of ``squid`` in ``level``, for batch-last rows over the whole register."""
+    from clone_sim.hilbert import level_populations, level_rows
+
+    return level_populations(amps.reshape(-1, amps.shape[-1]),
+                             level_rows(amps.shape[:-1], squid, level))
+
+
+def _screen(amps, squid, level):
+    """``population_screen`` of ``squid`` in ``level``, as ``_pops`` reads it."""
+    from clone_sim.hilbert import level_rows, population_screen
+
+    return population_screen(amps.reshape(-1, amps.shape[-1]),
+                             level_rows(amps.shape[:-1], squid, level))
+
+
+def _raman_guard(amps, squid, first_sample):
+    """``check_two_pulse_domain`` on batch-last rows over the whole register."""
+    from clone_sim.dynamics import check_two_pulse_domain
+    from clone_sim.hilbert import level_rows
+
+    check_two_pulse_domain(amps.reshape(-1, amps.shape[-1]), squid, first_sample,
+                           level_rows(amps.shape[:-1], squid, LEVEL_E))
+
+
 def _rows_at(level, squid, targets, fock_cutoff, seed):
     """Random batch-last rows whose ``level`` population on ``squid`` is ``targets[b]``.
 
     The population is set through ``level_populations``, so it lands within
     an ulp or so of each target; a NaN target gives a NaN row.
     """
-    from clone_sim.hilbert import _level, level_populations
+    from clone_sim.hilbert import _level
 
     rng = np.random.default_rng(seed)
     shape = (3, 3, 3, fock_cutoff + 1, len(targets))
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     view = _level(amps, squid, level)
-    view *= np.sqrt(np.asarray(targets) / level_populations(amps, squid, level))
+    view *= np.sqrt(np.asarray(targets) / _pops(amps, squid, level))
     return amps
 
 
@@ -697,9 +726,7 @@ def _outcome(guard, *args):
 
 def _raman_reference(amps, squid, first_sample):
     # the guard's rule on level_populations alone, as it read before the screen
-    from clone_sim.hilbert import level_populations
-
-    pops = level_populations(amps, squid, LEVEL_E)
+    pops = _pops(amps, squid, LEVEL_E)
     bad = np.flatnonzero(pops >= E_LEAK_TOL)
     if not bad.size:
         return None
@@ -710,9 +737,7 @@ def _raman_reference(amps, squid, first_sample):
 
 
 def _g_reference(amps, squid, first_sample):
-    from clone_sim.hilbert import level_populations
-
-    pops = level_populations(amps, squid, LEVEL_G)
+    pops = _pops(amps, squid, LEVEL_G)
     bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
     if not bad.size:
         return None
@@ -730,18 +755,16 @@ def _near(threshold):
 @pytest.mark.parametrize("fock_cutoff", [1, 8])
 @pytest.mark.parametrize("squid", [1, 2, 3])
 def test_raman_guard_screen_agrees_with_level_populations(fock_cutoff, squid):
-    from clone_sim.dynamics import check_two_pulse_domain
-
     targets = _near(E_LEAK_TOL) + [math.nan, 0.0]
     for seed in range(4):
         amps = _rows_at(LEVEL_E, squid, targets, fock_cutoff, (seed, squid))
         for b in range(amps.shape[-1]):
             row = amps[..., b:b + 1].copy()
-            assert (_outcome(check_two_pulse_domain, row, squid, b)
+            assert (_outcome(_raman_guard, row, squid, b)
                     == _raman_reference(row, squid, b)), (seed, b)
         # the whole batch, in order and with the threshold rows last
         for batch in (amps, np.concatenate([amps[..., 2:], amps[..., :2]], axis=-1)):
-            assert (_outcome(check_two_pulse_domain, batch, squid, 7)
+            assert (_outcome(_raman_guard, batch, squid, 7)
                     == _raman_reference(batch, squid, 7))
 
 
@@ -763,21 +786,19 @@ def test_ground_state_screen_agrees_with_level_populations(fock_cutoff, squid):
 @pytest.mark.parametrize("fock_cutoff", [1, 2, 32])
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-160])
 def test_population_screen_lies_within_its_slack(fock_cutoff, scale):
-    from clone_sim.hilbert import level_populations, population_screen
-
     for seed in range(3):
         rng = np.random.default_rng((seed, fock_cutoff))
         shape = (3, 3, 3, fock_cutoff + 1, 64)
         amps = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         for squid in (1, 2, 3):
             for level in (LEVEL_G, LEVEL_I, LEVEL_E):
-                screen, slack = population_screen(amps, squid, level)
-                exact = level_populations(amps, squid, level)
+                screen, slack = _screen(amps, squid, level)
+                exact = _pops(amps, squid, level)
                 assert np.all(np.abs(screen - exact) <= slack)
                 assert np.all(slack <= 1e-11 * screen + 1e-300)
                 terms = 9 * (fock_cutoff + 1)
                 for b in range(0, 64, 7):  # a row alone takes the one-dot route
-                    one, one_slack = population_screen(amps[..., b:b + 1], squid, level)
+                    one, one_slack = _screen(amps[..., b:b + 1], squid, level)
                     assert one.shape == one_slack.shape == (1,)
                     assert abs(one[0] - exact[b]) <= one_slack[0]
                     assert np.array_equal(one_slack, 4 * (terms + 3) * (EPS * one + TINY))
@@ -786,7 +807,6 @@ def test_population_screen_lies_within_its_slack(fock_cutoff, scale):
 @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("squid", [1, 2, 3])
 def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
-    from clone_sim.dynamics import check_two_pulse_domain
     from clone_sim.protocol import _require_rows_in_g
 
     amps = np.zeros((3, 3, 3, 3, 3), dtype=complex)  # three rows, all in |ggg, 0>
@@ -797,9 +817,9 @@ def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
         amps[2, 2, 2, 0, 1] = fill  # every squid's e level
         amps[0, 0, 0, 1, 1] = fill  # every squid's g level
     row = amps[..., 1:2].copy()
-    raman = _outcome(check_two_pulse_domain, amps, squid, 4)
+    raman = _outcome(_raman_guard, amps, squid, 4)
     assert raman == _raman_reference(amps, squid, 4)
-    assert _outcome(check_two_pulse_domain, row, squid, 5) == raman
+    assert _outcome(_raman_guard, row, squid, 5) == raman
     ground = _outcome(_require_rows_in_g, amps, squid)
     assert ground is not None and ground == _g_reference(amps, squid, 0)
     alone = _outcome(_require_rows_in_g, row, squid)  # row 1 of the batch is row 0 alone
@@ -807,7 +827,6 @@ def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
 
 
 def test_tripped_guards_print_the_level_populations_value():
-    from clone_sim.dynamics import check_two_pulse_domain
     from clone_sim.protocol import _require_rows_in_g
 
     amps = np.zeros((3, 3, 3, 3, 5), dtype=complex)  # three squids, five rows, all in |g>
@@ -815,11 +834,11 @@ def test_tripped_guards_print_the_level_populations_value():
     amps[0, 0, 0, 0, 3] = math.sqrt(0.75)  # row 3: squid2 a quarter in |e>
     amps[0, 2, 0, 0, 3] = 0.5
     with pytest.raises(LeakageError) as info:
-        check_two_pulse_domain(amps, 2, first_sample=10)
+        _raman_guard(amps, 2, 10)
     assert str(info.value) == ("sample 13: squid2 e-level population 0.25 exceeds 1e-10; "
                                "two-pulse map undefined outside the g-i subspace")
     amps[0, 2, 0, 0, 3], amps[0, 1, 0, 0, 3] = 0.0, 0.5  # now a quarter in |i>
-    check_two_pulse_domain(amps, 2, first_sample=10)
+    _raman_guard(amps, 2, 10)
     _require_rows_in_g(amps, 1)
     with pytest.raises(PreconditionError) as info:
         _require_rows_in_g(amps, 2)
@@ -831,11 +850,9 @@ def test_tripped_guards_print_the_level_populations_value():
 def test_level_populations_of_a_row_do_not_depend_on_the_batch(squid):
     # SQUID 1's level view is contiguous, so its rows came out strided in a
     # batch and were summed in another order than a row alone
-    from clone_sim.hilbert import level_populations
-
     rng = np.random.default_rng(17)
     amps = rng.normal(size=(3, 3, 3, 9, 6)) + 1j * rng.normal(size=(3, 3, 3, 9, 6))
     for level in range(3):
-        batch = level_populations(amps, squid, level)
-        alone = [level_populations(amps[..., b:b + 1], squid, level)[0] for b in range(6)]
+        batch = _pops(amps, squid, level)
+        alone = [_pops(amps[..., b:b + 1], squid, level)[0] for b in range(6)]
         assert batch.tolist() == alone, level

@@ -127,7 +127,7 @@ def test_populations_and_photon_tail():
 def test_level_population_is_the_one_batched_sum(num_squids, fock_cutoff):
     # PureState reads its populations from level_populations, bit for bit,
     # on states with exact zeros and with amplitudes 1e-7 times the rest
-    from clone_sim.hilbert import LEVEL_NAMES, level_populations
+    from clone_sim.hilbert import LEVEL_NAMES, level_populations, level_rows
 
     spec = BasisSpec(num_squids, fock_cutoff)
     rng = np.random.default_rng((num_squids, fock_cutoff))
@@ -141,7 +141,8 @@ def test_level_population_is_the_one_batched_sum(num_squids, fock_cutoff):
             for level in LEVEL_NAMES:
                 got = psi.level_population(squid, level)
                 batch = psi.tensor()[..., None]
-                assert got == level_populations(batch, squid, level_code(level))[0]
+                picks = level_rows(spec.factor_dims, squid, level_code(level))
+                assert got == level_populations(batch.reshape(-1, 1), picks)[0]
                 plain = np.sum(np.abs(psi.tensor().take(level_code(level), squid - 1)) ** 2)
                 assert abs(got - plain) < 1e-15
 

@@ -31,7 +31,8 @@ from clone_sim import (
     run_uqcm,
     target_state,
 )
-from clone_sim.hilbert import E_LEAK_TOL
+from clone_sim.dynamics import COUPLED_LEVELS
+from clone_sim.hilbert import E_LEAK_TOL, LEVEL_G, LEVEL_I
 from clone_sim.protocol import STEP_LABELS, StepTrace
 
 CFG = CouplingConfig()
@@ -557,39 +558,31 @@ RATES = st.floats(1e-3, 1e3)
 @settings(max_examples=40, deadline=None)
 def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
         lam, omega_ge, omega_ie, lambda_prime, omega_gi, fock_cutoff, rows, seed):
-    # The basis walk reads the cached program; all-ones factors build every
-    # pulse per call, and the two walks agree bit for bit.  A nominal row is
-    # then Psi x from that walk, bit for bit, where its certificate clears,
-    # and the row's own walk otherwise; either way it lies within 1e-14 of
-    # that walk, or raises the walk's error.
+    # The cached program's nominal coefficients and all-ones factors, which
+    # build every pulse per call, walk alike bit for bit: the identity pair
+    # (the basis walk) and any nominal batch, or both raise the same error.
+    # The basis walk keeps its final pair scattered into the whole register.
     from clone_sim import clone_batch
-    from clone_sim.protocol import _clone_rows, _uqcm_program, bloch_amplitudes, gi_amplitudes
+    from clone_sim.protocol import _uqcm_program, _walked_clones, bloch_amplitudes
 
     cfg = CouplingConfig(lam=lam, omega_ge=omega_ge, omega_ie=omega_ie,
                          lambda_prime=lambda_prime, omega_gi=omega_gi)
     rng = np.random.default_rng(seed)
     alpha, beta = bloch_amplitudes(np.arccos(1.0 - 2.0 * rng.random(rows)),
                                    2.0 * math.pi * rng.random(rows))
-    basis_walks = [_outcome(lambda: _clone_rows(np.eye(2, dtype=complex),
-                                                _uqcm_program(cfg, fock_cutoff), factors, True))
+    program = _uqcm_program(cfg, fock_cutoff)
+    basis_walks = [_outcome(lambda: _walked_clones(np.eye(2, dtype=complex), program, factors,
+                                                   True))
                    for factors in (None, np.ones((2, 11)))]
     assert _same(*basis_walks)
     nominal = _outcome(lambda: clone_batch(alpha, beta, cfg, fock_cutoff))
     walked = _outcome(lambda: clone_batch(alpha, beta, cfg, fock_cutoff, np.ones((rows, 11))))
-    if isinstance(nominal, tuple) or isinstance(walked, tuple):
-        assert nominal == walked
+    assert _same(nominal, walked)
+    if program.basis is None:
+        assert isinstance(basis_walks[0], tuple)
         return
-    assert np.max(np.abs(nominal - walked)) <= 1e-14
-    gi = gi_amplitudes(alpha, beta)
-    basis = _uqcm_program(cfg, fock_cutoff).basis
-    if basis is None or not basis.clears(gi, True):
-        assert nominal.tobytes() == walked.tobytes()
-        return
-    psi = basis_walks[0]
-    assert np.array_equal(psi, basis.blocks[-1])
-    psi_x = np.moveaxis(psi[..., 0:1] * gi[:, 0] + psi[..., 1:2] * gi[:, 1], -1, 0)
-    assert nominal[..., :psi.shape[-2]].tobytes() == np.ascontiguousarray(psi_x).tobytes()
-    assert not np.any(nominal[..., psi.shape[-2]:])
+    psi = program.basis_list.dense(basis_walks[0].T, program.fock_cutoff)
+    assert program.basis.final.tobytes() == np.moveaxis(psi, 0, -1).tobytes()
 
 
 def _outcome(call):
@@ -608,18 +601,27 @@ def _same(first, second):
 
 @pytest.mark.parametrize("fock_cutoff", [2, 32])
 def test_nominal_trace_entries_are_the_basis_snapshots_times_the_input(fock_cutoff):
+    # a nominal trace walks the cached program over its basis list, bit for
+    # bit the walk of the schedule compiled for this call, and its last
+    # entry lies within 1e-14 of Psi x, the basis walk's final pair times
+    # the input's (g, i) pair
     from clone_sim.protocol import _uqcm_program
 
     q = InputQubit.from_bloch(1.1, 0.4)
     x = q.gi_vector()
-    basis = _uqcm_program(CFG, fock_cutoff).basis
+    program = _uqcm_program(CFG, fock_cutoff)
     _, trace = run_uqcm(q, CFG, fock_cutoff)
     _, walked = run_uqcm(q, CFG, fock_cutoff, schedule=build_uqcm_schedule(CFG))
-    assert [(e.label, e.t_elapsed) for e in trace.entries] == list(basis.marks)
-    assert list(basis.marks) == [(e.label, e.t_elapsed) for e in walked.entries]
-    for entry, psi, other in zip(trace.entries, basis.blocks, walked.entries):
-        assert entry.block.tobytes() == (psi[..., 0] * x[0] + psi[..., 1] * x[1]).tobytes()
-        assert np.max(np.abs(entry.state.amplitudes - other.state.amplitudes)) <= 1e-14
+    assert [(e.label, e.t_elapsed) for e in trace.entries] == (
+        [(e.label, e.t_elapsed) for e in walked.entries])
+    for entry, other in zip(trace.entries, walked.entries, strict=True):
+        assert entry.basis is program.basis_list and len(entry.amplitudes) == 45
+        assert entry.amplitudes.tobytes() == other.amplitudes.tobytes()
+    psi = program.basis.final
+    psi_x = psi[..., 0] * x[0] + psi[..., 1] * x[1]
+    final = trace.entries[-1].state.tensor()
+    assert np.max(np.abs(final[..., :psi.shape[-2]] - psi_x)) <= 1e-14
+    assert not np.any(final[..., psi.shape[-2]:])
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -678,14 +680,14 @@ def test_one_cached_program_serves_clones_with_read_only_coefficients():
     program = _uqcm_program(CFG, 2)
     pulses = [pulse for _, _, run in program.runs for pulse in run]
     assert program.n_slots == len(schedule.slots)
-    assert [(k, op) for k, op, _ in pulses] == [
+    assert [(k, op) for k, op, _, _ in pulses] == [
         (k, op) for k, slot in enumerate(schedule.slots) for track in slot.tracks for op in track]
     info = _uqcm_program.cache_info()
     clone_batch(np.ones(3), np.zeros(3), CFG, 2)
     assert _uqcm_program.cache_info()[:2] == (info.hits + 1, info.misses)
     run_uqcm(InputQubit(1.0, 0.0), CFG, 2)
     assert _uqcm_program.cache_info()[:2] == (info.hits + 2, info.misses)
-    for _, _, coeffs in pulses:
+    for _, _, coeffs, _ in pulses:
         for array in coeffs:
             assert array.shape in {(1,), (2, 1)}
             before = array.copy()
@@ -747,7 +749,24 @@ def _pattern(schedule):
 def test_photon_reach_follows_each_pulse_in_walk_order(pattern, reach):
     from clone_sim.protocol import _photon_reach
 
-    assert _photon_reach(pattern) == reach
+    reached = _photon_reach(pattern)
+    states = [state for state, _ in reached]
+    assert max(state[-1] for state in states) == reach
+    assert states == sorted(set(states))
+    # a state reached by pulse j - 1 is one of its partners
+    for state, first in reached:
+        if first == 0:
+            assert state[1:] == (LEVEL_G, LEVEL_G, 0) and state[0] in (LEVEL_G, LEVEL_I)
+            continue
+        variant, squid = pattern[first - 1]
+        a, b, shift = COUPLED_LEVELS[variant]
+        assert state[squid - 1] in (a, b)
+
+
+def test_a_clone_schedule_on_a_squid_outside_the_register_raises_before_any_walk():
+    schedule = Schedule((Slot("x", ((PulseOp(PulseVariant.JC, 4, 1.0),),)),))
+    with pytest.raises(ValueError, match=r"^squid index 4 outside 1\.\.3$"):
+        run_uqcm(InputQubit(1.0, 0.0), CFG, schedule=schedule)
 
 
 def _support_defects(fock_cutoff, rows=1000, seed=2024):
@@ -755,11 +774,11 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
 
     The reached set comes from each pulse's ``build_generator`` nonzero
     pattern, not from ``_photon_reach``'s coupling table.  Every row runs
-    its own slot factors, with jitter up to 0.99, through a full-cutoff
-    ``_walk``.
+    its own slot factors, with jitter up to 0.99, through a ``_walk`` over
+    the whole register.
     """
     from clone_sim import build_generator, clone_batch
-    from clone_sim.protocol import (_compile, _inject_rows, _photon_reach, _walk,
+    from clone_sim.protocol import (_compile, _inject_rows, _photon_reach, _uqcm_program, _walk,
                                     bloch_amplitudes, gi_amplitudes)
 
     schedule = build_uqcm_schedule(CFG)
@@ -785,19 +804,27 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
     amps = np.zeros(spec.factor_dims + (rows,), dtype=complex)
     amps[0, 0, 0, 0] = 1.0
     _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
-    _walk(amps, _compile(schedule, CFG, fock_cutoff, clone=False), factors, False)
+    _walk(amps.reshape(-1, rows), _compile(schedule, CFG, spec, clone=False), factors, False)
     full = np.moveaxis(amps, -1, 0)
 
-    reach = _photon_reach(_pattern(schedule))
+    states = [state for state, _ in _photon_reach(_pattern(schedule))]
+    reach = max(state[-1] for state in states)
     photons = np.nonzero(reached)[-1]
     defects = []
     if int(photons.max()) != reach:
         defects.append(f"generator walk reaches {int(photons.max())} photons, not {reach}")
+    if set(zip(*(axis.tolist() for axis in np.nonzero(reached)))) != set(states):
+        defects.append("the generator walk reaches another set of states")
+    listed = _uqcm_program(CFG, fock_cutoff).basis_list
+    if listed.index.tolist() != np.flatnonzero(reached[..., :listed.spec.fock_cutoff + 1]).tolist():
+        defects.append("the clone program lists another set of states")
     if np.any(full[:, ~reached] != 0.0):
         defects.append("amplitude outside the reached set")
+    if not np.all(np.any(full[:, reached] != 0.0, axis=0)):
+        defects.append("a reached state is zero in every row")
     walked = clone_batch(alpha, beta, CFG, fock_cutoff, factors, False)
     if not np.array_equal(walked[..., :reach + 1], full[..., :reach + 1]):
-        defects.append("n <= reach block differs from the full-cutoff walk")
+        defects.append("n <= reach block differs from the walk over the whole register")
     if np.any(walked[..., reach + 1:] != 0.0):
         defects.append("padding is not zero")
     if not np.any(full[..., reach] != 0.0):
@@ -807,21 +834,30 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
 
 @pytest.mark.parametrize("fock_cutoff", [3, 8, 32])
 def test_clones_stay_on_the_proven_photon_support(fock_cutoff):
-    # equality up to the sign of zero: a zero the full-cutoff walk reaches
-    # through the n > reach tail may carry the other sign
+    # equality up to the sign of zero: a zero the walk over the whole
+    # register reaches through states off the list may carry the other sign;
+    # the 45 reached states are the generators' set, each nonzero in some row
+    from clone_sim.protocol import _photon_reach
+
     assert _support_defects(fock_cutoff) == []
+    assert len(_photon_reach(_pattern(build_uqcm_schedule(CFG)))) == 45
 
 
 def test_a_reach_one_too_low_breaks_the_support_check(monkeypatch):
     from clone_sim import protocol
 
+    def lowered(pattern):
+        reach = max(state[-1] for state, _ in original(pattern))
+        return tuple(item for item in original(pattern) if item[0][-1] < reach)
+
     original = protocol._photon_reach
-    monkeypatch.setattr(protocol, "_photon_reach", lambda pattern: original(pattern) - 1)
+    monkeypatch.setattr(protocol, "_photon_reach", lowered)
     # a fresh program cache, so clone_batch compiles under the lowered reach
     monkeypatch.setattr(protocol, "_uqcm_program",
                         functools.lru_cache(protocol._uqcm_program.__wrapped__))
     defects = _support_defects(8)
-    assert "n <= reach block differs from the full-cutoff walk" in defects
+    assert "n <= reach block differs from the walk over the whole register" in defects
+    assert "the generator walk reaches another set of states" in defects
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.5])

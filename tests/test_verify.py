@@ -256,16 +256,19 @@ def _jitter_factory(fraction, seed=606):
 @pytest.mark.parametrize("fock_cutoff", [2, 8, 32])
 @pytest.mark.parametrize("jitter", [0.0, 0.05, 0.2])
 def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
-    # each row of one 300-row batch against the same sample cloned alone; an
-    # ideal row is the nominal score of its input alone (what run prints), bit
-    # for bit, and lies within 1e-14 of its walked clone's score
+    # each row of one 300-row batch against the same sample cloned alone: a
+    # row is, bit for bit, what run prints for its input alone (an ideal row
+    # the nominal score, a jittered row its walk scored on the walk's basis
+    # list), and lies within 1e-14 of its clone scored on the whole register
+    from clone_sim.verify import entry_fidelities
+
     factory = _jitter_factory(jitter)
     result = universality_sweep(300, seed=606, fock_cutoff=fock_cutoff, timing_jitter=jitter)
     for row in result.rows:
         q = InputQubit.from_bloch(row.theta, row.phi)
-        final, _ = run_uqcm(q, fock_cutoff=fock_cutoff,
-                            schedule=factory(row.sample) if factory else None,
-                            enforce_preconditions=jitter == 0.0)
+        final, trace = run_uqcm(q, fock_cutoff=fock_cutoff,
+                                schedule=factory(row.sample) if factory else None,
+                                enforce_preconditions=jitter == 0.0)
         report = clone_fidelities(final, q)
         fields = (row.f2, row.f3, row.target_overlap, row.leakage)
         walked = (report.fidelity_squid2, report.fidelity_squid3,
@@ -273,9 +276,56 @@ def test_sweep_rows_equal_single_runs_bit_for_bit(fock_cutoff, jitter):
         if factory is None:
             alone = score_nominal([q.alpha], [q.beta], fock_cutoff=fock_cutoff)
             assert fields == tuple(float(alone[name][0]) for name in REPORT_FIELDS)
-            assert max(abs(a - b) for a, b in zip(fields, walked)) <= 1e-14
         else:
-            assert fields == walked
+            alone = entry_fidelities(trace.entries[-1], q)
+            assert fields == tuple(getattr(alone, name) for name in REPORT_FIELDS)
+        assert max(abs(a - b) for a, b in zip(fields, walked)) <= 1e-14
+
+
+def test_a_jittered_sweep_at_the_largest_cutoff_stays_small():
+    # the rows walk and score on the 45 reached states, never on the
+    # register at the requested cutoff (330 MB here when they did)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        universality_sweep(16, 3, fock_cutoff=10_000, timing_jitter=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("jitter", [0.05, 0.3])
+def test_a_jittered_row_matches_the_eigendecomposition_route_pulse_by_pulse(jitter):
+    # the whole perturbed schedule applied to the dense register as exp(-iHt)
+    # per pulse, H from build_generator, the Raman track as the product of
+    # its coupling and free exponentials; the walked row, scattered, agrees
+    from clone_sim import build_generator, clone_batch, diagonalize_generator
+    from clone_sim.checks import ORACLE_TOL
+    from clone_sim.dynamics import PulseOp, PulseVariant, evolve_rows
+    from clone_sim.protocol import (build_uqcm_schedule, draw_slot_factors, jitter_rng,
+                                    perturbed_schedule)
+
+    spec = BasisSpec(3, 2)
+    base = build_uqcm_schedule(DEFAULT_COUPLINGS)
+    for seed, (theta, phi) in enumerate([(1.1, 0.4), (2.5, 5.0), (0.3, 2.0)]):
+        q = InputQubit.from_bloch(theta, phi)
+        schedule = perturbed_schedule(base, jitter, jitter_rng(seed))
+        factors = draw_slot_factors(jitter, (1, len(base.slots)), jitter_rng(seed))
+        walked = clone_batch([q.alpha], [q.beta], fock_cutoff=2, slot_factors=factors,
+                             enforce_preconditions=False)[0].reshape(-1)
+        state = np.zeros(spec.factor_dims, dtype=complex)
+        state[0, 0, 0, 0], state[1, 0, 0, 0] = q.gi_vector()
+        state = state.reshape(1, -1)
+        for op in (op for slot in schedule.slots for track in slot.tracks for op in track):
+            steps = [op]
+            if op.variant is PulseVariant.RAMAN:  # the free factor applies after the coupling
+                steps.append(PulseOp(PulseVariant.FREE_EVOLVE, op.squid, op.duration))
+            for step in steps:
+                eigen = diagonalize_generator(build_generator(step, spec, DEFAULT_COUPLINGS))
+                state = evolve_rows(state, eigen, np.array([step.duration]))
+        assert np.max(np.abs(state[0] - walked)) < ORACLE_TOL
 
 
 def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -386,6 +436,17 @@ def test_score_rows_rejects_amplitudes_of_another_shape(shape):
                          f"fock_cutoff >= 1, got {shape}")
     with pytest.raises(ValueError, match=f"^{expected}$"):
         score_rows(amps, np.ones(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("shape", [(1, 44), (1, 46), (45,), (1, 45, 1)])
+def test_score_rows_rejects_listed_rows_of_another_shape(shape):
+    from clone_sim import score_rows
+    from clone_sim.protocol import _uqcm_program
+
+    listed = _uqcm_program(DEFAULT_COUPLINGS, 2).basis_list
+    expected = re.escape(f"amps must have shape (B, 45) over the basis list, got {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        score_rows(np.ones(shape, dtype=complex), np.ones(1), np.zeros(1), basis=listed)
 
 
 @pytest.mark.parametrize("fock_cutoff", [2, 32])
@@ -538,7 +599,7 @@ def test_weighted_copy_matrices_stay_within_their_floor_proof(monkeypatch):
     assert score_nominal(alpha, beta) is not None
     assert seen == []
     (rho, gram_terms), = captured
-    final = _uqcm_program(DEFAULT_COUPLINGS, 2).basis.blocks[-1].astype(np.clongdouble)
+    final = _uqcm_program(DEFAULT_COUPLINGS, 2).basis.final.astype(np.clongdouble)
     u = np.finfo(np.float64).eps / 2
     for half, squid in enumerate((2, 3)):
         columns = np.moveaxis(final, squid - 1, 0).reshape(3, -1, 2)

@@ -1,14 +1,19 @@
 """python tools/cli_digest.py SRC: one line per fixed CLI case, run in-process on SRC's clone_sim.
 
-A line gives the case's exit code (or the exception that escaped ``main``)
-and sha256 digests of its stdout, stderr and each file it wrote.  Diff the
-output for two checkouts to see whether a change moved any byte a command emits.
+The first line names the Python and numpy versions.  Each case's line
+gives its exit code (or the exception that escaped ``main``) and sha256
+digests of its stdout, stderr and each file it wrote.  Diff the output for
+two checkouts to see whether a change moved any byte a command emits.
+``tests/cli_ledger.txt`` holds this output for the committed tree, and
+``tests/test_cli_ledger.py`` reruns the cases against it; regenerate it
+with ``python tools/cli_digest.py . > tests/cli_ledger.txt``.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 
@@ -44,6 +49,9 @@ CASES = [
     "sweep -n 300 --seed 3 --fock-cutoff 1 --summary out/s.json",
     "sweep -n 20 --seed 3 --fock-cutoff 10000 --summary out/s.json",
     "sweep -n 20 --seed 3 --fock-cutoff 2 --summary out/s.json",
+    "sweep -n 8 --seed 3 --timing-jitter 0.05 --fock-cutoff 2 --summary out/s.json",
+    "sweep -n 8 --seed 3 --timing-jitter 0.05 --fock-cutoff 10000 --summary out/s.json",
+    "run --theta 1.1 --phi 0.4 --timing-jitter 0.05 --fock-cutoff 10000",
 ]
 
 
@@ -51,35 +59,61 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def versions() -> str:
+    """The ledger's header: the Python and numpy versions the digests were made with."""
+    import numpy
+
+    return f"# python {platform.python_version()} numpy {numpy.__version__}"
+
+
+def case_lines() -> list[str]:
+    """Run every case through the importable ``clone_sim.cli.main``: one line per case.
+
+    The cases run in a fresh temporary directory holding ``CONFIGS``; the
+    working directory is restored afterwards.  ``$CLONE_SIM_CONFIG`` must
+    be unset, or every case reads it.
+    """
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, data in CONFIGS.items():
+                with open(name, "wb") as handle:
+                    handle.write(data)
+            return [_run_case(case) for case in CASES]
+        finally:
+            os.chdir(home)
+
+
+def _run_case(case: str) -> str:
+    from clone_sim.cli import main as cli_main
+
+    os.mkdir("out")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli_main(case.split()))
+        except SystemExit as exc:  # argparse's usage error
+            code = str(exc.code)
+        except Exception as exc:  # what the console script would print a traceback for
+            code = type(exc).__name__
+    files = ""
+    for name in sorted(os.listdir("out")):
+        path = os.path.join("out", name)
+        with open(path, "rb") as handle:
+            files += f" {name}={digest(handle.read())}"
+        os.remove(path)
+    os.rmdir("out")
+    return (f"{case} | exit={code} out={digest(out.getvalue().encode())} "
+            f"err={digest(err.getvalue().encode())}{files}")
+
+
 def main() -> None:
     sys.path.insert(0, os.path.join(os.path.abspath(sys.argv[1]), "src"))
     os.environ.pop("CLONE_SIM_CONFIG", None)
-    from clone_sim.cli import main as cli_main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        for name, data in CONFIGS.items():
-            with open(name, "wb") as handle:
-                handle.write(data)
-        for case in CASES:
-            os.mkdir("out")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = str(cli_main(case.split()))
-                except SystemExit as exc:  # argparse's usage error
-                    code = str(exc.code)
-                except Exception as exc:  # what the console script would print a traceback for
-                    code = type(exc).__name__
-            files = ""
-            for name in sorted(os.listdir("out")):
-                path = os.path.join("out", name)
-                with open(path, "rb") as handle:
-                    files += f" {name}={digest(handle.read())}"
-                os.remove(path)
-            os.rmdir("out")
-            print(f"{case} | exit={code} out={digest(out.getvalue().encode())} "
-                  f"err={digest(err.getvalue().encode())}{files}")
+    print(versions())
+    for line in case_lines():
+        print(line)
 
 
 if __name__ == "__main__":
