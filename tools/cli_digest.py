@@ -52,6 +52,8 @@ CASES = [
     "sweep -n 8 --seed 3 --timing-jitter 0.05 --fock-cutoff 2 --summary out/s.json",
     "sweep -n 8 --seed 3 --timing-jitter 0.05 --fock-cutoff 10000 --summary out/s.json",
     "run --theta 1.1 --phi 0.4 --timing-jitter 0.05 --fock-cutoff 10000",
+    "sweep -n 1100 --seed 9 --fock-cutoff 32 --summary out/s.json",
+    "sweep -n 1100 --seed 9 --fock-cutoff 2 --summary out/s.json",
 ]
 
 
