@@ -22,7 +22,8 @@ once.  ``level_populations`` is the one sum of the population of a list
 of states, per row, and ``level_rows`` lists the states of a SQUID level;
 ``PureState.level_population`` reads the sum for a batch of one, and
 ``population_screen`` bounds how far a faster sum may stray from it.
-The level guards of ``dynamics`` and ``protocol`` read those two at the
+The Raman guard of ``dynamics`` reads those two, and the |g> precondition
+of ``protocol.prepare_input`` reads ``PureState.level_population``, at the
 one leakage tolerance, ``E_LEAK_TOL``.  ``density_defect`` applies
 the density-matrix rules to a stack of matrices; for a stack of computed
 Gram products it proves the eigenvalue floor from the product's rounding
@@ -170,6 +171,19 @@ class BasisList:
         """Rows of the states outside levels {g, i} and photon numbers {0, 1}."""
         coords = np.unravel_index(self.index, self.spec.factor_dims)
         return np.flatnonzero(np.any(np.stack(coords[:-1]) == LEVEL_E, axis=0) | (coords[-1] >= 2))
+
+    def score_blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(copies, outside): the amplitudes of the (B, N) ``rows`` that a clone's scores read.
+
+        ``copies[s - 2, b]`` is the 3 x K block of row b that ``reduced``
+        lists for SQUID s, s = 2 .. num_squids, a state off the list read as
+        zero, so its Gram is the SQUID's reduced matrix; ``outside[b]`` holds
+        row b's amplitudes of the ``outside`` states.
+        """
+        padded = np.zeros((len(rows), len(self.index) + 1), dtype=np.complex128)
+        padded[:, :-1] = rows
+        copies = np.moveaxis(padded.take(self.reduced[1:], axis=1), 1, 0)
+        return copies, rows.take(self.outside, axis=1)
 
     def dense(self, rows: np.ndarray, fock_cutoff: int) -> np.ndarray:
         """The (B, N) ``rows`` over the register at ``fock_cutoff`` >= spec's, +0 off the list.
@@ -496,7 +510,8 @@ def density_defect(mats: np.ndarray, gram_terms: int | None = None) -> tuple[int
     in the three-SQUID register has n = 9 (n_max + 1) and passes for every
     photon cutoff n_max below about 1.2 * 10^4.  ``verify.score_nominal``
     proves the premise for its weighted sums of Gram blocks with
-    n = 2 (n' + 8), n' their blocks' row length.
+    n = 2 (K + 8), K the row length of the blocks ``BasisList.score_blocks``
+    gathers, at most 9 (n_max + 1).
     """
     skew = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))), axis=(-2, -1))
     trace = np.trace(mats, axis1=-2, axis2=-1)

@@ -77,16 +77,18 @@ the (g, i) pair x it injects, so its final state is Psi x, Psi the walk of
 the two basis injections (Buzek & Hillery, PRA 54, 1844 (1996), for the
 cloning map's linearity).  A clone program walks that pair once, on
 first read of ``_Program.basis``, with every guard and norm check, and
-keeps Psi's final snapshot with a certificate over all inputs: the
-2 x 2 Grams of Psi after each pulse and of its e-level rows before each
-Raman pulse bound every row's norm and guarded e population
-(``_BasisWalk``).  ``_BasisWalk.forms`` holds the final snapshot's score
-blocks, each copy's reduced matrix and the population outside the
-computational levels as forms in x, and ``verify.score_nominal`` reads
-them for any batch ``certified_basis`` clears, checking only its least
-and largest |x|^2.  Every clone that is built, nominal or jittered, is
-walked: ``run_uqcm``'s trace, ``clone_batch`` and every sweep chunk the
-certificate does not clear.
+keeps Psi's final snapshot, its (N, 2) rows over the program's basis
+list, with a certificate over all inputs: the 2 x 2 Grams of Psi after
+each pulse and of its e-level rows before each Raman pulse bound every
+row's norm and guarded e population (``_BasisWalk``).  The walk also
+keeps the final snapshot's score blocks, each copy's reduced matrix and
+the population outside the computational levels as forms in x, gathered
+from Psi by the basis list's ``score_blocks``, as ``verify.score_rows``
+gathers a walked row's; ``verify.score_nominal`` reads them for any batch
+``certified_basis`` clears, checking only its least and largest |x|^2.
+Every clone that is built, nominal or jittered, is walked: ``run_uqcm``'s
+trace, ``clone_batch`` and every sweep chunk the certificate does not
+clear.
 
 ``_walk`` is the only code here that applies a pulse.  The single-state
 operations are pulse data too: ``process_one``, ``process_two``,
@@ -132,10 +134,6 @@ from .hilbert import (
     PureState,
     _EPS,
     _check_squid,
-    _level,
-    level_populations,
-    level_rows,
-    population_screen,
 )
 
 PROCESS_ONE_PHASE = 3.0 * math.pi / 2.0
@@ -297,29 +295,6 @@ class StepTrace:
         return [entry.to_dict() for entry in self.entries]
 
 
-def _require_rows_in_g(amps: np.ndarray, squid: int) -> None:
-    picks = level_rows(amps.shape[:-1], squid, LEVEL_G)
-    rows = amps.reshape(-1, amps.shape[-1])
-    screen, slack = population_screen(rows, picks)
-    suspects = np.flatnonzero(~(np.abs(screen - 1.0) + slack <= E_LEAK_TOL))
-    if not suspects.size:
-        return
-    pops = level_populations(rows, picks)[suspects]
-    bad = np.flatnonzero(~(np.abs(pops - 1.0) <= E_LEAK_TOL))
-    if bad.size:
-        k = int(bad[0])
-        raise PreconditionError(f"sample {int(suspects[k])}: squid{squid} must "
-                                f"start in |g> (population {float(pops[k])})")
-
-
-def _inject_rows(amps: np.ndarray, squid: int, gi: np.ndarray) -> None:
-    """Move each row's |g> amplitudes of ``squid`` onto the (g, i) pair in ``gi`` (B, 2)."""
-    g_view, i_view = _level(amps, squid, LEVEL_G), _level(amps, squid, LEVEL_I)
-    g_old = g_view.copy()
-    g_view[...] = gi[:, 0] * g_old
-    i_view[...] = gi[:, 1] * g_old
-
-
 def prepare_input(
     state: PureState,
     squid: int,
@@ -332,13 +307,20 @@ def prepare_input(
     "ideal" injects the (g, i) amplitudes directly.  "pulsed" realizes
     the same state with one two-pulse rotation plus free evolution to
     the next phase closure; the result then matches the ideal state up
-    to a global phase.
+    to a global phase.  The SQUID's |g> population, as
+    ``PureState.level_population`` sums it, must lie within E_LEAK_TOL of 1,
+    or ``PreconditionError`` is raised.
     """
-    _require_rows_in_g(state.tensor()[..., None], squid)
+    population = state.level_population(squid, LEVEL_G)
+    if not abs(population - 1.0) <= E_LEAK_TOL:
+        raise PreconditionError(f"squid{squid} must start in |g> (population {population})")
     target = q.gi_vector()
     if mode == "ideal":
-        amps = state.tensor()[..., None].copy()
-        _inject_rows(amps, squid, target[None])
+        amps = state.tensor().copy()
+        at = (slice(None),) * (squid - 1)
+        g = amps[at + (LEVEL_G,)].copy()
+        amps[at + (LEVEL_G,)] = target[0] * g
+        amps[at + (LEVEL_I,)] = target[1] * g
         return PureState(amps.reshape(-1), state.spec)
     if mode == "pulsed":
         a_g, a_i = complex(target[0]), complex(target[1])
@@ -755,9 +737,8 @@ class _BasisWalk:
 
     A clone walk is linear in the (g, i) pair x it injects, so a nominal
     row is Psi x, Psi the (N, 2) walk of the two basis injections over the
-    program's basis list.  ``final`` holds the last Psi scattered into the
-    whole register at the walked cutoff m, read-only, shape
-    (3, 3, 3, m + 1, 2).  After pulse k, row x's squared norm is
+    program's basis list.  ``psi`` holds the last Psi, read-only, over
+    ``basis_list``.  After pulse k, row x's squared norm is
     x^H G_k x with G_k = Psi_k^H Psi_k, and before a Raman pulse on SQUID
     s its e population is x^H E_k x, E_k the Gram of the e-level view of
     s in Psi; each lies between its matrix's extreme eigenvalues times
@@ -769,7 +750,7 @@ class _BasisWalk:
 
     ``clears`` certifies a batch from its least and largest |x|^2 alone,
     and ``margin`` is mu = D + 8 (N + 3) u, u = 2^-53, for rows of N
-    amplitudes walked through K pulses, N = |S| the size of the basis list
+    amplitudes walked through P pulses, N = |S| the size of the basis list
     (45 for the cloning schedule at any cutoff from 2 up):
 
     - Kernel.  A pulse writes c a + ab b, or free times it on a Raman
@@ -784,7 +765,7 @@ class _BasisWalk:
       the exact product of the pulse maps applied to its start, and so is
       each basis column.  With |x_0| + |x_1| <= sqrt(2) |x|, the walked
       row w_k(x) and Psi_k x differ by at most D |x|,
-      D = (1 + sqrt(2)) K eta (rho + eta)^K.
+      D = (1 + sqrt(2)) P eta (rho + eta)^P.
     - Grams.  Each computed 2 x 2 entry is a sum of 2N real products per
       part, within sqrt(2) gamma_2N of exact times the two columns' norms
       in any order (Higham, Accuracy and Stability of Numerical
@@ -806,52 +787,36 @@ class _BasisWalk:
     Every amplitude off the list is an exact zero, so these checks on the
     listed rows are the checks on the whole register.
 
-    ``forms``, built from ``final`` on first read and kept with the walk,
-    as the walk is kept with its program, holds the blocks that
-    ``verify.score_nominal`` scores a certified batch from; they read the
-    whole register, so each sum keeps its order.
+    ``copies``, ``outside`` and ``terms`` are the read-only blocks that
+    ``verify.score_nominal`` scores a certified batch from, gathered from
+    ``psi`` by ``BasisList.score_blocks``, the gather ``verify.score_rows``
+    scores a walked row through.  With C_j copy s's 3 x K block of the
+    column Psi[:, j], ``copies[s - 2, j, k]`` is the computed
+    R_s,jk = C_j C_k^H for s in {2, 3}, so copy s of the row Psi x has the
+    reduced matrix sum_jk x_j conj(x_k) R_s,jk; ``terms`` is K, at most
+    9 (m + 1) at the walked cutoff m.  ``outside[j, k]`` sums
+    conj(Psi_j) Psi_k over the listed states outside levels {g, i} and
+    photon numbers {0, 1}, so x^H outside x is the row's population there.
     """
 
-    final: np.ndarray
+    psi: np.ndarray
+    basis_list: BasisList
+    copies: np.ndarray
+    outside: np.ndarray
+    terms: int
     norm_lo: float
     norm_hi: float
     leak_hi: float
     margin: float
 
-    def clears(self, gi: np.ndarray, guarded: bool) -> bool:
-        """Whether walking the (B, 2) pairs ``gi`` passes every check (guards if ``guarded``)."""
+    def clears(self, gi: np.ndarray) -> bool:
+        """Whether walking the (B, 2) pairs ``gi`` passes every check, the Raman guards included."""
         parts = gi.view(np.float64)
         squares = np.einsum("ij,ij->i", parts, parts)
         least, largest = float(np.min(squares)), float(np.max(squares))
-        if not (math.sqrt(max(self.norm_lo, 0.0) * least) - self.margin > 1.0 - NORM_TOL
-                and math.sqrt(self.norm_hi * largest) + self.margin < 1.0 + NORM_TOL):
-            return False
-        leak = (math.sqrt(self.leak_hi * largest) + self.margin) ** 2
-        return not guarded or leak < E_LEAK_TOL / 2
-
-    @functools.cached_property
-    def forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(copies, outside): the final snapshot's score blocks, read-only, built on first read.
-
-        C_j is copy s's view of the final Psi[..., j], shape (3, 9 (m + 1)),
-        SQUID s first.  ``copies[s - 2, j, k]`` is the computed
-        R_s,jk = C_j C_k^H for s in {2, 3}, shape (2, 2, 2, 3, 3), so copy
-        s of the row Psi x has the reduced matrix sum_jk x_j conj(x_k) R_s,jk.
-        ``outside[j, k]`` sums conj(Psi_j) Psi_k over the amplitudes
-        outside levels {g, i} and photon numbers {0, 1}, so
-        x^H outside x is the row's population there.
-        """
-        final = self.final
-        views = np.stack([np.moveaxis(final, squid - 1, 0).reshape(3, -1, 2) for squid in (2, 3)])
-        views = np.moveaxis(views, -1, 1)
-        copies = views[:, :, None] @ np.conj(views[:, None]).swapaxes(-1, -2)
-        columns = final.copy()
-        columns[:2, :2, :2, :2] = 0.0
-        columns = columns.reshape(-1, 2)
-        outside = np.conj(columns).T @ columns
-        copies.flags.writeable = False
-        outside.flags.writeable = False
-        return copies, outside
+        return (math.sqrt(max(self.norm_lo, 0.0) * least) - self.margin > 1.0 - NORM_TOL
+                and math.sqrt(self.norm_hi * largest) + self.margin < 1.0 + NORM_TOL
+                and (math.sqrt(self.leak_hi * largest) + self.margin) ** 2 < E_LEAK_TOL / 2)
 
 
 def _gram_bounds(pairs: list[np.ndarray]) -> tuple[float, float]:
@@ -874,15 +839,19 @@ def _walk_basis(program: _Program) -> _BasisWalk | None:
     pulses = [(op, coeffs, lists) for _, _, run in program.runs for _, op, coeffs, lists in run]
     e_views = [before[k][lists.e]
                for k, (op, _, lists) in enumerate(pulses) if op.variant is PulseVariant.RAMAN]
-    final = np.moveaxis(program.basis_list.dense(rows.T, program.fock_cutoff), 0, -1).copy()
-    final.flags.writeable = False
+    basis_list = program.basis_list
+    blocks, outside = basis_list.score_blocks(rows.T)
+    copies = blocks[:, :, None] @ np.conj(blocks[:, None]).swapaxes(-1, -2)
+    outside = np.conj(outside) @ outside.T
+    for array in (rows, copies, outside):
+        array.flags.writeable = False
     u = _EPS / 2.0
     rho = max([1.0] + [map_norm_bound(op, coeffs) for op, coeffs, _ in pulses])
     eta = 7.0 * u * rho
     walk = (1.0 + math.sqrt(2.0)) * len(pulses) * eta * (rho + eta) ** len(pulses)
-    return _BasisWalk(final, *_gram_bounds(before[1:]),
-                      _gram_bounds(e_views)[1] if e_views else 0.0,
-                      walk + 8.0 * (len(rows) + 3) * u)
+    return _BasisWalk(rows, basis_list, copies, outside, blocks.shape[-1],
+                      *_gram_bounds(before[1:]), _gram_bounds(e_views)[1] if e_views else 0.0,
+                      walk + 8.0 * (len(basis_list.index) + 3) * u)
 
 
 def certified_basis(gi: np.ndarray, cfg: CouplingConfig, fock_cutoff: int) -> _BasisWalk | None:
@@ -892,7 +861,7 @@ def certified_basis(gi: np.ndarray, cfg: CouplingConfig, fock_cutoff: int) -> _B
     clear the batch, which must then be walked.
     """
     basis = _uqcm_program(cfg, fock_cutoff).basis
-    return basis if basis is not None and basis.clears(gi, True) else None
+    return basis if basis is not None and basis.clears(gi) else None
 
 
 def clone_trace(

@@ -13,18 +13,20 @@ axis first, over a listed basis (``hilbert.BasisList``): the whole
 register, as ``clone_fidelities`` passes one state, or the 45 states a
 clone can reach, as every walked clone passes its rows.  It scores every
 row, both copies in one pass, using only per-row stacked matrix products;
-each copy's reduced matrix is a computed Gram product of one gathered
-block, so its eigenvalue floor follows from the product's rounding bound,
-and no photon cutoff the command line accepts needs ``eigvalsh``.
-``score_nominal`` scores nominal clones without building a row: a clone
-is Psi x, x its (g, i) pair and Psi the cloning program's walk of the two
-basis injections, so each copy's reduced matrix is
+each copy's reduced matrix is a computed Gram product of one block
+gathered by the list's ``score_blocks``, so its eigenvalue floor follows
+from the product's rounding bound, and no photon cutoff the command line
+accepts needs ``eigvalsh``.  ``score_nominal`` scores nominal clones
+without building a row: a clone is Psi x, x its (g, i) pair and Psi the
+cloning program's walk of the two basis injections, (N, 2) rows over the
+program's basis list, so each copy's reduced matrix is
 sum_jk x_j conj(x_k) R_jk, and the target overlap and the leakage are
-forms in x too, all from blocks fixed once per program
-(``protocol._BasisWalk.forms``), with their own floor proof.  Both routes
-read the cutoff only through the walked one, min(cutoff, 2), so every
-cutoff from 2 up gives the same bytes, and a row of either route does not
-depend on its batch.  ``universality_sweep`` clones and scores its
+forms in x too, all from blocks fixed once per program and gathered from
+Psi by the same ``score_blocks`` (``protocol._BasisWalk``), with their
+own floor proof.  Both routes read the target branches on the listed
+states alone (``_listed_targets``), and both read the cutoff only through
+the walked one, min(cutoff, 2), so every cutoff from 2 up gives the same
+bytes, and a row of either route does not depend on its batch.  ``universality_sweep`` clones and scores its
 samples in chunks of ``SWEEP_CHUNK`` rows; with timing jitter each chunk
 carries its samples' slot factors as one array, the next rows of the
 seed's one jitter stream, and every row is walked pulse by pulse over the
@@ -181,6 +183,11 @@ def _target_branches(spec: BasisSpec) -> np.ndarray:
     return branches
 
 
+def _listed_targets(basis: BasisList) -> np.ndarray:
+    """(N, 2) target branches (``_target_branches``) on the N states ``basis`` lists."""
+    return _target_branches(basis.spec).take(basis.index, axis=0)
+
+
 REPORT_FIELDS = ("fidelity_squid2", "fidelity_squid3", "target_overlap", "leakage")
 
 
@@ -262,17 +269,18 @@ def score_rows(
     or with ``basis`` (B, N) over the N states it lists, every other
     amplitude zero; any other shape raises ``ValueError`` before any
     arithmetic.  Each copy's reduced matrix is the computed product C C^H
-    of the copy's 3 x K block C, gathered in one step from the basis list's
-    ``reduced`` rows (K at most 9 (fock_cutoff + 1)), so ``density_defect``'s
+    of the copy's 3 x K block C, gathered in one step by the basis list's
+    ``score_blocks`` (K at most 9 (fock_cutoff + 1)), so ``density_defect``'s
     Gram bound proves its floor at any cutoff below about 1.2 * 10^4; only
     above that does ``eigvalsh`` decide.  The target overlap reads the
-    target branches on the listed states and the leakage the listed states
-    outside the computational levels (``BasisList.outside``), squares of
-    real and imaginary parts summed directly.  ``_scored`` checks the
-    matrices and fields and names a failing sample ``first_sample + row``.
-    It scores rows that were walked: jittered sweep rows and jittered or
-    uncertified ``run`` reports on the walk's basis list, and single states
-    through ``clone_fidelities`` on the whole register.
+    target branches on the listed states (``_listed_targets``) and the
+    leakage the amplitudes ``score_blocks`` gathers outside the
+    computational levels, squares of real and imaginary parts summed
+    directly.  ``_scored`` checks the matrices and fields and names a
+    failing sample ``first_sample + row``.  It scores rows that were
+    walked: jittered sweep rows and jittered or uncertified ``run`` reports
+    on the walk's basis list, and single states through
+    ``clone_fidelities`` on the whole register.
     """
     if basis is None:
         if amps.ndim != 5 or amps.shape[1:4] != (3, 3, 3) or amps.shape[4] < 2:
@@ -293,16 +301,13 @@ def score_rows(
                          f"({rows}), got shapes {alpha.shape} and {beta.shape}")
     # Rows 0..B-1 hold squid 2's copy, rows B..2B-1 squid 3's.  A stacked
     # matmul reduces each row on its own; one product over the flattened
-    # batch could round a row differently for another B.  Column N of the
-    # padded rows is the zero a state off the list holds.
-    padded = np.zeros((rows, amps.shape[1] + 1), dtype=np.complex128)
-    padded[:, :-1] = amps
-    copies = np.moveaxis(padded.take(basis.reduced[1:], axis=1), 1, 0).reshape(2 * rows, 3, -1)
+    # batch could round a row differently for another B.
+    copies, outside = basis.score_blocks(amps)
+    copies = copies.reshape(2 * rows, 3, -1)
     rho = copies @ np.conj(copies).transpose(0, 2, 1)
-    targets = _target_branches(basis.spec).take(basis.index, axis=0)
-    overlaps = (np.conj(padded[:, None, :-1]) @ targets)[:, 0, :]
+    overlaps = (np.conj(amps[:, None, :]) @ _listed_targets(basis))[:, 0, :]
     overlap = np.abs(alpha * overlaps[:, 0] + beta * overlaps[:, 1])
-    leakage = np.sum(np.square(padded.take(basis.outside, axis=1).view(np.float64)), axis=1)
+    leakage = np.sum(np.square(outside.view(np.float64)), axis=1)
     return _scored(rho, gi_amplitudes(alpha, beta), copies.shape[-1], overlap, leakage,
                    first_sample)
 
@@ -324,9 +329,10 @@ def score_nominal(
     Otherwise no row is built: with x a row's (g, i) pair and
     w_jk = x_j conj(x_k), copy s's reduced matrix is
     w_00 R_00 + w_01 R_01 + w_10 R_10 + w_11 R_11 from the walk's blocks
-    R_s,jk (``_BasisWalk.forms``), the target overlap is
+    R_s,jk (``_BasisWalk.copies``), the target overlap is
     |alpha (conj(x) M)_0 + beta (conj(x) M)_1|, M = Psi^H T the final
-    snapshot against the two target branches, and the leakage is
+    snapshot's (N, 2) listed rows against the two target branches on the
+    listed states, and the leakage is
     x^H G x, G the walk's outside Gram, as
     w_00 G_00 + w_01 G_10 + w_10 G_01 + w_11 G_11, clamped at 0.  Each
     is elementwise in that order, so a row's score does not depend on its
@@ -336,7 +342,8 @@ def score_nominal(
     test is the row's final norm check, since tr rho_s = |Psi x|^2.
 
     Floor proof, for ``density_defect`` with gram_terms 2 (n + 8),
-    n = 9 (m + 1) the length of a row of C_j at the walked cutoff m,
+    n = K the length of a row of the gathered blocks C_j
+    (``_BasisWalk.terms``, at most 9 (m + 1) at the walked cutoff m),
     u = 2^-53 and gamma_n = 8 (n + 2) u as there.  The weights are of the
     stored x, so the exact weighted sum is C(x) C(x)^H, C(x) = sum_j x_j C_j,
     which is positive semidefinite.  Each computed R_jk entry lies within
@@ -364,10 +371,8 @@ def score_nominal(
     basis = certified_basis(gi, cfg, fock_cutoff)
     if basis is None:
         return None
-    copies, outside = basis.forms
-    final = basis.final
-    walked = BasisSpec(num_squids=3, fock_cutoff=final.shape[-2] - 1)
-    psi_t = np.conj(final.reshape(-1, 2)).T @ _target_branches(walked)
+    copies, outside = basis.copies, basis.outside
+    psi_t = np.conj(basis.psi).T @ _listed_targets(basis.basis_list)
     x0, x1 = gi[:, 0], gi[:, 1]
     x0c, x1c = np.conj(x0), np.conj(x1)
     w00, w01, w10, w11 = x0 * x0c, x0 * x1c, x1 * x0c, x1 * x1c
@@ -377,7 +382,7 @@ def score_nominal(
                      + beta * (x0c * psi_t[0, 1] + x1c * psi_t[1, 1]))
     leakage = (w00 * outside[0, 0] + w01 * outside[1, 0]
                + w10 * outside[0, 1] + w11 * outside[1, 1]).real
-    return _scored(rho.reshape(-1, 3, 3), gi, 2 * (final.size // 6 + 8), overlap,
+    return _scored(rho.reshape(-1, 3, 3), gi, 2 * (basis.terms + 8), overlap,
                    np.maximum(leakage, 0.0), first_sample)
 
 

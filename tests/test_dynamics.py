@@ -736,14 +736,12 @@ def _raman_reference(amps, squid, first_sample):
         f"exceeds {E_LEAK_TOL}; two-pulse map undefined outside the g-i subspace")
 
 
-def _g_reference(amps, squid, first_sample):
-    pops = _pops(amps, squid, LEVEL_G)
-    bad = np.flatnonzero(~(np.abs(pops - 1.0) <= 1e-10))
-    if not bad.size:
+def _g_reference(row, squid):
+    # prepare_input's |g> precondition on level_populations alone
+    pop = float(_pops(row, squid, LEVEL_G)[0])
+    if abs(pop - 1.0) <= 1e-10:
         return None
-    k = int(bad[0])
-    return "PreconditionError", (f"sample {first_sample + k}: squid{squid} must start in |g> "
-                                 f"(population {float(pops[k])})")
+    return "PreconditionError", f"squid{squid} must start in |g> (population {pop})"
 
 
 def _near(threshold):
@@ -771,16 +769,23 @@ def test_raman_guard_screen_agrees_with_level_populations(fock_cutoff, squid):
 @pytest.mark.parametrize("fock_cutoff", [1, 8])
 @pytest.mark.parametrize("squid", [1, 2, 3])
 def test_ground_state_screen_agrees_with_level_populations(fock_cutoff, squid):
-    from clone_sim.protocol import _require_rows_in_g
+    # prepare_input's |g> precondition on single states whose g population
+    # lies at the threshold; the rest of each state's norm lies in |e>,
+    # which the injection leaves alone, so a state that passes stays normalized
+    from clone_sim import InputQubit, prepare_input
+    from clone_sim.hilbert import _level
 
-    targets = _near(1.0 - 1e-10) + _near(1.0 + 1e-10) + [1.0, math.nan]
+    targets = np.array(_near(1.0 - 1e-10) + [1.0])
+    spec = BasisSpec(3, fock_cutoff)
+    q = InputQubit.from_bloch(1.1, 0.4)
     for seed in range(4):
         amps = _rows_at(LEVEL_G, squid, targets, fock_cutoff, (seed, squid, 1))
+        _level(amps, squid, LEVEL_I)[...] = 0.0
+        _level(amps, squid, LEVEL_E)[...] *= np.sqrt((1.0 - targets) / _pops(amps, squid, LEVEL_E))
         for b in range(amps.shape[-1]):
-            row = amps[..., b:b + 1].copy()
-            assert (_outcome(_require_rows_in_g, row, squid)
-                    == _g_reference(row, squid, 0)), (seed, b)
-        assert _outcome(_require_rows_in_g, amps, squid) == _g_reference(amps, squid, 0)
+            state = PureState(amps[..., b].reshape(-1), spec)
+            assert (_outcome(prepare_input, state, squid, q)
+                    == _g_reference(amps[..., b:b + 1], squid)), (seed, b)
 
 
 @pytest.mark.parametrize("fock_cutoff", [1, 2, 32])
@@ -807,8 +812,6 @@ def test_population_screen_lies_within_its_slack(fock_cutoff, scale):
 @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("squid", [1, 2, 3])
 def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
-    from clone_sim.protocol import _require_rows_in_g
-
     amps = np.zeros((3, 3, 3, 3, 3), dtype=complex)  # three rows, all in |ggg, 0>
     amps[0, 0, 0, 0] = 1.0
     if fill == 0.0:
@@ -820,14 +823,10 @@ def test_guards_judge_a_non_finite_or_zero_row_alone_as_in_a_batch(fill, squid):
     raman = _outcome(_raman_guard, amps, squid, 4)
     assert raman == _raman_reference(amps, squid, 4)
     assert _outcome(_raman_guard, row, squid, 5) == raman
-    ground = _outcome(_require_rows_in_g, amps, squid)
-    assert ground is not None and ground == _g_reference(amps, squid, 0)
-    alone = _outcome(_require_rows_in_g, row, squid)  # row 1 of the batch is row 0 alone
-    assert alone == (ground[0], ground[1].replace("sample 1:", "sample 0:", 1))
 
 
 def test_tripped_guards_print_the_level_populations_value():
-    from clone_sim.protocol import _require_rows_in_g
+    from clone_sim import InputQubit, prepare_input
 
     amps = np.zeros((3, 3, 3, 3, 5), dtype=complex)  # three squids, five rows, all in |g>
     amps[0, 0, 0, 0] = 1.0
@@ -839,11 +838,12 @@ def test_tripped_guards_print_the_level_populations_value():
                                "two-pulse map undefined outside the g-i subspace")
     amps[0, 2, 0, 0, 3], amps[0, 1, 0, 0, 3] = 0.0, 0.5  # now a quarter in |i>
     _raman_guard(amps, 2, 10)
-    _require_rows_in_g(amps, 1)
+    state = PureState(amps[..., 3].reshape(-1), BasisSpec(3, 2))
+    q = InputQubit.from_bloch(1.1, 0.4)
+    prepare_input(state, 1, q)
     with pytest.raises(PreconditionError) as info:
-        _require_rows_in_g(amps, 2)
-    assert str(info.value) == ("sample 3: squid2 must start in |g> "
-                               "(population 0.7499999999999999)")
+        prepare_input(state, 2, q)
+    assert str(info.value) == "squid2 must start in |g> (population 0.7499999999999999)"
 
 
 @pytest.mark.parametrize("squid", [1, 2, 3])

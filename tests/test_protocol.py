@@ -561,7 +561,8 @@ def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
     # The cached program's nominal coefficients and all-ones factors, which
     # build every pulse per call, walk alike bit for bit: the identity pair
     # (the basis walk) and any nominal batch, or both raise the same error.
-    # The basis walk keeps its final pair scattered into the whole register.
+    # The basis walk keeps its final pair as the walked rows over the
+    # program's basis list.
     from clone_sim import clone_batch
     from clone_sim.protocol import _uqcm_program, _walked_clones, bloch_amplitudes
 
@@ -581,8 +582,8 @@ def test_cached_nominal_route_equals_the_computed_route_bit_for_bit(
     if program.basis is None:
         assert isinstance(basis_walks[0], tuple)
         return
-    psi = program.basis_list.dense(basis_walks[0].T, program.fock_cutoff)
-    assert program.basis.final.tobytes() == np.moveaxis(psi, 0, -1).tobytes()
+    assert program.basis.basis_list is program.basis_list
+    assert program.basis.psi.tobytes() == basis_walks[0].tobytes()
 
 
 def _outcome(call):
@@ -617,11 +618,11 @@ def test_nominal_trace_entries_are_the_basis_snapshots_times_the_input(fock_cuto
     for entry, other in zip(trace.entries, walked.entries, strict=True):
         assert entry.basis is program.basis_list and len(entry.amplitudes) == 45
         assert entry.amplitudes.tobytes() == other.amplitudes.tobytes()
-    psi = program.basis.final
-    psi_x = psi[..., 0] * x[0] + psi[..., 1] * x[1]
-    final = trace.entries[-1].state.tensor()
-    assert np.max(np.abs(final[..., :psi.shape[-2]] - psi_x)) <= 1e-14
-    assert not np.any(final[..., psi.shape[-2]:])
+    psi = program.basis.psi
+    psi_x = psi[:, 0] * x[0] + psi[:, 1] * x[1]
+    assert np.max(np.abs(trace.entries[-1].amplitudes - psi_x)) <= 1e-14
+    dense = program.basis_list.dense(psi_x[None], fock_cutoff)[0]
+    assert np.max(np.abs(trace.entries[-1].state.tensor() - dense)) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -638,7 +639,7 @@ def test_an_input_at_the_edge_of_the_accepted_norm_gets_the_walks_verdict(alpha,
 
     alpha, beta = np.array([alpha], dtype=complex), np.array([beta], dtype=complex)
     assert 8e-13 < 1.0 - (abs(alpha[0]) ** 2 + abs(beta[0]) ** 2) < 1e-12
-    assert _uqcm_program(CFG, 2).basis.clears(gi_amplitudes(alpha, beta), True)
+    assert _uqcm_program(CFG, 2).basis.clears(gi_amplitudes(alpha, beta))
     nominal = clone_batch(alpha, beta, CFG)
     walked = clone_batch(alpha, beta, CFG, slot_factors=np.ones((1, 11)))
     assert np.max(np.abs(nominal - walked)) <= 1e-14
@@ -658,9 +659,9 @@ def test_a_batch_the_certificate_does_not_clear_is_walked(monkeypatch):
     gi = gi_amplitudes(alpha, beta)
     program = protocol._uqcm_program.__wrapped__(CFG, 2)
     basis = program.basis
-    assert basis.clears(gi, True)
+    assert basis.clears(gi)
     leaky = dataclasses.replace(basis, leak_hi=E_LEAK_TOL)
-    assert leaky.clears(gi, False) and not leaky.clears(gi, True)
+    assert not leaky.clears(gi)
     program.__dict__["basis"] = dataclasses.replace(basis, margin=math.inf)
     monkeypatch.setattr(protocol, "_uqcm_program", lambda cfg, fock_cutoff: program)
     assert clone_batch(alpha, beta, CFG).tobytes() == clone_batch(
@@ -769,6 +770,13 @@ def test_a_clone_schedule_on_a_squid_outside_the_register_raises_before_any_walk
         run_uqcm(InputQubit(1.0, 0.0), CFG, schedule=schedule)
 
 
+def _inject_dense(amps, gi):
+    """Move SQUID 1's |g> amplitudes of the batch-last register rows onto the (g, i) pairs ``gi``."""
+    g_old = amps[LEVEL_G].copy()
+    amps[LEVEL_G] = gi[:, 0] * g_old
+    amps[LEVEL_I] = gi[:, 1] * g_old
+
+
 def _support_defects(fock_cutoff, rows=1000, seed=2024):
     """What fails of the support walk's promise on ``rows`` jittered clones at ``fock_cutoff``.
 
@@ -778,7 +786,7 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
     the whole register.
     """
     from clone_sim import build_generator, clone_batch
-    from clone_sim.protocol import (_compile, _inject_rows, _photon_reach, _uqcm_program, _walk,
+    from clone_sim.protocol import (_compile, _photon_reach, _uqcm_program, _walk,
                                     bloch_amplitudes, gi_amplitudes)
 
     schedule = build_uqcm_schedule(CFG)
@@ -803,7 +811,7 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
     factors = 1.0 + jitter * rng.uniform(-1.0, 1.0, (rows, len(schedule.slots)))
     amps = np.zeros(spec.factor_dims + (rows,), dtype=complex)
     amps[0, 0, 0, 0] = 1.0
-    _inject_rows(amps, 1, gi_amplitudes(alpha, beta))
+    _inject_dense(amps, gi_amplitudes(alpha, beta))
     _walk(amps.reshape(-1, rows), _compile(schedule, CFG, spec, clone=False), factors, False)
     full = np.moveaxis(amps, -1, 0)
 

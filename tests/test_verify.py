@@ -599,12 +599,14 @@ def test_weighted_copy_matrices_stay_within_their_floor_proof(monkeypatch):
     assert score_nominal(alpha, beta) is not None
     assert seen == []
     (rho, gram_terms), = captured
-    final = _uqcm_program(DEFAULT_COUPLINGS, 2).basis.final.astype(np.clongdouble)
+    basis = _uqcm_program(DEFAULT_COUPLINGS, 2).basis
+    final = np.moveaxis(basis.basis_list.dense(basis.psi.T, 2), 0, -1).astype(np.clongdouble)
     u = np.finfo(np.float64).eps / 2
+    n = basis.terms  # K, the row length of the gathered blocks
+    assert gram_terms == 2 * (n + 8)
     for half, squid in enumerate((2, 3)):
         columns = np.moveaxis(final, squid - 1, 0).reshape(3, -1, 2)
-        n = columns.shape[1]
-        assert gram_terms == 2 * (n + 8)
+        assert n <= columns.shape[1]
         norms = np.sqrt(np.sum(np.abs(columns) ** 2, axis=(0, 1))).astype(np.float64)
         copy = np.einsum("ank,bk->ban", columns, x.astype(np.clongdouble))
         exact = copy @ np.conj(copy).transpose(0, 2, 1)
@@ -620,19 +622,67 @@ def test_weighted_copy_matrices_stay_within_their_floor_proof(monkeypatch):
     ((0, 0, 0, 0, 0), 2e-12, "density matrix trace"),
 ])
 def test_a_corrupted_copy_block_names_the_sample_and_the_copy(monkeypatch, entry, shift, match):
+    import dataclasses
+
     from clone_sim import protocol
 
     program = protocol._uqcm_program.__wrapped__(DEFAULT_COUPLINGS, 2)
-    copies, outside = program.basis.forms
-    bad = copies.copy()
+    bad = program.basis.copies.copy()
     bad[entry] += shift
     if entry[-2:] == (0, 0):  # the trace moves on the x_1 block too, so every row trips
         bad[(0, 1, 1, 0, 0)] += shift
-    program.basis.__dict__["forms"] = (bad, outside)
+    program.__dict__["basis"] = dataclasses.replace(program.basis, copies=bad)
     monkeypatch.setattr(protocol, "_uqcm_program", lambda cfg, fock_cutoff: program)
     alpha, beta = _bloch_inputs(6, 32)
     with pytest.raises(ValueError, match=rf"^sample 5: squid2 {match}"):
         score_nominal(alpha, beta, first_sample=5)
+
+
+@pytest.mark.parametrize("fock_cutoff", [2, 3])
+@pytest.mark.parametrize("jittered", [False, True])
+def test_both_scoring_routes_match_oracles_on_the_dense_state(monkeypatch, fock_cutoff, jittered):
+    # score_rows on the walked rows and, for the nominal schedule,
+    # score_nominal's weighted blocks share one gather, so each is checked
+    # against oracles that read only the dense clone_batch state: the
+    # brute-force partial trace for each copy, a direct sum outside
+    # {g, i}^3 x {0, 1} for the leakage and the closed-form step-10 state
+    # for the target overlap
+    from clone_sim import verify
+    from clone_sim.protocol import clone_batch, clone_rows, draw_slot_factors
+
+    rows = 20
+    alpha, beta = _bloch_inputs(rows, 33)
+    factors = None
+    if jittered:  # one perturbed schedule shared by every row
+        factors = np.tile(draw_slot_factors(0.05, 11, np.random.default_rng(34)), (rows, 1))
+    captured, scored = [], verify._scored
+    monkeypatch.setattr(verify, "_scored",
+                        lambda rho, *args: captured.append(rho) or scored(rho, *args))
+    walked, basis = clone_rows(alpha, beta, fock_cutoff=fock_cutoff, slot_factors=factors,
+                               enforce_preconditions=not jittered)
+    routes = [score_rows(walked.T, alpha, beta, basis=basis)]
+    if not jittered:
+        routes.append(score_nominal(alpha, beta, fock_cutoff=fock_cutoff))
+    assert len(captured) == len(routes)
+    dense = clone_batch(alpha, beta, fock_cutoff=fock_cutoff, slot_factors=factors,
+                        enforce_preconditions=not jittered)
+    spec = BasisSpec(3, fock_cutoff)
+    coords = np.indices(spec.factor_dims)
+    outside = np.any(coords[:3] == 2, axis=0) | (coords[3] >= 2)
+    for b in range(rows):
+        state = PureState(dense[b].reshape(-1), spec)
+        copies = [brute_force_partial_trace(state, [f"squid{squid}"]) for squid in (2, 3)]
+        leakage = float(np.sum(np.abs(dense[b][outside]) ** 2))
+        target = reference_step_state("step10", InputQubit(complex(alpha[b]), complex(beta[b])),
+                                      spec)
+        overlap = abs(inner_product(target, state))
+        for rho, fields in zip(captured, routes, strict=True):
+            for half in range(2):
+                assert np.max(np.abs(rho[half * rows + b] - copies[half])) <= 1e-14, (b, half)
+            assert abs(fields["leakage"][b] - leakage) <= 1e-14, b
+            assert abs(fields["target_overlap"][b] - overlap) <= 1e-14, b
+    if jittered:
+        assert np.min(routes[0]["leakage"]) > 1e-6  # the oracle's outside sum is exercised
 
 
 def test_an_ideal_sweep_at_the_largest_cutoff_builds_no_padded_row():
