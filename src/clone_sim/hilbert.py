@@ -183,7 +183,7 @@ class BasisList:
         padded = np.zeros((len(rows), len(self.index) + 1), dtype=np.complex128)
         padded[:, :-1] = rows
         copies = np.moveaxis(padded.take(self.reduced[1:], axis=1), 1, 0)
-        return copies, rows.take(self.outside, axis=1)
+        return copies, padded.take(self.outside, axis=1)
 
     def dense(self, rows: np.ndarray, fock_cutoff: int) -> np.ndarray:
         """The (B, N) ``rows`` over the register at ``fock_cutoff`` >= spec's, +0 off the list.
