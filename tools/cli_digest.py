@@ -19,7 +19,7 @@ import tempfile
 
 CONFIGS = {"gi1e7.cfg": b"omega_gi = 1e7\n", "closure.cfg": b"omega_gi = 24\nlambda_prime = 0.3\n",
            "overflow.cfg": b"omega_gi = 1e308\n", "binary.cfg": b"\xff\xfe",
-           "gi1e5.cfg": b"omega_gi = 1e5\n",
+           "gi1e5.cfg": b"omega_gi = 1e5\n", "lp1e300.cfg": b"lambda_prime = 1e300\n",
            "rates.cfg": b"lambda = 1.7\nomega_ge = 0.8\nlambda_prime = 1.3\nomega_gi = 35.5\n"}
 CASES = [
     "trace --alpha 1 --beta 0", "trace --alpha 0 --beta 1", "trace --theta 1.1 --phi 2.3",
@@ -54,6 +54,7 @@ CASES = [
     "run --theta 1.1 --phi 0.4 --timing-jitter 0.05 --fock-cutoff 10000",
     "sweep -n 1100 --seed 9 --fock-cutoff 32 --summary out/s.json",
     "sweep -n 1100 --seed 9 --fock-cutoff 2 --summary out/s.json",
+    "validate --verbose --config lp1e300.cfg",
 ]
 
 
