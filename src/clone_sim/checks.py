@@ -8,9 +8,17 @@ The oracle, unitarity and JC-sector checks draw their random states as
 amplitude rows, not as ``PureState``s.  ``normalized_row`` rescales each
 draw exactly as ``PureState.from_amplitudes(..., normalize=True)`` does,
 and each check stacks its rows once and checks every row's norm with
-``check_row_norms`` before any kernel runs.  ``run_all_checks`` runs the
-five oracles with one decomposition of each phase-free generator, once
-per SQUID per run; a lone ``check_oracle`` call decomposes its own.
+``check_row_norms`` before any kernel runs.
+
+The five oracles share one exact route.  Every pulse generator acts on one
+SQUID, and ``JC`` on the cavity too, so each generator H that
+``build_generator`` builds on the whole register is checked, entry for
+entry, to be the lift of its block h on those factors: 3x3 on a SQUID, 9x9
+over a SQUID and the cavity.  Then exp(-i H t) = exp(-i h t) (x) I, so only
+h is decomposed, and the propagator is applied along those factors.
+``run_all_checks`` decomposes each phase-free block once per SQUID per
+run, and each SQUID's Raman coupling blocks, one per drawn state, as one
+stack; a lone ``check_oracle`` call decomposes its own.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from .dynamics import (
     PulseVariant,
     build_generator,
     diagonalize_generator,
-    evolve_rows,
     pulse_coefficients,
     pulse_rows,
     run_pulse,
@@ -40,7 +47,6 @@ from .hilbert import (
     KET_G,
     KET_I,
     MINUS_GI,
-    NUM_LEVELS,
     PLUS_GI,
     BasisList,
     BasisSpec,
@@ -82,8 +88,8 @@ class CheckResult:
 def _random_state(rng: np.random.Generator, spec: BasisSpec) -> np.ndarray:
     """A random amplitude row, bit for bit the one
     ``PureState.from_amplitudes(z, spec, normalize=True)`` would hold."""
-    z = rng.standard_normal(spec.dimension) + 1j * rng.standard_normal(spec.dimension)
-    return normalized_row(z)
+    z = rng.standard_normal(2 * spec.dimension)  # the stream of two draws of dimension each
+    return normalized_row(z[:spec.dimension] + 1j * z[spec.dimension:])
 
 
 def _without_e(row: np.ndarray, squid: int, spec: BasisSpec) -> np.ndarray:
@@ -147,34 +153,57 @@ def _closed_forms_by_squid(
         yield squid, rows, np.ascontiguousarray(amps.T)
 
 
-def _coupling_by_block(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig) -> np.ndarray | None:
-    """exp(-i h t) on ``op.squid`` for the ``RAMAN`` coupling generator H of ``op``, as a 3x3 array.
+def _acted_on(variant: PulseVariant, squid: int, spec: BasisSpec) -> list[int]:
+    """The register factors that a ``variant`` generator on ``squid`` acts on:
+    the SQUID, and the cavity for ``JC``."""
+    return [squid - 1, spec.num_squids] if variant is PulseVariant.JC else [squid - 1]
 
-    H is built on the whole register by ``build_generator``.  It must equal
-    I (x) h (x) I, with h its 3x3 block on ``op.squid``, entry for entry;
-    otherwise this returns None.  Then exp(-i H t) = I (x) exp(-i h t) (x) I,
-    so h alone is decomposed.
+
+def _lifted_block(op: PulseOp, spec: BasisSpec, cfg: CouplingConfig) -> tuple[np.ndarray, bool]:
+    """h, the block of ``op``'s generator H on the factors it acts on, and whether H is h's lift.
+
+    H is built on the whole register by ``build_generator``.  It is the lift
+    h (x) I, entry for entry, if its entries diagonal in every other factor
+    repeat one block h and it has no other nonzero entry; then
+    exp(-i H t) = exp(-i h t) (x) I, so h alone is decomposed.  A generator
+    that is not a lift gives a zero block, whose propagator is the identity.
     """
+    acted, n = _acted_on(op.variant, op.squid, spec), len(spec.factor_dims)
+    # H's axes are its rows' factors 0 ... n - 1, then its columns' n ... 2n - 1.
+    cols = [n + k if k in acted else k for k in range(n)]
+    rest = [k for k in range(n) if k not in acted]
     generator = build_generator(op, spec, cfg)
-    outer = NUM_LEVELS ** (op.squid - 1)
-    rest = spec.dimension // NUM_LEVELS
-    # Row and column indices of H split into (factors before, squid, factors after).
-    split = generator.reshape(outer, NUM_LEVELS, rest // outer, outer, NUM_LEVELS, rest // outer)
-    block = split[0, :, 0, 0, :, 0]
-    identity = np.eye(rest).reshape(outer, 1, rest // outer, outer, 1, rest // outer)
-    if not np.array_equal(split, block[:, None, None, :, None] * identity):
-        return None
-    evals, evecs = diagonalize_generator(block)
-    return evecs @ (np.exp(-1j * evals * op.duration)[:, None] * evecs.conj().T)
+    size = math.prod(spec.factor_dims[k] for k in acted)
+    # H's entries diagonal in the other factors: one block per index of theirs.
+    diagonal = np.einsum(generator.reshape(spec.factor_dims * 2), list(range(n)) + cols,
+                         rest + acted + [n + k for k in acted]).reshape(-1, size, size)
+    block = diagonal[0].copy()  # not a view, which would keep all of H alive
+    if (diagonal == block).all() and np.count_nonzero(generator) == np.count_nonzero(diagonal):
+        return block, True
+    return np.zeros_like(block), False
 
 
-def _along_squid(
-    propagators: np.ndarray, rows: np.ndarray, squid: int, spec: BasisSpec
+def _evolve_blocks(
+    rows: np.ndarray, eigen: tuple[np.ndarray, np.ndarray], durations: np.ndarray,
+    variant: PulseVariant, squid: int, spec: BasisSpec,
 ) -> np.ndarray:
-    """Row b of the (B, dimension) ``rows`` with the 3x3 ``propagators[b]`` applied on ``squid``."""
-    tensors = np.moveaxis(rows.reshape((len(rows),) + spec.factor_dims), squid, 1)
-    evolved = (propagators @ tensors.reshape(len(rows), NUM_LEVELS, -1)).reshape(tensors.shape)
-    return np.moveaxis(evolved, 1, squid).reshape(len(rows), -1)
+    """Row b of the (B, dimension) ``rows`` with exp(-i h durations[b]) on the factors a
+    ``variant`` generator on ``squid`` acts on.
+
+    ``eigen`` is h's ``diagonalize_generator`` output, or a stack of B of
+    them, row b's at b.  Row b's amplitudes form one (len(h), rest) matrix
+    over those factors, and each product takes one matmul per row, in the
+    operand order of ``evolve_rows``, V (phases (V^H x)), so a diagonal h
+    stays exact and a row's result does not depend on B.
+    """
+    axes = [k + 1 for k in _acted_on(variant, squid, spec)]
+    lead = list(range(1, len(axes) + 1))
+    tensors = np.moveaxis(rows.reshape((len(rows),) + spec.factor_dims), axes, lead)
+    evals, evecs = eigen
+    phases = np.exp(-1j * evals * durations[:, None])[..., None]
+    blocks = tensors.reshape(len(rows), evals.shape[-1], -1)
+    evolved = evecs @ (phases * (np.swapaxes(evecs, -1, -2).conj() @ blocks))
+    return np.moveaxis(evolved.reshape(tensors.shape), lead, axes).reshape(len(rows), -1)
 
 
 def check_oracle(
@@ -188,43 +217,42 @@ def check_oracle(
     The states are drawn as amplitude rows and stacked once, and every row
     passes the norm check of ``check_row_norms``, the batch form of the
     check a ``PureState`` makes, before any kernel runs.  Both sides of
-    each SQUID's rows run as one batch.  A phase-free generator depends
-    only on its variant and SQUID, so each is decomposed once per call and
-    applied to the SQUID's stack of rows by one ``evolve_rows``.  The Raman
-    coupling carries the drawn phase difference: for every state its full
-    generator is built, checked to be the lift of its 3x3 block on the
-    SQUID (a generator that is not fails the check with an infinite
-    deviation), and the block is decomposed; the stack of block
-    propagators is applied along the SQUID's axis by one stacked product,
-    and the free factor then applies after it.  Every closed-form row and
-    every exact row passes ``check_row_norms`` too.
+    each SQUID's rows run as one batch.  Every variant takes one exact
+    route, through blocks: each generator H is built on the whole
+    register by ``build_generator`` and checked to be the lift of its
+    block h on the factors it acts on, the SQUID's 3x3 or, for ``JC``,
+    the 9x9 over the SQUID and the cavity (``_lifted_block``; a
+    generator that is not fails the check with an infinite deviation).
+    Only h is decomposed, and exp(-i h t) is applied along those factors
+    (``_evolve_blocks``).  A phase-free generator depends only on its
+    variant and SQUID, so its block is built and decomposed once per
+    call.  The Raman coupling carries the drawn phase difference, so each
+    state's generator is built and checked, and the SQUID's blocks are
+    decomposed as one stack; the free factor then applies after it.
+    Every closed-form row and every exact row passes ``check_row_norms``
+    too.
     """
     return _oracle_results((variant,), cfg, seed, n_states)[0]
-
-
-def _phase_free(variant: PulseVariant) -> PulseVariant:
-    """The variant whose generator the oracle of ``variant`` decomposes once per SQUID."""
-    return PulseVariant.FREE_EVOLVE if variant is PulseVariant.RAMAN else variant
 
 
 def _oracle_results(
     variants: tuple[PulseVariant, ...], cfg: CouplingConfig, seed: int, n_states: int
 ) -> list[CheckResult]:
     """``check_oracle`` of each variant in turn, with one decomposition per
-    phase-free generator over them all.
+    phase-free block over them all.
 
     The Raman oracle's free factor is the ``FREE_EVOLVE`` generator of its
-    SQUID, so the two oracles share its decomposition.  Each variant draws
-    from its own generator, as a lone ``check_oracle`` call does.  A
-    decomposition is kept only while a variant still to come can use it.
+    SQUID, so the two oracles share its block.  Each variant draws from its
+    own generator, as a lone ``check_oracle`` call does.  Each SQUID's
+    phase-free blocks are kept, decomposed, with whether their generators
+    were lifts, for the whole run.
     """
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
-    eigens: dict[tuple[PulseVariant, int], tuple[np.ndarray, np.ndarray]] = {}
+    eigens: dict[tuple[PulseVariant, int], tuple[tuple[np.ndarray, np.ndarray], bool]] = {}
     results = []
-    for at, variant in enumerate(variants):
-        ahead = {_phase_free(v) for v in variants[at:]}
-        eigens = {key: eigen for key, eigen in eigens.items() if key[0] in ahead}
-        phase_free = _phase_free(variant)
+    for variant in variants:
+        # The generator decomposed once per SQUID: the Raman oracle's is its free factor.
+        phase_free = PulseVariant.FREE_EVOLVE if variant is PulseVariant.RAMAN else variant
         rng = np.random.default_rng([seed, list(PulseVariant).index(variant)])
         ops: list[PulseOp] = []
         rows: list[np.ndarray] = []
@@ -239,20 +267,20 @@ def _oracle_results(
         deviations = []
         for squid, picks, closed in _closed_forms_by_squid(ops, drawn, spec, cfg):
             if (phase_free, squid) not in eigens:
-                eigens[phase_free, squid] = diagonalize_generator(
-                    build_generator(PulseOp(phase_free, squid, 0.0), spec, cfg))
+                block, lifted = _lifted_block(PulseOp(phase_free, squid, 0.0), spec, cfg)
+                eigens[phase_free, squid] = diagonalize_generator(block), lifted
+            eigen, lifted = eigens[phase_free, squid]
+            durations = np.array([ops[k].duration for k in picks])
             exact = drawn[picks]
-            lifted = np.ones(len(picks), dtype=bool)
             if variant is PulseVariant.RAMAN:
                 # Exact factorization: the free-phase factor applies after the rotation.
-                blocks = [_coupling_by_block(ops[k], spec, cfg) for k in picks]
-                lifted = np.array([block is not None for block in blocks])
-                # A row with no exact route gets the identity and an infinite deviation.
-                exact = _along_squid(np.stack([np.eye(NUM_LEVELS) if block is None else block
-                                               for block in blocks]), exact, squid, spec)
-            exact = evolve_rows(exact, eigens[phase_free, squid],
-                                np.array([ops[k].duration for k in picks]))
+                blocks, lifts = zip(*(_lifted_block(ops[k], spec, cfg) for k in picks))
+                exact = _evolve_blocks(exact, diagonalize_generator(np.stack(blocks)), durations,
+                                       variant, squid, spec)
+                lifted = lifted & np.array(lifts)
+            exact = _evolve_blocks(exact, eigen, durations, phase_free, squid, spec)
             check_row_norms(exact.T)
+            # A row with no exact route got the identity and gets an infinite deviation.
             deviations += np.where(lifted, np.max(np.abs(closed - exact), axis=1),
                                    math.inf).tolist()
         worst = float(np.max(deviations, initial=0.0))

@@ -67,13 +67,14 @@ model, has norm below sqrt(E_LEAK_TOL) = 1e-5.
 a one-SQUID matrix with identities on the other factors (one broadcast
 product, entry for entry the nested ``np.kron``); it states its
 couplings on its own, not from ``COUPLED_LEVELS``, so it stays an
-independent oracle.  A generator I (x) h (x) I exponentiates to
-I (x) exp(-i h t) (x) I, so its 3x3 block h alone determines the
-propagator; ``checks`` uses that for the Raman coupling.
-``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
-generator) and the row kernel ``evolve_rows``, which applies the
-decomposition to a (B, dimension) stack of states, row b for its own
-duration.
+independent oracle.  A generator that is the lift h (x) I of its block h
+on the factors it acts on exponentiates to exp(-i h t) (x) I, so that
+block alone (3x3 on a SQUID, or over a SQUID and the cavity for ``JC``)
+determines the propagator; every ``checks`` oracle decomposes only the
+block.  ``evolve_exact`` is two steps: ``diagonalize_generator`` (once per
+generator, or once for a stack of them) and the row kernel
+``evolve_rows``, which applies the decomposition to a (B, dimension)
+stack of states, row b for its own duration.
 """
 
 from __future__ import annotations
@@ -488,16 +489,18 @@ def _check_generator_shape(shape: tuple, dim: int) -> None:
 
 
 def diagonalize_generator(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a finite square generator, Hermitian within 1e-12.
+    """Eigenvalues and eigenvectors of a finite square generator, Hermitian within 1e-12,
+    or of each in a (..., n, n) stack of them.
 
-    The once-per-generator half of ``evolve_exact``.
+    The once-per-generator half of ``evolve_exact``.  A stack is checked
+    as a whole and decomposed by one ``np.linalg.eigh``, matrix by matrix.
     """
     ham = np.asarray(generator, dtype=np.complex128)
-    if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
+    if ham.ndim < 2 or ham.shape[-1] != ham.shape[-2]:
         raise ValueError(f"generator shape {ham.shape} is not square")
     if not np.isfinite(ham).all():
         raise ValueError("generator has a NaN or infinite entry")
-    if not float(np.max(np.abs(ham - ham.conj().T))) < 1e-12:
+    if not float(np.max(np.abs(ham - np.swapaxes(ham, -1, -2).conj()))) < 1e-12:
         raise ValueError("generator is not Hermitian within 1e-12")
     return np.linalg.eigh(ham)
 

@@ -295,9 +295,11 @@ def normalized_row(amps: np.ndarray) -> np.ndarray:
     ``PureState.from_amplitudes(..., normalize=True)`` applies.
 
     Nothing checks the result; a NaN or infinite norm passes through, for
-    ``check_row_norms`` or ``PureState`` to reject.
+    ``check_row_norms`` or ``PureState`` to reject.  The norm of the complex
+    row is formed as ``np.linalg.norm`` forms it, by two real dot products,
+    without its dispatch.
     """
-    nrm = float(np.linalg.norm(amps))
+    nrm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
     if nrm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return amps / nrm

@@ -309,13 +309,20 @@ def prepare_input(
     the next phase closure; the result then matches the ideal state up
     to a global phase.  The SQUID's |g> population, as
     ``PureState.level_population`` sums it, must lie within E_LEAK_TOL of 1,
-    or ``PreconditionError`` is raised.
+    or ``PreconditionError`` is raised.  The ideal injection overwrites the
+    SQUID's |i> amplitudes, which can shorten the norm by up to their
+    population, so it also raises ``PreconditionError`` for an |i>
+    population of NORM_TOL or more.
     """
     population = state.level_population(squid, LEVEL_G)
     if not abs(population - 1.0) <= E_LEAK_TOL:
         raise PreconditionError(f"squid{squid} must start in |g> (population {population})")
     target = q.gi_vector()
     if mode == "ideal":
+        population = state.level_population(squid, LEVEL_I)
+        if not population < NORM_TOL:
+            raise PreconditionError(f"squid{squid} holds |i> population {population}, which "
+                                    f"the ideal injection would overwrite")
         amps = state.tensor().copy()
         at = (slice(None),) * (squid - 1)
         g = amps[at + (LEVEL_G,)].copy()

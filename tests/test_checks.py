@@ -24,15 +24,28 @@ from clone_sim import (
 )
 from clone_sim import checks, dynamics
 from clone_sim.checks import ORACLE_TOL, CheckResult, check_oracle
-from clone_sim.dynamics import evolve_rows
 from clone_sim.hilbert import LEVEL_E, LEVEL_G, LEVEL_I
 
 CFG = CouplingConfig()
 N_STATES = 30
 
 
+def block_route(amplitudes, op, cfg, spec):
+    """exp(-i H t) on one state's amplitudes, H = build_generator(op): H's block on the
+    factors ``op`` acts on, checked to lift to H, decomposed and applied to this state alone."""
+    block, lifted = checks._lifted_block(op, spec, cfg)
+    assert lifted
+    evals, evecs = diagonalize_generator(block)
+    acted = [op.squid - 1] + ([spec.num_squids] if op.variant is PulseVariant.JC else [])
+    lead = list(range(len(acted)))
+    tensor = np.moveaxis(amplitudes.reshape(spec.factor_dims), acted, lead)
+    x = tensor.reshape(len(evals), -1)
+    y = evecs @ (np.exp(-1j * evals * op.duration)[:, None] * (evecs.conj().T @ x))
+    return np.moveaxis(y.reshape(tensor.shape), lead, acted).reshape(-1)
+
+
 def per_state_oracle(variant, cfg, seed, n_states):
-    """check_oracle's draws with one generator build and evolve_exact per state."""
+    """check_oracle's draws, each state through its own generator build and ``block_route``."""
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
     rng = np.random.default_rng([seed, list(PulseVariant).index(variant)])
     worst = 0.0
@@ -50,11 +63,11 @@ def per_state_oracle(variant, cfg, seed, n_states):
             arr[tuple(index)] = 0.0
             state = PureState.from_amplitudes(arr.reshape(-1), spec, normalize=True)
         closed = apply_pulse_op(state, op, cfg)
-        exact = evolve_exact(state, build_generator(op, spec, cfg), duration)
+        exact = block_route(state.amplitudes, op, cfg, spec)
         if variant is PulseVariant.RAMAN:
             free = PulseOp(PulseVariant.FREE_EVOLVE, squid, duration)
-            exact = evolve_exact(exact, build_generator(free, spec, cfg), duration)
-        worst = max(worst, float(np.max(np.abs(closed.amplitudes - exact.amplitudes))))
+            exact = block_route(exact, free, cfg, spec)
+        worst = max(worst, float(np.max(np.abs(closed.amplitudes - exact))))
     return CheckResult(f"dynamics.{variant.value}.oracle", worst, ORACLE_TOL, worst < ORACLE_TOL)
 
 
@@ -62,58 +75,49 @@ def per_state_oracle(variant, cfg, seed, n_states):
 @pytest.mark.parametrize("variant", list(PulseVariant))
 def test_oracle_check_equals_the_per_state_route(variant, seed):
     # == compares max_deviation bit for bit
-    expected = per_state_oracle(variant, CFG, seed, 100)
-    if variant is PulseVariant.RAMAN:
-        # the 3x3 block rounds differently from the 81x81 decomposition
-        got = check_oracle(variant, CFG, seed=seed, n_states=100)
-        assert_same_verdict_within_roundoff(got, expected)
-        return
-    assert check_oracle(variant, CFG, seed=seed, n_states=100) == expected
+    assert check_oracle(variant, CFG, seed=seed, n_states=100) == per_state_oracle(
+        variant, CFG, seed, 100)
 
 
 def test_oracle_check_equals_the_per_state_route_under_other_rates():
     cfg = CouplingConfig(lam=1.7, omega_ge=0.8, lambda_prime=1.3, omega_gi=35.5)
     for variant in PulseVariant:
-        if variant is PulseVariant.RAMAN:
-            got = check_oracle(variant, cfg, seed=5, n_states=N_STATES)
-            assert_same_verdict_within_roundoff(got, per_state_oracle(variant, cfg, 5, N_STATES))
-            continue
         assert check_oracle(variant, cfg, seed=5, n_states=N_STATES) == per_state_oracle(
             variant, cfg, 5, N_STATES)
 
 
-def assert_same_verdict_within_roundoff(got, expected):
-    assert got.name == expected.name and got.tolerance == expected.tolerance
-    assert got.passed == expected.passed
-    assert got.max_deviation < 1e-14 and expected.max_deviation < 1e-14
-
-
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Count the decomposition step as ``checks`` binds it."""
-    calls = []
+    """The shape of every generator or stack the decomposition step gets, as ``checks`` binds it."""
+    shapes = []
     original = checks.diagonalize_generator
 
-    def counting(generator):
-        calls.append(1)
+    def recording(generator):
+        shapes.append(np.shape(generator))
         return original(generator)
 
-    monkeypatch.setattr(checks, "diagonalize_generator", counting)
-    return calls
+    monkeypatch.setattr(checks, "diagonalize_generator", recording)
+    return shapes
 
 
 @pytest.mark.parametrize("variant", list(PulseVariant))
 def test_oracle_decomposes_each_phase_free_generator_once_per_call(variant, decompositions):
     first = check_oracle(variant, CFG, seed=20210, n_states=N_STATES)
-    once = len(decompositions)
+    once = list(decompositions)
+    blocks = [shape for shape in once if len(shape) == 2]
+    # one block per drawn squid: the squid's 3x3, or 9x9 with the cavity for JC
+    assert 1 <= len(blocks) <= 3
+    assert set(blocks) == {(9, 9) if variant is PulseVariant.JC else (3, 3)}
+    stacks = [shape for shape in once if len(shape) == 3]
     if variant is PulseVariant.RAMAN:
-        # one coupling per state, plus the free factor of each squid
-        assert N_STATES < once <= N_STATES + 3
+        # every state's coupling block, one stack per squid, beside that squid's free factor
+        assert len(stacks) == len(blocks) and {shape[1:] for shape in stacks} == {(3, 3)}
+        assert sum(shape[0] for shape in stacks) == N_STATES
     else:
-        assert 1 <= once <= 3
+        assert not stacks
     # nothing is carried over: a second call decomposes again, with the same result
     assert check_oracle(variant, CFG, seed=20210, n_states=N_STATES) == first
-    assert len(decompositions) == 2 * once
+    assert decompositions == 2 * once
 
 
 # ------------------------------------------------- batched routes vs per-state
@@ -194,25 +198,28 @@ def test_batched_unitarity_and_jc_checks_equal_the_per_state_route(seed):
             == per_state_jc_sectors(CFG, seed))
 
 
-def test_block_route_matches_the_full_raman_generator():
-    # exp(-i (I x h x I) t) = I x exp(-i h t) x I, checked against the 81 x 81 route
+OTHER_RATES = CouplingConfig(lam=1.7, omega_ge=0.8, lambda_prime=1.3, omega_gi=35.5)
+
+
+def test_block_route_matches_the_full_register_generator():
+    # exp(-i (h x I) t) = exp(-i h t) x I, checked against the 81 x 81 route
     spec = BasisSpec(num_squids=3, fock_cutoff=2)
-    rng = np.random.default_rng(2007)
-    for k in range(100):
-        squid = k % 3 + 1
-        phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
-        op = PulseOp(PulseVariant.RAMAN, squid, float(rng.uniform(0.0, 2.0 * math.pi)),
-                     phi1=phi1, phi2=phi2)
-        state = PureState(checks._without_e(checks._random_state(rng, spec), squid, spec), spec)
-        free = build_generator(PulseOp(PulseVariant.FREE_EVOLVE, squid, 0.0), spec, CFG)
-        propagator = checks._coupling_by_block(op, spec, CFG)
-        rotated = np.moveaxis(np.tensordot(propagator, state.tensor(), axes=(1, squid - 1)),
-                              0, squid - 1)
-        block = evolve_rows(rotated.reshape(1, -1), diagonalize_generator(free),
-                            np.array([op.duration]))[0]
-        full = evolve_exact(evolve_exact(state, build_generator(op, spec, CFG), op.duration),
-                            free, op.duration)
-        assert np.max(np.abs(block - full.amplitudes)) < 1e-14
+    for cfg in (CFG, OTHER_RATES, CouplingConfig(omega_gi=1e5)):
+        rng = np.random.default_rng(2007)
+        for variant in PulseVariant:
+            for k in range(30):
+                squid = k % 3 + 1
+                phi1, phi2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
+                op = PulseOp(variant, squid, float(rng.uniform(0.0, 2.0 * math.pi)),
+                             phi1=phi1, phi2=phi2)
+                state = PureState(checks._random_state(rng, spec), spec)
+                block = block_route(state.amplitudes, op, cfg, spec)
+                full = evolve_exact(state, build_generator(op, spec, cfg), op.duration)
+                if variant is PulseVariant.RAMAN:
+                    free = PulseOp(PulseVariant.FREE_EVOLVE, squid, op.duration)
+                    block = block_route(block, free, cfg, spec)
+                    full = evolve_exact(full, build_generator(free, spec, cfg), op.duration)
+                assert np.max(np.abs(block - full.amplitudes)) < 1e-14
 
 
 # ------------------------------------------- drawn rows and shared decompositions
@@ -244,9 +251,6 @@ def test_drawn_rows_equal_the_pure_state_route_bit_for_bit(seed):
         assert row.tobytes() == state.amplitudes.tobytes()  # the draw is left as it was
 
 
-OTHER_RATES = CouplingConfig(lam=1.7, omega_ge=0.8, lambda_prime=1.3, omega_gi=35.5)
-
-
 def standalone_checks(cfg, seed):
     """run_all_checks' results, each from its own check call."""
     steps = checks._basis_steps(cfg)
@@ -270,20 +274,36 @@ def test_run_all_checks_equals_each_standalone_check(cfg, seed):
     assert checks.run_all_checks(cfg, seed=seed) == standalone_checks(cfg, seed)
 
 
-def test_one_run_decomposes_each_full_generator_once(monkeypatch):
-    generators = []
-    original = checks.diagonalize_generator
+def test_one_run_decomposes_each_generator_block_once(monkeypatch):
+    generators, ops = [], []
+    decompose, lifted_block = checks.diagonalize_generator, checks._lifted_block
 
     def recording(generator):
         generators.append(np.array(generator))
-        return original(generator)
+        return decompose(generator)
+
+    def building(op, spec, cfg):
+        ops.append(op)
+        return lifted_block(op, spec, cfg)
 
     monkeypatch.setattr(checks, "diagonalize_generator", recording)
+    monkeypatch.setattr(checks, "_lifted_block", building)
     checks.run_all_checks(CFG)
-    full = [g.tobytes() for g in generators if g.shape == (81, 81)]
-    # the phase-free generators of four variants on three SQUIDs; the Raman
-    # oracle's free factor is the free-evolution oracle's generator
-    assert len(full) == 12 and len(set(full)) == 12
+    # no decomposition spans the 81-dimensional register
+    assert all(g.shape[-1] < 81 for g in generators)
+    # the phase-free generators of four variants on three SQUIDs, each built
+    # once; the Raman oracle's free factor is the free-evolution oracle's
+    phase_free = [(op.variant, op.squid) for op in ops if op.variant is not PulseVariant.RAMAN]
+    assert len(phase_free) == 12 and len(set(phase_free)) == 12
+    # and each block decomposed once, JC's with the cavity; a variant's block
+    # is the same matrix on every SQUID
+    blocks = [g for g in generators if g.ndim == 2]
+    assert sorted(g.shape[0] for g in blocks) == [3] * 9 + [9] * 3
+    assert len({(g.shape, g.tobytes()) for g in blocks}) == 4
+    # every state's Raman coupling built once, its blocks one stack per SQUID
+    assert len(ops) == 12 + 100
+    stacks = [g for g in generators if g.ndim == 3]
+    assert len(stacks) == 3 and sum(len(g) for g in stacks) == 100
 
 
 def jc_sectors_of_one(tensor, squid):
@@ -390,6 +410,40 @@ def test_a_coupling_lifted_onto_the_wrong_squid_fails_the_block_check(monkeypatc
 
     monkeypatch.setattr(checks, "build_generator", misplaced)
     result = check_oracle(PulseVariant.RAMAN, CFG, seed=20210, n_states=N_STATES)
+    assert not result.passed and result.max_deviation == math.inf
+
+
+def misplaced_generators(monkeypatch, variant, wrong):
+    """Pass each ``variant`` generator ``checks`` builds through ``wrong(generator, op, spec)``."""
+    original = checks.build_generator
+
+    def build(op, spec, cfg=CFG):
+        generator = original(op, spec, cfg)
+        return wrong(generator, op, spec) if op.variant is variant else generator
+
+    monkeypatch.setattr(checks, "build_generator", build)
+
+
+def on_the_next_squid(generator, op, spec):
+    return build_generator(dataclasses.replace(op, squid=op.squid % spec.num_squids + 1), spec)
+
+
+def with_the_cavity_on_the_next_squid(generator, op, spec):
+    # the cavity and a SQUID both span 3 states at cutoff 2, so the axes swap
+    other, cavity = op.squid % spec.num_squids, spec.num_squids
+    tensor = generator.reshape(spec.factor_dims * 2)
+    tensor = np.swapaxes(np.swapaxes(tensor, other, cavity), 4 + other, 4 + cavity)
+    return tensor.reshape(generator.shape)
+
+
+@pytest.mark.parametrize("variant, wrong", [
+    (PulseVariant.DRIVE_GE, on_the_next_squid), (PulseVariant.FREE_EVOLVE, on_the_next_squid),
+    (PulseVariant.JC, on_the_next_squid), (PulseVariant.JC, with_the_cavity_on_the_next_squid),
+], ids=["drive_ge-squid", "free_evolve-squid", "jc-squid", "jc-cavity"])
+def test_a_phase_free_generator_on_the_wrong_factors_fails_the_block_check(variant, wrong,
+                                                                          monkeypatch):
+    misplaced_generators(monkeypatch, variant, wrong)
+    result = check_oracle(variant, CFG, seed=20210, n_states=N_STATES)
     assert not result.passed and result.max_deviation == math.inf
 
 

@@ -456,6 +456,26 @@ def test_diagonalize_generator_rejects_bad_generators():
         diagonalize_generator(np.full((6, 6), math.nan))
 
 
+def test_a_stack_of_generators_is_checked_and_decomposed_matrix_by_matrix():
+    rng = np.random.default_rng(2003)
+    raw = rng.normal(size=(100, 9, 9)) + 1j * rng.normal(size=(100, 9, 9))
+    stack = raw + np.swapaxes(raw, -1, -2).conj()
+    evals, evecs = diagonalize_generator(stack)
+    for ham, vals, vecs in zip(stack, evals, evecs):
+        alone = diagonalize_generator(ham)
+        assert vals.tobytes() == alone[0].tobytes() and vecs.tobytes() == alone[1].tobytes()
+    # one bad matrix anywhere in the stack is refused as a lone one is
+    for bad, match in ((1.0, "not Hermitian"), (math.nan, "NaN or infinite")):
+        broken = stack.copy()
+        broken[57, 0, 1] = bad
+        with pytest.raises(ValueError, match=match):
+            diagonalize_generator(broken)
+    with pytest.raises(ValueError, match="not square"):
+        diagonalize_generator(stack[:, :, :8])
+    with pytest.raises(ValueError, match="not square"):
+        diagonalize_generator(np.zeros(9))
+
+
 def test_evolve_exact_is_decomposition_then_apply():
     spec = BasisSpec(2, 2)
     psi = random_pure_state(61, spec)

@@ -84,6 +84,24 @@ def test_prepare_input_requires_ground_state():
         prepare_input(loaded, 1, InputQubit(1.0, 0.0), CFG)
 
 
+def test_prepare_input_ideal_refuses_an_i_population_it_would_overwrite():
+    # within E_LEAK_TOL of |g>, so the |g> precondition alone lets it through
+    spec = BasisSpec(3, 2)
+    amps = np.zeros(spec.factor_dims, dtype=complex)
+    amps[0, 0, 0, 0], amps[1, 0, 0, 0] = math.sqrt(1.0 - 5e-11), math.sqrt(5e-11)
+    state = PureState(amps.reshape(-1), spec)
+    q = InputQubit.from_bloch(1.1, 0.4)
+    with pytest.raises(PreconditionError) as info:
+        prepare_input(state, 1, q, CFG)
+    population = state.level_population(1, LEVEL_I)
+    assert abs(population - 5e-11) < 1e-20
+    assert str(info.value) == (f"squid1 holds |i> population {population}, which the ideal "
+                               f"injection would overwrite")
+    # squid 2 holds no |i> population, and pulsed mode never overwrites
+    assert prepare_input(state, 2, q, CFG).norm() == pytest.approx(1.0, abs=1e-15)
+    prepare_input(state, 1, q, CFG, mode="pulsed")
+
+
 def test_prepare_input_pulsed_matches_ideal_up_to_phase():
     rng = np.random.default_rng(61)
     for _ in range(8):
