@@ -49,12 +49,19 @@ on the norm of the map a pulse's coefficients define.  Coefficients
 built from a (1,) duration broadcast over every row, so a caller that
 runs one pulse many times at one duration can build them once.  The
 kernels use only elementwise arithmetic, in the order the map is
-written, so a row's result depends neither on the batch size nor on
-which other states the list holds.
+written, so in a batch of two or more rows a row's result depends
+neither on the batch size nor on which other states the list holds.  A
+batch of one row differs in one case, measured with numpy 2.4.6 on an
+AVX-512 host: numpy multiplies two complex operands that hold a single
+element in a scalar loop without fused multiply-adds, so a ``RAMAN`` or
+``FREE_EVOLVE`` pulse that reads one pair, or one |i> row, can round
+such a row differently from the same row in a longer list.  Real and
+purely imaginary coefficients, the rotations' cos and -i sin, round
+alike in both loops.
 
 ``run_pulse`` is what every pulse application runs: the two-pulse
-guard, the kernel and the row-norm check.  ``protocol``'s walk (over a
-clone's reached states, or the whole register), the ``checks`` oracles
+guard, the kernel and the row-norm check.  ``protocol``'s walk (over the
+states a program's start states reach), the ``checks`` oracles
 and ``apply_pulse_op`` (one ``PureState`` as a batch of one over the whole
 register) all call it; each ``apply_*`` is
 ``apply_pulse_op`` with its variant.  The two-pulse map is guarded by
@@ -315,7 +322,8 @@ def apply_coefficients(
     within the truncated space and stays put.  The two-pulse map leaves e
     amplitudes untouched.  Every product is elementwise, in the order the
     map is written, so a row's result does not depend on the batch or on
-    which states the basis lists.
+    which states the basis lists, but for a batch of one row under the
+    complex coefficients of a one-pair list (the module docstring).
     """
     if lists.photons is not None:
         coeffs = tuple(array.take(lists.photons, axis=0) for array in coeffs)

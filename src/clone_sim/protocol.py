@@ -36,41 +36,46 @@ its nominal duration times ``slot_factors[b, k]``; ``clone_batch`` returns
 those rows scattered into the register, batch axis first; ``run_uqcm`` and
 ``clone_trace`` run one input as a batch of one, every pulse at the
 schedule's own duration, and ``execute_schedule`` runs any start state
-that way over the whole register at its own cutoff.  All of them apply
-the schedule through one walk, ``_walk``, which runs every pulse through
-``dynamics.run_pulse``, the two-pulse guard, kernel and row-norm check
-that every pulse application shares, so a row's result and its checks do
-not depend on the batch it ran in.  The walk reads a pulse program, which
-``_compile`` builds from a schedule, a coupling config and a start
-register: the basis list its rows hold and the pulses in walk order with
-their slot index, their coefficients at nominal duration and the row
-lists they read, grouped into one run per stretch of consecutive slots of
-one step, each with the nominal time at its end.  The cloning schedule's
-program is compiled once per coupling config and requested cutoff
-(``_uqcm_program``); any other schedule, a perturbed cloning schedule
-included, is compiled per call.  A walk with slot factors builds each pulse's coefficients per
-call, with the same arithmetic.
+that way.  All of them apply the schedule through one walk, ``_walk``,
+which runs every pulse through ``dynamics.run_pulse``, the two-pulse
+guard, kernel and row-norm check that every pulse application shares, so
+a row's checks do not depend on the batch it ran in, nor does its result
+in a batch of two or more (``dynamics``).  The walk reads a pulse
+program, which ``_compile`` builds from a schedule, a coupling config, a
+register and the start states its rows' nonzero amplitudes sit on: the
+basis list its rows hold, the start states' rows, and the pulses in walk
+order with their slot index, their coefficients at nominal duration and
+the row lists they read, grouped into one run per stretch of consecutive
+slots of one step, each with the nominal time at its end.  The cloning
+schedule's program is compiled once per coupling config and requested
+cutoff (``_uqcm_program``); any other schedule, a perturbed cloning
+schedule included, is compiled per call.  A walk with slot factors builds
+each pulse's coefficients per call, with the same arithmetic.
 
-A clone walks on the states it can reach.  The cavity exchange conserves
-#e + n and the other pulses leave n alone, and each pulse only mixes a
-basis state with its partners, so from SQUID 1's (g, i) injection a
-schedule can only reach so many states: ``_photon_reach`` walks the basis
-states each pulse couples, as ``dynamics.COUPLED_LEVELS`` names them, the
-one table the kernel mixes by, reading only the pulses' (variant, SQUID)
-in walk order, and finds 45 of the 81 states for the cloning schedule,
-whatever its durations, with at most 2 photons.  Every other amplitude is
-an exact zero, so a clone's program lists those states at
-m = min(fock_cutoff, 2) photons, each pulse reads the pairs of them it
-mixes, less the pairs not yet reached, and every guard and norm check on
-the listed rows gives the verdict it would give on the whole register.
-Cutoff 2 is therefore exact and any larger cutoff gives the same
-amplitudes padded with zeros (a zero amplitude may differ in sign only);
-cutoff 1 truncates the photon-2 population that timing errors put into
-the cavity.  No clone's walk, nor its scoring (``verify.score_rows`` on
-the list), costs more at a larger cutoff.  A trace entry keeps a
-read-only copy of its listed amplitudes and scatters them into its
-``PureState`` only when read; the rows it copies have passed the norm
-check.
+Every program walks on the states its start states can reach.  The
+cavity exchange conserves #e + n and the other pulses leave n alone, and
+each pulse only mixes a basis state with its partners, so from a few
+start states a schedule can only reach so many: ``_photon_reach`` walks
+the basis states each pulse couples, as ``dynamics.COUPLED_LEVELS`` names
+them, the one table the kernel mixes by, reading only the pulses'
+(variant, SQUID) in walk order, in the register truncated at its cutoff.
+From a clone's start, SQUID 1's (g, i) injection, it finds 45 of the 81
+states for the cloning schedule, whatever its durations, with at most 2
+photons; ``execute_schedule`` starts from its state's nonzero amplitudes.
+Every other amplitude is an exact zero, so a program lists the reached
+states at their largest photon number m, at least 1, each pulse reads the
+pairs of them it mixes, less the pairs not yet reached, and every guard
+and norm check on the listed rows gives the verdict it would give on the
+whole register.  For a clone, cutoff 2 is therefore exact and any larger
+cutoff gives the same amplitudes padded with zeros (a zero amplitude may
+differ in sign only); cutoff 1 truncates the photon-2 population that
+timing errors put into the cavity.  No clone's walk, nor its scoring
+(``verify.score_rows`` on the list), nor the walk of a start state whose
+reach stops below its cutoff, costs more at a larger cutoff.  A trace
+entry keeps a read-only copy of its listed amplitudes, which have passed
+the norm check, and scatters them into its ``PureState`` at the caller's
+cutoff only when read; ``execute_schedule``'s observer gets its rows
+scattered the same way.
 
 A nominal clone need not be walked to be scored.  A clone is linear in
 the (g, i) pair x it injects, so its final state is Psi x, Psi the walk of
@@ -464,36 +469,44 @@ def build_uqcm_schedule(cfg: CouplingConfig = DEFAULT_COUPLINGS) -> Schedule:
     return Schedule(slots)
 
 
+_States = tuple[tuple[int, ...], ...]
+_CLONE_START = ((LEVEL_G, LEVEL_G, LEVEL_G, 0), (LEVEL_I, LEVEL_G, LEVEL_G, 0))
+
+
 @functools.lru_cache(maxsize=32)
 def _photon_reach(
-    pattern: tuple[tuple[PulseVariant, int], ...]
-) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
-    """The basis states (l1, l2, l3, n) a three-SQUID clone can reach under ``pattern``, sorted.
+    pattern: tuple[tuple[PulseVariant, int], ...], start: _States, fock_cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(states, first): the basis states a walk from ``start`` can reach under ``pattern``.
 
-    Each state comes with j, the number of pulses run before it is
-    reached: it is in the set before pulse j and every later one, and the
-    start states have 0.  ``pattern`` lists each pulse's (variant, SQUID) in walk order; the
-    walk reads nothing else, so every timing of a schedule shares one
-    result.  It starts from SQUID 1 in g or i, SQUIDs 2 and 3 in g and an
-    empty cavity, and after each pulse adds the partners of every reached
-    basis state under that pulse's couplings, read from the table the
-    kernel mixes by (``dynamics.COUPLED_LEVELS``), so the proof covers the
-    couplings the kernel applies.  A pulse only mixes a basis state with
-    its partners, so amplitude that starts inside the reached set stays
-    inside it, whatever the pulse durations, at any photon cutoff: every
+    ``start`` lists basis states (l1, ..., lS, n) of a register of S
+    SQUIDs at ``fock_cutoff`` photons; ``states`` holds the reached ones
+    as rows of that form, sorted, so in the register's C order, and
+    ``first[k]`` is j, the number of pulses run before state k is reached:
+    it is in the set before pulse j and every later one, and the start
+    states alone have 0.  Both arrays are read-only.  ``pattern`` lists
+    each pulse's (variant, SQUID) in walk order; the walk reads nothing
+    else, so every timing of a schedule shares one result.  After each
+    pulse it adds the partners of every reached basis state under that
+    pulse's couplings, read from the table the kernel mixes by
+    (``dynamics.COUPLED_LEVELS``), so the proof covers the couplings the
+    kernel applies; a partner beyond ``fock_cutoff`` photons does not
+    exist, as in the truncated register the kernel walks.  A pulse only
+    mixes a basis state with its partners, so amplitude that starts inside
+    the reached set stays inside it, whatever the pulse durations: every
     amplitude outside it is an exact zero.  Walking only the reached
     states, and only the pairs of them a pulse mixes, therefore gives the
     amplitudes of the whole register on the set and zeros elsewhere; a pair
     with one state outside the set holds two zeros when its pulse runs, or
     the outside one would have been reached.  The largest photon number in
-    the set, m (2 for the cloning schedule), bounds the walk: walking at a
-    cutoff no smaller than m gives the amplitudes of any larger cutoff,
-    since the one state the cutoff-m exchange treats differently, |e, m>
-    (no partner |g, m + 1>), is never reached on a SQUID before an exchange
-    pulse on it, or |g, m + 1> would be.  Only the sign of a zero amplitude
-    can differ.
+    the set, m, bounds the walk: walking at a cutoff no smaller than m
+    gives the amplitudes of ``fock_cutoff``, since the one state the
+    cutoff-m exchange treats differently, |e, m> (no partner |g, m + 1>),
+    is never reached on a SQUID before an exchange pulse on it unless m is
+    ``fock_cutoff`` itself, or |g, m + 1> would be.  Only the sign of a
+    zero amplitude can differ.
     """
-    reached = {(level, LEVEL_G, LEVEL_G, 0): 0 for level in (LEVEL_G, LEVEL_I)}
+    reached = dict.fromkeys(start, 0)
     for j, (variant, squid) in enumerate(pattern):
         if variant not in COUPLED_LEVELS:
             continue
@@ -503,32 +516,38 @@ def _photon_reach(
             level, photons = state[squid - 1], state[-1]
             if level == a and photons >= shift:
                 partners.append(state[:squid - 1] + (b,) + state[squid:-1] + (photons - shift,))
-            elif level == b:
+            elif level == b and photons + shift <= fock_cutoff:
                 partners.append(state[:squid - 1] + (a,) + state[squid:-1] + (photons + shift,))
         for state in partners:
             reached.setdefault(state, j + 1)
-    return tuple(sorted(reached.items()))
+    order = sorted(reached)
+    states, first = np.array(order), np.array([reached[state] for state in order])
+    states.flags.writeable = first.flags.writeable = False
+    return states, first
 
 
 @dataclass(frozen=True, eq=False)
 class _Program:
     """A schedule compiled for ``_walk`` at one coupling config, over one basis list.
 
-    ``basis_list`` names the states a walk's (N, B) rows hold, at the
-    program's photon cutoff ``basis_list.spec.fock_cutoff``.  ``runs``
-    holds one entry per stretch of consecutive slots of one step: (step,
-    nominal time at its last slot's end, pulses), where pulses are (slot
-    index, op, ``pulse_coefficients`` at the op's duration, ``pulse_rows``
-    over the basis list) in walk order.  Each coefficient array is
-    read-only with shape (1,) or (fock_cutoff, 1) and broadcasts over the
-    rows.  ``basis``, the walk of the identity (g, i) pair with its
-    certificate, is built on first read and kept with the program, so a
-    program built under a test's patch never serves another; only clone
-    programs read it.
+    ``basis_list`` names the states a walk's (N, B) rows hold, the states
+    ``_photon_reach`` finds from the program's start states, at the
+    program's photon cutoff ``basis_list.spec.fock_cutoff``; ``start``
+    holds the start states' rows, in the register's C order, which
+    ``_start_rows`` fills.  ``runs`` holds one entry per stretch of
+    consecutive slots of one step: (step, nominal time at its last slot's
+    end, pulses), where pulses are (slot index, op, ``pulse_coefficients``
+    at the op's duration, ``pulse_rows`` over the basis list) in walk
+    order.  Each coefficient array is read-only with shape (1,) or
+    (fock_cutoff, 1) and broadcasts over the rows.  ``basis``, the walk of
+    the identity (g, i) pair with its certificate, is built on first read
+    and kept with the program, so a program built under a test's patch
+    never serves another; only clone programs read it.
     """
 
     cfg: CouplingConfig
     basis_list: BasisList
+    start: np.ndarray
     n_slots: int
     runs: tuple[tuple[str, float, tuple[tuple[int, PulseOp, tuple[np.ndarray, ...], PulseRows],
                                         ...]], ...]
@@ -543,15 +562,15 @@ class _Program:
         return _walk_basis(self)
 
 
-def _compile(schedule: Schedule, cfg: CouplingConfig, spec: BasisSpec, clone: bool) -> _Program:
-    """``schedule``'s pulse program for a start state over ``spec``.
+def _compile(schedule: Schedule, cfg: CouplingConfig, spec: BasisSpec, start: _States) -> _Program:
+    """``schedule``'s pulse program for a register over ``spec`` whose support is ``start``.
 
-    The basis list and each pulse's row lists come from ``_layout``; the
-    coefficients are the schedule's, and the nominal time is summed slot
-    by slot.
+    The basis list, the start rows and each pulse's row lists come from
+    ``_layout``; the coefficients are the schedule's, and the nominal time
+    is summed slot by slot.
     """
     ops = [op for slot in schedule.slots for track in slot.tracks for op in track]
-    basis_list, lists = _layout(ops, spec, clone)
+    basis_list, start_rows, lists = _layout(ops, spec, start)
     fock_cutoff = basis_list.spec.fock_cutoff
     runs, elapsed, pulse_lists = [], 0.0, iter(lists)
     for k, slot in enumerate(schedule.slots):
@@ -562,51 +581,43 @@ def _compile(schedule: Schedule, cfg: CouplingConfig, spec: BasisSpec, clone: bo
         if runs and runs[-1][0] == slot.step:
             pulses = runs.pop()[2] + pulses
         runs.append((slot.step, elapsed, pulses))
-    return _Program(cfg, basis_list, len(schedule.slots), tuple(runs))
+    return _Program(cfg, basis_list, start_rows, len(schedule.slots), tuple(runs))
 
 
-def _layout(ops: list[PulseOp], spec: BasisSpec, clone: bool) -> tuple[BasisList, list[PulseRows]]:
-    """The basis list a program over ``spec`` walks, and the rows each of ``ops`` reads.
+def _layout(
+    ops: list[PulseOp], spec: BasisSpec, start: _States
+) -> tuple[BasisList, np.ndarray, list[PulseRows]]:
+    """The basis list a program from ``start`` over ``spec`` walks, its start rows, each op's rows.
 
-    Without ``clone`` the list is the whole register and each op reads its
-    ``pulse_rows``.  With ``clone`` on, the start state is a clone's
-    prepared input: the list holds the states ``_photon_reach`` finds for
-    the ops, up to min(cutoff, their largest photon number), at least one
+    The list holds the states ``_photon_reach`` finds for the ops from the
+    ``start`` states, up to their largest photon number, at least one
     photon deep, and each op reads its ``pulse_rows`` over that list less
-    the pairs of two states not reached before it (``_photon_reach`` counts
-    the pulses run before each state is reached); such a pair holds two
-    zeros, which the op would leave zero.
+    the pairs of two states not reached before it (``_photon_reach``
+    counts the pulses run before each state is reached); such a pair holds
+    two zeros, which the op would leave zero.
     """
-    if not clone:
-        basis_list = BasisList.full(spec)
-        return basis_list, [pulse_rows(op, basis_list.labels) for op in ops]
     for op in ops:
         _check_squid(spec, op.squid)  # before the reach walk reads the op's SQUID
     pattern = tuple((op.variant, op.squid) for op in ops)
-    reach = [(state, first) for state, first in _photon_reach(pattern)
-             if state[-1] <= spec.fock_cutoff]
-    states = np.array([state for state, _ in reach])
-    first = np.array([first for _, first in reach])
-    walked = BasisSpec(3, max(1, int(states[:, -1].max())))
+    states, first = _photon_reach(pattern, start, spec.fock_cutoff)
+    walked = BasisSpec(spec.num_squids, max(1, int(states[:, -1].max())))
     basis_list = BasisList(walked, np.ravel_multi_index(states.T, walked.factor_dims))
-    labels = basis_list.labels
     lists = []
     for j, op in enumerate(ops):
-        reached = first <= j  # the states reached before op
-        rows = pulse_rows(op, labels)
+        rows = pulse_rows(op, basis_list.labels)
         if op.variant is PulseVariant.FREE_EVOLVE:
-            lists.append(PulseRows(rows.a, rows.b[reached[rows.b]]))
+            lists.append(PulseRows(rows.a, rows.b[first[rows.b] <= j]))
             continue
-        kept = reached[rows.a] | reached[rows.b]
+        kept = np.minimum(first[rows.a], first[rows.b]) <= j  # a state reached before op
         photons = None if rows.photons is None else rows.photons[kept]
         lists.append(PulseRows(rows.a[kept], rows.b[kept], photons, rows.e))
-    return basis_list, lists
+    return basis_list, np.flatnonzero(first == 0), lists
 
 
 @functools.lru_cache(maxsize=8)
 def _uqcm_program(cfg: CouplingConfig, fock_cutoff: int) -> _Program:
     """The cloning schedule's clone program at ``fock_cutoff``, shared by all its walks."""
-    return _compile(build_uqcm_schedule(cfg), cfg, BasisSpec(3, fock_cutoff), clone=True)
+    return _compile(build_uqcm_schedule(cfg), cfg, BasisSpec(3, fock_cutoff), _CLONE_START)
 
 
 def _walk(
@@ -662,15 +673,18 @@ def execute_schedule(
     ``enforce_preconditions`` off, the two-pulse leakage guard is
     skipped, which perturbed (timing-jittered) schedules need.  The
     state runs through the batched kernels as a batch of one, over the
-    whole register at its own photon cutoff.
+    states its nonzero amplitudes can reach (``_photon_reach``); the
+    observer's states and the snapshots scatter them into zeros at the
+    state's own photon cutoff.
     """
     spec = state.spec
-    program = _compile(schedule, cfg, spec, False)
-    rows = state.amplitudes[:, None].copy()
+    support = tuple(map(tuple, np.argwhere(state.tensor()).tolist()))  # in C order
+    program = _compile(schedule, cfg, spec, support)
+    rows = _start_rows(program, state.amplitudes[state.amplitudes != 0][:, None])
     entries: list[TraceEntry] = []
 
     def observe(step: str, op: PulseOp, rows: np.ndarray) -> None:
-        observer(step, op, PureState(rows[:, 0], spec))
+        observer(step, op, PureState(program.basis_list.dense(rows.T, spec.fock_cutoff)[0], spec))
 
     _walk(rows, program, None, enforce_preconditions,
           on_pulse=None if observer is None else observe,
@@ -700,16 +714,16 @@ def _run_track(
     return final, trace.entries[-1].t_elapsed
 
 
-def _prepared(gi: np.ndarray, program: _Program) -> np.ndarray:
-    """(N, B) rows over clone ``program``'s basis list: SQUID 1 in x_0|g> + x_1|i>, per pair x of ``gi``.
+def _start_rows(program: _Program, columns: np.ndarray) -> np.ndarray:
+    """(N, B) rows over ``program``'s basis list: ``columns[k]`` at start state k, zeros elsewhere.
 
-    SQUIDs 2 and 3 rest in |g> and the cavity is empty, as ``prepare_input``
-    leaves the register in its ideal mode.
+    ``columns`` is (S, B), one row per start state in the register's C
+    order; a clone's are SQUID 1's |g> and |i> with SQUIDs 2 and 3 in |g>
+    and the cavity empty, as ``prepare_input`` leaves the register in its
+    ideal mode.
     """
-    labels = program.basis_list.labels
-    rows = np.zeros((len(program.basis_list.index), len(gi)), dtype=np.complex128)
-    rows[labels[LEVEL_G, LEVEL_G, LEVEL_G, 0]] = gi[:, 0]
-    rows[labels[LEVEL_I, LEVEL_G, LEVEL_G, 0]] = gi[:, 1]
+    rows = np.zeros((len(program.basis_list.index), columns.shape[1]), dtype=np.complex128)
+    rows[program.start] = columns
     return rows
 
 
@@ -723,15 +737,16 @@ def _walked_clones(
 ) -> np.ndarray:
     """Prepare one clone per (g, i) pair of ``gi`` (B, 2) and walk ``program`` on them all.
 
-    ``program`` is a clone's program (``_compile`` with ``clone`` on) for
-    the caller's cutoff.  The (N, B) rows, batch axis last, hold the
-    program's basis list, the states a clone can reach, at its photon
-    cutoff, min(cutoff, 2) for the cloning schedule; every other amplitude
-    of a walk at the caller's cutoff is zero, up to its sign.  ``on_step``
+    ``program`` is a clone's program, compiled from ``_CLONE_START``,
+    SQUID 1's |g> and |i>, at the caller's cutoff.  The (N, B) rows, batch
+    axis last, hold the program's basis list, the states a clone can
+    reach, at its photon cutoff, min(cutoff, 2) for the cloning schedule;
+    every other amplitude of a walk at the caller's cutoff is zero, up to
+    its sign.  ``on_step``
     sees the prepared rows as step "input" at time 0 and then runs as
     ``_walk`` runs it.
     """
-    rows = _prepared(gi, program)
+    rows = _start_rows(program, gi.T)
     if on_step is not None:
         on_step("input", 0.0, rows)
     _walk(rows, program, factors, enforce_preconditions, first_sample, on_step=on_step)
@@ -836,7 +851,7 @@ def _gram_bounds(pairs: list[np.ndarray]) -> tuple[float, float]:
 
 def _walk_basis(program: _Program) -> _BasisWalk | None:
     """Walk the identity (g, i) pair through clone ``program``, guarded; None where it raises."""
-    rows = _prepared(np.eye(2, dtype=np.complex128), program)
+    rows = _start_rows(program, np.eye(2, dtype=np.complex128))
     before = [rows.copy()]  # the pair before each pulse, and at the end after the last
     try:
         _walk(rows, program, None, True,
@@ -888,7 +903,7 @@ def clone_trace(
     if schedule is None:
         program = _uqcm_program(cfg, fock_cutoff)
     else:
-        program = _compile(schedule, cfg, spec, clone=True)
+        program = _compile(schedule, cfg, spec, _CLONE_START)
     entries: list[TraceEntry] = []
     _walked_clones(q.gi_vector()[None], program, None, enforce_preconditions,
                    on_step=_recorder(entries, program.basis_list, spec))

@@ -33,7 +33,7 @@ from clone_sim import (
     partial_trace,
 )
 from clone_sim import dynamics
-from clone_sim.hilbert import E_LEAK_TOL, LEVEL_E, LEVEL_G, LEVEL_I
+from clone_sim.hilbert import E_LEAK_TOL, LEVEL_E, LEVEL_G, LEVEL_I, BasisList
 from conftest import random_pure_state
 
 CFG = CouplingConfig()
@@ -673,6 +673,28 @@ def test_kernel_rows_each_follow_their_own_duration(variant):
         assert np.max(np.abs(amps[..., k].reshape(-1) - want)) < 1e-9
         single = unguarded(state, row_op)
         assert np.array_equal(amps[..., k].reshape(-1), single.amplitudes)
+
+
+@pytest.mark.parametrize("variant, batch", [(variant, 2) for variant in ALL_VARIANTS] + [
+    (PulseVariant.JC, 1), (PulseVariant.DRIVE_GE, 1), (PulseVariant.DRIVE_IE, 1)])
+def test_a_row_does_not_depend_on_the_states_its_list_holds(variant, batch):
+    # the rows of the first k pairs the pulse reads, alone, for every k; a batch
+    # of one over a one-pair list is left out for RAMAN and FREE_EVOLVE, whose
+    # complex coefficients can round differently there (dynamics' docstring)
+    spec = BasisSpec(3, 2)
+    op = PulseOp(variant, 2, 0.7, phi1=1.2, phi2=0.3)
+    whole = dynamics.pulse_rows(op, BasisList.full(spec).labels)
+    coeffs = dynamics.pulse_coefficients(op, np.array([op.duration]), spec.fock_cutoff, CFG)
+    rows = np.random.default_rng(37).normal(size=(spec.dimension, batch, 2)).view(complex)[..., 0]
+    want = rows.copy()
+    dynamics.apply_coefficients(want, op, coeffs, whole)
+    for pairs in range(1, len(whole.b) + 1):
+        index = np.sort(np.concatenate([whole.a[:pairs], whole.b[:pairs]]))
+        got = rows[index]
+        lists = dynamics.pulse_rows(op, BasisList(spec, index).labels)
+        dynamics.apply_coefficients(got, op, coeffs, lists)
+        assert got.tobytes() == want[index].tobytes(), pairs
+    assert len(whole.b) == (18 if variant is PulseVariant.JC else 27)
 
 
 def test_kernels_reject_targets_outside_the_register():

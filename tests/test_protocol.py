@@ -32,7 +32,7 @@ from clone_sim import (
     target_state,
 )
 from clone_sim.dynamics import COUPLED_LEVELS
-from clone_sim.hilbert import E_LEAK_TOL, LEVEL_G, LEVEL_I
+from clone_sim.hilbert import E_LEAK_TOL, LEVEL_E, LEVEL_G, LEVEL_I
 from clone_sim.protocol import STEP_LABELS, StepTrace
 
 CFG = CouplingConfig()
@@ -755,31 +755,45 @@ def _pattern(schedule):
                  for slot in schedule.slots for track in slot.tracks for op in track)
 
 
-@pytest.mark.parametrize("pattern, reach", [
-    ((), 0),
-    (((PulseVariant.JC, 1), (PulseVariant.JC, 2)), 0),  # |g, 0> is dark
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)), 1),
-    (((PulseVariant.DRIVE_IE, 1), (PulseVariant.JC, 1)), 1),  # the input's |i> part
-    (((PulseVariant.RAMAN, 3), (PulseVariant.DRIVE_GE, 3), (PulseVariant.JC, 3)), 1),
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, 2),
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.FREE_EVOLVE, 2), (PulseVariant.JC, 3)), 0),
-    (((PulseVariant.JC, 2), (PulseVariant.DRIVE_GE, 2)), 0),  # order matters
+CLONE_START = ((LEVEL_G, LEVEL_G, LEVEL_G, 0), (LEVEL_I, LEVEL_G, LEVEL_G, 0))
+
+
+@pytest.mark.parametrize("pattern, start, fock_cutoff, reach", [
+    ((), CLONE_START, 8, 0),
+    (((PulseVariant.JC, 1), (PulseVariant.JC, 2)), CLONE_START, 8, 0),  # |g, 0> is dark
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)), CLONE_START, 8, 1),
+    (((PulseVariant.DRIVE_IE, 1), (PulseVariant.JC, 1)), CLONE_START, 8, 1),  # the input's |i> part
+    (((PulseVariant.RAMAN, 3), (PulseVariant.DRIVE_GE, 3), (PulseVariant.JC, 3)),
+     CLONE_START, 8, 1),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, CLONE_START, 8, 2),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, CLONE_START, 1, 1),  # truncated
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.FREE_EVOLVE, 2), (PulseVariant.JC, 3)),
+     CLONE_START, 8, 0),
+    (((PulseVariant.JC, 2), (PulseVariant.DRIVE_GE, 2)), CLONE_START, 8, 0),  # order matters
+    (((PulseVariant.JC, 1),),
+     ((LEVEL_E, LEVEL_G, LEVEL_G, 0), (LEVEL_E, LEVEL_E, LEVEL_G, 1)), 3, 2),
+    (((PulseVariant.JC, 1),), ((LEVEL_E, LEVEL_G, LEVEL_G, 1),), 2, 2),
+    (((PulseVariant.JC, 1),), ((LEVEL_E, LEVEL_G, LEVEL_G, 1),), 1, 1),  # |g, 2> does not exist
+    (((PulseVariant.JC, 2), (PulseVariant.RAMAN, 1)), ((LEVEL_G, LEVEL_E, 0),), 4, 1),  # two SQUIDs
 ])
-def test_photon_reach_follows_each_pulse_in_walk_order(pattern, reach):
+def test_photon_reach_follows_each_pulse_in_walk_order(pattern, start, fock_cutoff, reach):
     from clone_sim.protocol import _photon_reach
 
-    reached = _photon_reach(pattern)
-    states = [state for state, _ in reached]
-    assert max(state[-1] for state in states) == reach
-    assert states == sorted(set(states))
-    # a state reached by pulse j - 1 is one of its partners
-    for state, first in reached:
-        if first == 0:
-            assert state[1:] == (LEVEL_G, LEVEL_G, 0) and state[0] in (LEVEL_G, LEVEL_I)
-            continue
-        variant, squid = pattern[first - 1]
-        a, b, shift = COUPLED_LEVELS[variant]
-        assert state[squid - 1] in (a, b)
+    states, first = _photon_reach(pattern, start, fock_cutoff)
+    assert not states.flags.writeable and not first.flags.writeable
+    reached = [tuple(state) for state in states.tolist()]
+    assert max(state[-1] for state in reached) == reach
+    assert reached == sorted(set(reached))
+    assert [state for state, j in zip(reached, first.tolist()) if j == 0] == sorted(start)
+    # a state reached by pulse j - 1 is one of its partners, within the cutoff
+    for state, j in zip(reached, first.tolist()):
+        assert state[-1] <= fock_cutoff
+        if j:
+            variant, squid = pattern[j - 1]
+            a, b, shift = COUPLED_LEVELS[variant]
+            assert state[squid - 1] in (a, b)
+    if pattern == ((PulseVariant.JC, 1),) and fock_cutoff == 1:
+        assert reached == list(start)  # |e, g, g, 1> reaches nothing new
 
 
 def test_a_clone_schedule_on_a_squid_outside_the_register_raises_before_any_walk():
@@ -795,17 +809,37 @@ def _inject_dense(amps, gi):
     amps[LEVEL_I] = gi[:, 1] * g_old
 
 
+def _register_walk(amps, schedule, fock_cutoff, factors=None):
+    """Walk the (..., B) register rows ``amps`` through ``schedule``, unguarded, in place.
+
+    Every pulse runs through ``run_pulse`` over the whole register's
+    ``pulse_rows``, not through a compiled program; row b of slot k lasts
+    its nominal duration times ``factors[b, k]``, or the nominal duration.
+    """
+    from clone_sim.dynamics import pulse_coefficients, pulse_rows, run_pulse
+    from clone_sim.hilbert import BasisList
+
+    labels = BasisList.full(BasisSpec(3, fock_cutoff)).labels
+    rows = amps.reshape(-1, amps.shape[-1])
+    assert np.shares_memory(rows, amps)
+    for k, slot in enumerate(schedule.slots):
+        for track in slot.tracks:
+            for op in track:
+                durations = op.duration * (np.ones(1) if factors is None else factors[:, k])
+                coeffs = pulse_coefficients(op, durations, fock_cutoff, CFG)
+                run_pulse(rows, op, coeffs, pulse_rows(op, labels), guarded=False)
+
+
 def _support_defects(fock_cutoff, rows=1000, seed=2024):
     """What fails of the support walk's promise on ``rows`` jittered clones at ``fock_cutoff``.
 
     The reached set comes from each pulse's ``build_generator`` nonzero
     pattern, not from ``_photon_reach``'s coupling table.  Every row runs
-    its own slot factors, with jitter up to 0.99, through a ``_walk`` over
-    the whole register.
+    its own slot factors, with jitter up to 0.99, through
+    ``_register_walk`` over the whole register.
     """
     from clone_sim import build_generator, clone_batch
-    from clone_sim.protocol import (_compile, _photon_reach, _uqcm_program, _walk,
-                                    bloch_amplitudes, gi_amplitudes)
+    from clone_sim.protocol import _photon_reach, _uqcm_program, bloch_amplitudes, gi_amplitudes
 
     schedule = build_uqcm_schedule(CFG)
     spec = BasisSpec(3, fock_cutoff)
@@ -830,10 +864,11 @@ def _support_defects(fock_cutoff, rows=1000, seed=2024):
     amps = np.zeros(spec.factor_dims + (rows,), dtype=complex)
     amps[0, 0, 0, 0] = 1.0
     _inject_dense(amps, gi_amplitudes(alpha, beta))
-    _walk(amps.reshape(-1, rows), _compile(schedule, CFG, spec, clone=False), factors, False)
+    _register_walk(amps, schedule, fock_cutoff, factors)
     full = np.moveaxis(amps, -1, 0)
 
-    states = [state for state, _ in _photon_reach(_pattern(schedule))]
+    states = [tuple(state) for state in
+              _photon_reach(_pattern(schedule), CLONE_START, fock_cutoff)[0].tolist()]
     reach = max(state[-1] for state in states)
     photons = np.nonzero(reached)[-1]
     defects = []
@@ -866,15 +901,16 @@ def test_clones_stay_on_the_proven_photon_support(fock_cutoff):
     from clone_sim.protocol import _photon_reach
 
     assert _support_defects(fock_cutoff) == []
-    assert len(_photon_reach(_pattern(build_uqcm_schedule(CFG)))) == 45
+    assert len(_photon_reach(_pattern(build_uqcm_schedule(CFG)), CLONE_START, fock_cutoff)[0]) == 45
 
 
 def test_a_reach_one_too_low_breaks_the_support_check(monkeypatch):
     from clone_sim import protocol
 
-    def lowered(pattern):
-        reach = max(state[-1] for state, _ in original(pattern))
-        return tuple(item for item in original(pattern) if item[0][-1] < reach)
+    def lowered(pattern, start, fock_cutoff):
+        states, first = original(pattern, start, fock_cutoff)
+        kept = states[:, -1] < states[:, -1].max()
+        return states[kept], first[kept]
 
     original = protocol._photon_reach
     monkeypatch.setattr(protocol, "_photon_reach", lowered)
@@ -884,6 +920,70 @@ def test_a_reach_one_too_low_breaks_the_support_check(monkeypatch):
     defects = _support_defects(8)
     assert "n <= reach block differs from the walk over the whole register" in defects
     assert "the generator walk reaches another set of states" in defects
+
+
+def _sparse_start(rng, spec, batch):
+    """(support, start states, (S, batch) columns): 1-4 random basis states of ``spec``.
+
+    The states are in C order, and each column of amplitudes on them has
+    norm 1.
+    """
+    support = np.sort(rng.choice(spec.dimension, rng.integers(1, 5), replace=False))
+    start = tuple(zip(*(axis.tolist() for axis in np.unravel_index(support, spec.factor_dims))))
+    columns = rng.standard_normal((len(support), batch, 2)).view(complex)[..., 0]
+    return support, start, columns / np.linalg.norm(columns, axis=0)
+
+
+def _schedules_under_test():
+    from clone_sim.protocol import PROCESS_ONE_PHASE, PROCESS_TWO_PHASE, _process_track
+
+    tracks = (("process_one", _process_track(1, PROCESS_ONE_PHASE, CFG)),
+              ("process_two", _process_track(2, PROCESS_TWO_PHASE, CFG)),
+              ("cnot", (PulseOp(PulseVariant.JC, 3, math.pi / CFG.lam),)))
+    return [build_uqcm_schedule(CFG)] + [Schedule((Slot(label, (track,)),))
+                                         for label, track in tracks]
+
+
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 3, 8])
+def test_a_sparse_start_walks_its_reached_set_as_the_whole_register_does(fock_cutoff):
+    from clone_sim.protocol import _compile, _start_rows, _walk
+
+    spec = BasisSpec(3, fock_cutoff)
+    rng = np.random.default_rng((37, fock_cutoff))
+    for schedule in _schedules_under_test():
+        for _ in range(8):
+            support, start, columns = _sparse_start(rng, spec, 2)
+            full = np.zeros((spec.dimension, 2), dtype=complex)
+            full[support] = columns
+            _register_walk(full, schedule, fock_cutoff)
+            program = _compile(schedule, CFG, spec, start)
+            rows = _start_rows(program, columns)
+            _walk(rows, program, None, False)
+            basis_list = program.basis_list
+            on_list = basis_list.dense(np.ones((1, len(rows))), fock_cutoff).reshape(-1) == 1.0
+            listed = basis_list.dense(rows.T, fock_cutoff).reshape(2, -1).T
+            # a batch of two shares the whole-register walk's rounding, so every
+            # listed amplitude is the same number; off the list it is zero
+            assert np.array_equal(listed[on_list], full[on_list])
+            assert not np.any(full[~on_list])
+            amplitudes = np.zeros(spec.dimension, dtype=complex)
+            amplitudes[support] = columns[:, 0]
+            final, _ = execute_schedule(PureState(amplitudes, spec), schedule, CFG,
+                                        enforce_preconditions=False)
+            assert np.max(np.abs(final.amplitudes - full[:, 0])) <= 1e-15
+
+
+def test_execute_schedule_at_cutoff_1000_pads_the_cutoff_2_walk_with_zeros():
+    q = InputQubit.from_bloch(1.1, 0.4)
+    finals = []
+    for fock_cutoff in (2, 1000):
+        spec = BasisSpec(3, fock_cutoff)
+        start = prepare_input(PureState.basis_state(spec, ("g", "g", "g"), 0), 1, q, CFG)
+        final, trace = execute_schedule(start, build_uqcm_schedule(CFG), CFG)
+        assert max(len(entry.basis.index) for entry in trace.entries) <= 45
+        finals.append(final.tensor())
+    assert np.array_equal(finals[1][..., :3], finals[0])
+    assert not np.any(finals[1][..., 3:])
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.5])
