@@ -565,9 +565,10 @@ class _Program:
 def _compile(schedule: Schedule, cfg: CouplingConfig, spec: BasisSpec, start: _States) -> _Program:
     """``schedule``'s pulse program for a register over ``spec`` whose support is ``start``.
 
-    The basis list, the start rows and each pulse's row lists come from
-    ``_layout``; the coefficients are the schedule's, and the nominal time
-    is summed slot by slot.
+    ``start`` lists its basis states in the register's C order, the order
+    of ``_start_rows``' columns.  The basis list, the start rows and each
+    pulse's row lists come from ``_layout``; the coefficients are the
+    schedule's, and the nominal time is summed slot by slot.
     """
     ops = [op for slot in schedule.slots for track in slot.tracks for op in track]
     basis_list, start_rows, lists = _layout(ops, spec, start)
@@ -678,7 +679,7 @@ def execute_schedule(
     state's own photon cutoff.
     """
     spec = state.spec
-    support = tuple(map(tuple, np.argwhere(state.tensor()).tolist()))  # in C order
+    support = tuple(zip(*(axis.tolist() for axis in np.nonzero(state.tensor()))))  # in C order
     program = _compile(schedule, cfg, spec, support)
     rows = _start_rows(program, state.amplitudes[state.amplitudes != 0][:, None])
     entries: list[TraceEntry] = []

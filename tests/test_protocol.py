@@ -758,25 +758,7 @@ def _pattern(schedule):
 CLONE_START = ((LEVEL_G, LEVEL_G, LEVEL_G, 0), (LEVEL_I, LEVEL_G, LEVEL_G, 0))
 
 
-@pytest.mark.parametrize("pattern, start, fock_cutoff, reach", [
-    ((), CLONE_START, 8, 0),
-    (((PulseVariant.JC, 1), (PulseVariant.JC, 2)), CLONE_START, 8, 0),  # |g, 0> is dark
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)), CLONE_START, 8, 1),
-    (((PulseVariant.DRIVE_IE, 1), (PulseVariant.JC, 1)), CLONE_START, 8, 1),  # the input's |i> part
-    (((PulseVariant.RAMAN, 3), (PulseVariant.DRIVE_GE, 3), (PulseVariant.JC, 3)),
-     CLONE_START, 8, 1),
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, CLONE_START, 8, 2),
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, CLONE_START, 1, 1),  # truncated
-    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.FREE_EVOLVE, 2), (PulseVariant.JC, 3)),
-     CLONE_START, 8, 0),
-    (((PulseVariant.JC, 2), (PulseVariant.DRIVE_GE, 2)), CLONE_START, 8, 0),  # order matters
-    (((PulseVariant.JC, 1),),
-     ((LEVEL_E, LEVEL_G, LEVEL_G, 0), (LEVEL_E, LEVEL_E, LEVEL_G, 1)), 3, 2),
-    (((PulseVariant.JC, 1),), ((LEVEL_E, LEVEL_G, LEVEL_G, 1),), 2, 2),
-    (((PulseVariant.JC, 1),), ((LEVEL_E, LEVEL_G, LEVEL_G, 1),), 1, 1),  # |g, 2> does not exist
-    (((PulseVariant.JC, 2), (PulseVariant.RAMAN, 1)), ((LEVEL_G, LEVEL_E, 0),), 4, 1),  # two SQUIDs
-])
-def test_photon_reach_follows_each_pulse_in_walk_order(pattern, start, fock_cutoff, reach):
+def _check_reach(pattern, start, fock_cutoff, reach):
     from clone_sim.protocol import _photon_reach
 
     states, first = _photon_reach(pattern, start, fock_cutoff)
@@ -792,8 +774,37 @@ def test_photon_reach_follows_each_pulse_in_walk_order(pattern, start, fock_cuto
             variant, squid = pattern[j - 1]
             a, b, shift = COUPLED_LEVELS[variant]
             assert state[squid - 1] in (a, b)
-    if pattern == ((PulseVariant.JC, 1),) and fock_cutoff == 1:
-        assert reached == list(start)  # |e, g, g, 1> reaches nothing new
+    return reached
+
+
+@pytest.mark.parametrize("pattern, reach", [
+    ((), 0),
+    (((PulseVariant.JC, 1), (PulseVariant.JC, 2)), 0),  # |g, 0> is dark
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)), 1),
+    (((PulseVariant.DRIVE_IE, 1), (PulseVariant.JC, 1)), 1),  # the input's |i> part
+    (((PulseVariant.RAMAN, 3), (PulseVariant.DRIVE_GE, 3), (PulseVariant.JC, 3)), 1),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, 2),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.FREE_EVOLVE, 2), (PulseVariant.JC, 3)), 0),
+    (((PulseVariant.JC, 2), (PulseVariant.DRIVE_GE, 2)), 0),  # order matters
+])
+def test_photon_reach_follows_each_pulse_in_walk_order(pattern, reach):
+    _check_reach(pattern, CLONE_START, 8, reach)
+
+
+@pytest.mark.parametrize("pattern, start, fock_cutoff, reach, size", [
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, CLONE_START, 8, 2, 10),
+    (((PulseVariant.DRIVE_GE, 2), (PulseVariant.JC, 2)) * 2, CLONE_START, 1, 1, 8),
+    (((PulseVariant.JC, 1),),
+     ((LEVEL_E, LEVEL_G, LEVEL_G, 0), (LEVEL_E, LEVEL_E, LEVEL_G, 1)), 3, 2, 4),
+    (((PulseVariant.JC, 1),), ((LEVEL_E, LEVEL_G, LEVEL_G, 1),), 2, 2, 2),
+    (((PulseVariant.JC, 1),), ((LEVEL_E, LEVEL_G, LEVEL_G, 1),), 1, 1, 1),  # no |g, 2>
+    (((PulseVariant.JC, 2), (PulseVariant.RAMAN, 1)), ((LEVEL_G, LEVEL_E, 0),), 4, 1, 4),
+])
+def test_photon_reach_walks_any_start_in_the_truncated_register(pattern, start, fock_cutoff,
+                                                               reach, size):
+    # other start sets, a two-SQUID register, and partners beyond the cutoff,
+    # which do not exist: |e, g, g, 1> under JC on SQUID 1 at cutoff 1 reaches nothing new
+    assert len(_check_reach(pattern, start, fock_cutoff, reach)) == size
 
 
 def test_a_clone_schedule_on_a_squid_outside_the_register_raises_before_any_walk():
